@@ -25,7 +25,6 @@ def oracle(sql: str, data_dir: str) -> pd.DataFrame:
 
     con = duckdb.connect()
     try:
-        con.execute("SET threads TO 1")
         for t in TABLES:
             path = os.path.join(data_dir, f"{t}.parquet")
             if os.path.exists(path):
