@@ -103,12 +103,12 @@ SELECT 'E:' || subj AS source_id, 'E:' || obj AS target_id, pred AS type,
 FROM tr GROUP BY subj, pred, obj
 """,
 )
-def q_kg_edges(sf_dir: str) -> rd.Dataset:
+def q_kg_edges(sf_dir: str):
     """Deduplicated edge table of the unified graph IR (triple dedup +
     provenance merge; reference analog _oregano.py:226-237)."""
-    from kgw_ray.pipelines.webkg import edges_from_triples, triples_dataset
+    from kgw_ray.pipelines.webkg import edge_rows, triples_dataset
 
-    return edges_from_triples(triples_dataset(sf_dir))
+    return edge_rows(triples_dataset(sf_dir))
 
 
 @register(
@@ -121,12 +121,12 @@ SELECT 'E:' || s AS id, {_TYPE_CASE_TPL.format(col='s')} AS type,
 FROM m GROUP BY s
 """,
 )
-def q_kg_nodes(sf_dir: str) -> rd.Dataset:
+def q_kg_nodes(sf_dir: str):
     """Node table of the unified graph IR: distinct entities + type +
     mention-count properties (reference node-map analog, transform.py:12-16)."""
-    from kgw_ray.pipelines.webkg import nodes_from_triples, triples_dataset
+    from kgw_ray.pipelines.webkg import node_rows, triples_dataset
 
-    return nodes_from_triples(triples_dataset(sf_dir))
+    return node_rows(triples_dataset(sf_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -3095,7 +3095,7 @@ SELECT CAST(n AS BIGINT) AS n_nodes, CAST(dmax AS BIGINT) AS max_degree,
        CAST(CASE WHEN n >= 3
             THEN 1000000 * (n * dmax - sdeg) // ((n - 1) * (n - 2))
             ELSE 0 END AS BIGINT) AS centralization_micro
-FROM agg
+FROM (SELECT n, COALESCE(dmax, 0) AS dmax, COALESCE(sdeg, 0) AS sdeg FROM agg)
 """
 
 

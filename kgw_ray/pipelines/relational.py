@@ -19,20 +19,20 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Min, Sum
+from ray.data.aggregate import Count, Max, Min
 
 from kgw_ray.functions.arrow_utils import arrow_from_pandas, typed_pandas
 from kgw_ray.functions.porthash import bitlen_u64 as _bitlen_u64
 from kgw_ray.functions.porthash import mix64 as _mix64
 from kgw_ray.sources.readers import read_table, read_table_pandas
-from kgw_ray.stages.agg import grouped_aggregate
+from kgw_ray.stages.agg import fold, grouped_aggregate_hybrid, order_by
 from kgw_ray.stages.joins import broadcast_join, large_join
 
 _R = 2  # money rounding (both sides of every oracle)
 
 
 def distributed_topk(
-    ds: rd.Dataset, keys: list[str], descending: list[bool], k: int
+    ds: "rd.Dataset | pa.Table", keys: list[str], descending: list[bool], k: int
 ) -> pa.Table:
     """Top-k under a deterministic total order WITHOUT a global sort: each
     block emits its local top-k (vectorized pandas sort over ≤ block rows),
@@ -41,7 +41,10 @@ def distributed_topk(
     and builds one reduce partition per input block — measured ~2s of pure
     overhead for a 10-row answer over 64 blocks at sf0.1 (same pattern as
     stages/similarity.py:brute_force_topk). ``keys`` must include a unique
-    tie-break column so the order is total."""
+    tie-break column so the order is total. A driver table (a fold's
+    driver branch) is ordered in place."""
+    if isinstance(ds, pa.Table):
+        return order_by(ds, keys, descending).slice(0, k)
     ascending = [not d for d in descending]
 
     def local(df: pd.DataFrame) -> pa.Table:
@@ -106,18 +109,6 @@ def q1_pricing_summary(sf_dir: str) -> rd.Dataset:
         ).reset_index()
         return arrow_from_pandas(out)
 
-    partials = ds.map_batches(partial, batch_format="pandas")
-    merged = grouped_aggregate(
-        partials,
-        ["l_returnflag", "l_linestatus"],
-        Sum("sum_qty", alias_name="sum_qty"),
-        Sum("sum_base_price", alias_name="sum_base_price"),
-        Sum("sum_disc_price", alias_name="sum_disc_price"),
-        Sum("sum_charge", alias_name="sum_charge"),
-        Sum("sum_disc", alias_name="sum_disc"),
-        Sum("count_order", alias_name="count_order"),
-    )
-
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
         n = df["count_order"]
         return pd.DataFrame(
@@ -136,19 +127,17 @@ def q1_pricing_summary(sf_dir: str) -> rd.Dataset:
         )
 
     # output cardinality is bounded by |returnflag|x|linestatus| (6 rows at
-    # ANY scale) — order the tiny result on the driver instead of paying the
-    # all-to-all Sort operator for presentation order
-    out = typed_pandas(
-        merged.map_batches(finalize, batch_format="pandas"),
-        [
-            "l_returnflag", "l_linestatus", "sum_qty", "sum_base_price",
-            "sum_disc_price", "sum_charge", "avg_qty", "avg_price",
-            "avg_disc", "count_order",
-        ],
+    # ANY scale): the fold merges, finalizes and orders it on the driver
+    merged = fold(
+        ds.map_batches(partial, batch_format="pandas"),
+        ["l_returnflag", "l_linestatus"],
+        [(c, "sum", c) for c in (
+            "sum_qty", "sum_base_price", "sum_disc_price", "sum_charge",
+            "sum_disc", "count_order",
+        )],
+        finalize=finalize,
     )
-    return arrow_from_pandas(
-        out.sort_values(["l_returnflag", "l_linestatus"]).reset_index(drop=True)
-    )
+    return order_by(merged, ["l_returnflag", "l_linestatus"], [False, False])
 
 
 Q1_SQL = """
@@ -242,18 +231,18 @@ def q3_top_orders(
             .reset_index()
         )
 
-    partials = j.map_batches(partial, batch_format="pandas")
-    merged = grouped_aggregate(
-        partials, ["l_orderkey", "o_orderdate"], Sum("revenue", alias_name="revenue")
-    )
-
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
         df["revenue"] = df["revenue"].round(_R)
         return df.rename(columns={"l_orderkey": "o_orderkey"})[
             ["o_orderkey", "o_orderdate", "revenue"]
         ]
 
-    out = merged.map_batches(finalize, batch_format="pandas")
+    out = fold(
+        j.map_batches(partial, batch_format="pandas"),
+        ["l_orderkey", "o_orderdate"],
+        [("revenue", "sum", "revenue")],
+        finalize=finalize,
+    )
     return distributed_topk(out, ["revenue", "o_orderkey"], [True, False], 10)
 
 
@@ -317,11 +306,6 @@ def q5_revenue_by_nation(sf_dir: str, *, force_hash_join: bool = False) -> rd.Da
             df.groupby("c_nationkey", sort=False)["revenue"].sum().reset_index()
         )
 
-    partials = j.map_batches(partial, batch_format="pandas")
-    merged = grouped_aggregate(
-        partials, "c_nationkey", Sum("revenue", alias_name="revenue")
-    )
-
     nmap = dict(zip(nation["n_nationkey"], nation["n_name"]))
 
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
@@ -333,15 +317,13 @@ def q5_revenue_by_nation(sf_dir: str, *, force_hash_join: bool = False) -> rd.Da
         )
 
     # bounded by |nation| (25 rows) — driver-order the tiny result
-    out = typed_pandas(
-        merged.map_batches(finalize, batch_format="pandas"),
-        ["n_name", "revenue"],
+    merged = fold(
+        j.map_batches(partial, batch_format="pandas"),
+        "c_nationkey",
+        [("revenue", "sum", "revenue")],
+        finalize=finalize,
     )
-    return arrow_from_pandas(
-        out.sort_values(
-            ["revenue", "n_name"], ascending=[False, True]
-        ).reset_index(drop=True)
-    )
+    return order_by(merged, ["revenue", "n_name"], [True, False])
 
 
 Q5_SQL = """
@@ -361,7 +343,7 @@ ORDER BY revenue DESC, n_name
 # ---------------------------------------------------------------------------
 
 
-def events_hourly_window(sf_dir: str) -> rd.Dataset:
+def events_hourly_window(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Tumbling 1h event-time window per event_type: count + rounded sum.
 
     Ray Data has no event-time windowing; the window key is derived per
@@ -376,20 +358,17 @@ def events_hourly_window(sf_dir: str) -> rd.Dataset:
         g = df.groupby(["event_type", "hour"], sort=False)["value"]
         return arrow_from_pandas(g.agg(n="size", sum_value="sum").reset_index())
 
-    partials = ds.map_batches(partial, batch_format="pandas")
-    merged = grouped_aggregate(
-        partials,
-        ["event_type", "hour"],
-        Sum("n", alias_name="n"),
-        Sum("sum_value", alias_name="sum_value"),
-    )
-
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
         df["sum_value"] = df["sum_value"].round(_R)
         df["n"] = df["n"].astype("int64")
         return df[["event_type", "hour", "n", "sum_value"]]
 
-    return merged.map_batches(finalize, batch_format="pandas")
+    return fold(
+        ds.map_batches(partial, batch_format="pandas"),
+        ["event_type", "hour"],
+        [("n", "sum", "n"), ("sum_value", "sum", "sum_value")],
+        finalize=finalize,
+    )
 
 
 EVENTS_HOURLY_SQL = """
@@ -445,11 +424,10 @@ def events_hourly_gapfill(sf_dir: str) -> "rd.Dataset | pa.Table":
         g["n"] = g["n"].astype("int64")
         return arrow_from_pandas(g)
 
-    counts = grouped_aggregate(
+    counts = fold(
         ds.map_batches(partial, batch_format="pandas"),
         ["he"],
-        Sum("n", alias_name="n"),
-        Sum("sum_value", alias_name="sum_value"),
+        [("n", "sum", "n"), ("sum_value", "sum", "sum_value")],
     )
 
     spine = rd.range(hi_h - lo_h + 1).map_batches(
@@ -682,22 +660,17 @@ def top_users_by_value(sf_dir: str, k: int = 10) -> rd.Dataset:
             df.groupby("user_id", sort=False)["value"].sum().rename("total_value").reset_index()
         )
 
-    merged = grouped_aggregate(
-        ds.map_batches(partial, batch_format="pandas"),
-        "user_id",
-        Sum("total_value", alias_name="total_value"),
-    )
-
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
         df["total_value"] = df["total_value"].round(_R)
         return df
 
-    return distributed_topk(
-        merged.map_batches(finalize, batch_format="pandas"),
-        ["total_value", "user_id"],
-        [True, False],
-        k,
+    merged = fold(
+        ds.map_batches(partial, batch_format="pandas"),
+        "user_id",
+        [("total_value", "sum", "total_value")],
+        finalize=finalize,
     )
+    return distributed_topk(merged, ["total_value", "user_id"], [True, False], k)
 
 
 TOP_USERS_SQL = """
@@ -835,22 +808,17 @@ def events_sliding_window(sf_dir: str) -> rd.Dataset:
         g = out.groupby("window_start", sort=False)["value"]
         return arrow_from_pandas(g.agg(n="size", sum_value="sum").reset_index())
 
-    from ray.data.aggregate import Sum
-
-    partials = ds.map_batches(expand, batch_format="pandas")
-    merged = grouped_aggregate(
-        partials,
-        "window_start",
-        Sum("n", alias_name="n"),
-        Sum("sum_value", alias_name="sum_value"),
-    )
-
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
         df["n"] = df["n"].astype("int64")
         df["sum_value"] = df["sum_value"].round(_R)
         return df[["window_start", "n", "sum_value"]]
 
-    return merged.map_batches(finalize, batch_format="pandas")
+    return fold(
+        ds.map_batches(expand, batch_format="pandas"),
+        "window_start",
+        [("n", "sum", "n"), ("sum_value", "sum", "sum_value")],
+        finalize=finalize,
+    )
 
 
 EVENTS_SLIDING_SQL = """
@@ -984,19 +952,17 @@ def events_props_extract(sf_dir: str) -> rd.Dataset:
         g = df.groupby("event_type", sort=False)["k"]
         return arrow_from_pandas(g.agg(sum_k="sum", n="size").reset_index())
 
-    merged = grouped_aggregate(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        "event_type",
-        Sum("sum_k", alias_name="sum_k"),
-        Sum("n", alias_name="n"),
-    )
-
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
         df["sum_k"] = df["sum_k"].astype("int64")
         df["n"] = df["n"].astype("int64")
         return df[["event_type", "sum_k", "n"]]
 
-    return merged.map_batches(finalize, batch_format="pandas")
+    return fold(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        "event_type",
+        [("sum_k", "sum", "sum_k"), ("n", "sum", "n")],
+        finalize=finalize,
+    )
 
 
 EVENTS_PROPS_SQL = """
@@ -1193,10 +1159,6 @@ def events_latest_per_user(sf_dir: str) -> rd.Dataset:
     import numpy as np
     import pyarrow.compute as pc
 
-    from ray.data.aggregate import Max
-
-    from kgw_ray.stages.agg import grouped_aggregate
-
     ds = read_table(sf_dir, "events", columns=["event_id", "ts", "user_id", "value"])
 
     def pack(batch: pa.Table) -> pa.Table:
@@ -1236,8 +1198,6 @@ def events_latest_per_user(sf_dir: str) -> rd.Dataset:
         )
         top = df.groupby("user_id", sort=False)["key"].max().reset_index()
         return arrow_from_pandas(top)
-
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     merged = grouped_aggregate_hybrid(
         ds.map_batches(pack, batch_format="pyarrow"),
@@ -1383,8 +1343,6 @@ def events_funnel(sf_dir: str) -> rd.Dataset:
             )
             return arrow_from_pandas(g)
 
-        from kgw_ray.stages.agg import grouped_aggregate_hybrid
-
         return grouped_aggregate_hybrid(
             ev.map_batches(combine, batch_format="pandas"),
             "user_id",
@@ -1463,10 +1421,8 @@ def events_rollup(sf_dir: str) -> pa.Table:
         g = df.groupby(["event_type", "hour"], sort=False)["value"]
         return arrow_from_pandas(g.agg(n="size", sum_value="sum").reset_index())
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
-
     detail = typed_pandas(
-        grouped_aggregate_hybrid(
+        fold(
             ds.map_batches(partial, batch_format="pandas"),
             ["event_type", "hour"],
             [("n", "sum", "n"), ("sum_value", "sum", "sum_value")],
@@ -1478,23 +1434,26 @@ def events_rollup(sf_dir: str) -> pa.Table:
         .agg(n=("n", "sum"), sum_value=("sum_value", "sum"))
         .reset_index()
     )
-    lvl1["hour"] = pd.NaT
-    lvl0 = pd.DataFrame(
-        {
-            "event_type": [None],
-            "hour": [pd.NaT],
-            "n": [detail["n"].sum()],
-            "sum_value": [detail["sum_value"].sum()],
-        }
+
+    def level(event_type, hour, n, sum_value) -> pa.Table:
+        # typed Arrow levels: a pandas concat of the all-NULL super-level
+        # columns is deprecated (FutureWarning) and would drop their types
+        return pa.table(
+            {
+                "event_type": pa.array(event_type, pa.string(), from_pandas=True),
+                "hour": pa.array(hour, pa.timestamp("us"), from_pandas=True),
+                "n": pa.array(n, pa.int64()),
+                "sum_value": pa.array(np.round(np.asarray(sum_value, np.float64), _R)),
+            }
+        )
+
+    return pa.concat_tables(
+        [
+            level(detail["event_type"], detail["hour"], detail["n"], detail["sum_value"]),
+            level(lvl1["event_type"], [None] * len(lvl1), lvl1["n"], lvl1["sum_value"]),
+            level([None], [None], [detail["n"].sum()], [detail["sum_value"].sum()]),
+        ]
     )
-    out = pd.concat(
-        [detail[["event_type", "hour", "n", "sum_value"]], lvl1, lvl0],
-        ignore_index=True,
-    )
-    out["n"] = out["n"].astype("int64")
-    out["hour"] = out["hour"].astype("datetime64[us]")
-    out["sum_value"] = out["sum_value"].round(_R)
-    return arrow_from_pandas(out[["event_type", "hour", "n", "sum_value"]])
 
 
 EVENTS_ROLLUP_SQL = """
@@ -1554,8 +1513,6 @@ def events_snapshot_diff(sf_dir: str) -> rd.Dataset:
             new_key=("new_key", "max"), old_key=("old_key", "max")
         )
         return arrow_from_pandas(g.reset_index())
-
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     merged = grouped_aggregate_hybrid(
         ds.map_batches(pack, batch_format="pyarrow"),
@@ -1735,7 +1692,6 @@ def orders_period_diff(sf_dir: str) -> rd.Dataset:
     import numpy as np
     import pyarrow.compute as pc
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.joins import large_join
 
     from ray.data.aggregate import Max, Min
@@ -1916,8 +1872,6 @@ def events_pivot_by_type(sf_dir: str) -> rd.Dataset:
     conditional-aggregation plan, no row explosion, no shuffle of the log.
     """
     import numpy as np
-
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     types = ["click", "error", "purchase", "signup", "view"]
     cols = [f"n_{t}" for t in types]
@@ -2192,8 +2146,6 @@ def events_cube(sf_dir: str) -> pa.Table:
             }
         )
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
-
     cells = typed_pandas(
         grouped_aggregate_hybrid(
             ds.map_batches(partial, batch_format="pyarrow"),
@@ -2340,8 +2292,6 @@ def events_users_per_type(sf_dir: str) -> rd.Dataset:
     too wide.
     """
     import numpy as np
-
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     ds = read_table(sf_dir, "events", columns=["event_type", "user_id"])
 
@@ -2669,8 +2619,6 @@ def events_users_click_and_purchase(sf_dir: str) -> rd.Dataset:
     never materializes either side of the intersection separately."""
     import numpy as np
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
-
     ds = read_table(sf_dir, "events", columns=["user_id", "event_type"])
 
     # mergeable fold: per-batch per-user presence bits, grouped Max —
@@ -2723,8 +2671,6 @@ def events_value_histogram(sf_dir: str, width_cents: int = 1000) -> rd.Dataset:
     empty buckets are omitted (SQL GROUP BY parity).
     """
     import numpy as np
-
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     ds = read_table(sf_dir, "events", columns=["value"])
 
@@ -2825,8 +2771,6 @@ def orders_monthly_rollup(sf_dir: str) -> rd.Dataset:
     import numpy as np
     import pyarrow.compute as pc
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
-
     ds = read_table(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
 
     def partial(t: pa.Table) -> pa.Table:
@@ -2868,8 +2812,6 @@ def parts_by_type_stats(sf_dir: str) -> rd.Dataset:
     combiner pass + a type-vocabulary grouped reduce (Min/Max/Sum all
     mergeable)."""
     import numpy as np
-
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     ds = read_table(
         sf_dir, "part", columns=["p_type", "p_size", "p_retailprice"]
@@ -2939,7 +2881,6 @@ def customers_by_segment_nation(sf_dir: str) -> rd.Dataset:
     import numpy as np
 
     from kgw_ray.sources.readers import read_table_pandas
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     nat = read_table_pandas(
         sf_dir, "nation", columns=["n_nationkey", "n_name"]
@@ -3022,8 +2963,6 @@ def q6_revenue_forecast(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
-
     return grouped_aggregate_hybrid(
         ds.map_batches(partial, batch_format="pyarrow"),
         "one",
@@ -3051,7 +2990,6 @@ def q4_priority_returned(sf_dir: str) -> rd.Dataset:
     import numpy as np
     import pyarrow.dataset as pads
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.joins import semi_join_dataset
 
     rline = read_table(
@@ -3113,7 +3051,6 @@ def q12_priority_by_returnflag(sf_dir: str) -> rd.Dataset:
     limit, hash-partitioned beyond) + conditional-count combiner."""
     import numpy as np
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.joins import large_join
 
     line = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_returnflag"])
@@ -3172,8 +3109,6 @@ def q14_promo_revenue_monthly(sf_dir: str) -> rd.Dataset:
     exact-integer (promo_cents / total_cents emitted separately, no float
     division under the hash gate)."""
     import numpy as np
-
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     part = read_table_pandas(sf_dir, "part", columns=["p_partkey", "p_type"])
     part["is_promo"] = (part["p_type"] == "PROMO").to_numpy()
@@ -3243,7 +3178,6 @@ def q18_large_orders_by_customer(sf_dir: str) -> rd.Dataset:
     final rollup is one more combiner pass."""
     import numpy as np
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.joins import broadcast_join as _bj, large_join as _lj
 
     line = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
@@ -3314,7 +3248,6 @@ def events_retention_cohorts(sf_dir: str) -> rd.Dataset:
     divisions — integer-exact on both engines."""
     import numpy as np
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.graph_metrics import _hybrid_attach
 
     WEEK_US = 604_800 * 1_000_000
@@ -3416,7 +3349,6 @@ def events_time_to_convert(sf_dir: str) -> rd.Dataset:
     end-to-end."""
     import numpy as np
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.graph_metrics import _hybrid_attach
 
     ds = read_table(sf_dir, "events", columns=["user_id", "event_type", "ts"])
@@ -3564,7 +3496,6 @@ def events_user_modal_type(sf_dir: str) -> rd.Dataset:
     sum/min/max-mergeable, no per-user Python and no window sort."""
     import numpy as np
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.graph_metrics import _hybrid_attach
 
     ds = read_table(sf_dir, "events", columns=["user_id", "event_type"])
@@ -3724,7 +3655,6 @@ def events_cms_estimates(sf_dir: str) -> rd.Dataset:
     companion to the KMV distinct sketch, stages/agg.py:kmv_sketch).
     Hashes follow the portable md5-LE convention, which is what lets an
     independent SQL oracle rebuild the identical sketch."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     ds = read_table(sf_dir, "events", columns=["user_id"])
 
@@ -4027,8 +3957,6 @@ def star_revenue_by_nation_parttype(sf_dir: str) -> rd.Dataset:
         )
         return arrow_from_pandas(g)
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
-
     merged = grouped_aggregate_hybrid(
         j.map_batches(partial, batch_format="pandas"),
         ["c_nationkey", "p_type"],
@@ -4174,8 +4102,6 @@ def events_markov_transitions(sf_dir: str) -> rd.Dataset:
         )
         return arrow_from_pandas(out)
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
-
     shards = (
         ds.map_batches(_shard_by_user, batch_format="pyarrow")
         .groupby("_shard")
@@ -4210,7 +4136,6 @@ def orders_fill_rate(sf_dir: str) -> rd.Dataset:
     into the lineitem stream under the size-hybrid rule; one vectorized
     conditional-count combiner per batch, then a priority-vocabulary
     Sum."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     orders = read_table(
         sf_dir, "orders", columns=["o_orderkey", "o_orderdate", "o_orderpriority"]
@@ -4292,7 +4217,6 @@ def basket_brand_pairs(sf_dir: str) -> rd.Dataset:
     import ray as _ray
 
     from kgw_ray.sources.readers import read_table_pandas
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     part = read_table_pandas(sf_dir, "part", columns=["p_partkey", "p_brand"])
     brand_ref = _ray.put(
@@ -4444,7 +4368,6 @@ def orders_backlog_timeline(sf_dir: str) -> pa.Table:
     (one tiny groupby), and the running sum folds on the driver over
     the ~thousands of boundary days (the kmeans/centroid rule — no
     distributed prefix machinery needed at day granularity)."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     line = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
 
@@ -4559,7 +4482,6 @@ def events_anomalous_hours(sf_dir: str) -> pa.Table:
 
     Plan: one hour-vocabulary count rollup (per-batch bincount partials),
     then the median/MAD fold over the tiny hourly table on the driver."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     ds = read_table(sf_dir, "events", columns=["ts"])
 
@@ -4675,8 +4597,6 @@ def q7_volume_shipping(sf_dir: str) -> rd.Dataset:
     orders attach is size-hybrid."""
     import pyarrow.dataset as pads
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
-
     lo, hi = pd.Timestamp("1995-01-01"), pd.Timestamp("1997-01-01")
     line = read_table(
         sf_dir,
@@ -4742,7 +4662,6 @@ def q8_market_share(sf_dir: str) -> rd.Dataset:
     (focal_e4 / total_e4 emitted separately). Part/customer/supplier
     predicates all resolve from broadcast dimension maps in the combiner;
     only the orders attach is a (size-hybrid) join."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     line = read_table(
         sf_dir,
@@ -4841,7 +4760,6 @@ def q9_profit_by_nation_year(sf_dir: str) -> rd.Dataset:
     Profit stays 1e-4-dollar exact-integer (cost = retail cents x integer
     qty x 100); int64 headroom is ~9e18, sums at 100 TB need the same
     per-nation-year split the oracle groups by."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     line = read_table(
         sf_dir,
@@ -4925,8 +4843,6 @@ def q10_returned_revenue_by_customer(sf_dir: str) -> rd.Dataset:
     exchange."""
     import pyarrow.dataset as pads
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
-
     line = read_table(
         sf_dir,
         "lineitem",
@@ -5000,7 +4916,6 @@ def q11_important_parts(sf_dir: str) -> rd.Dataset:
     per-part aggregate: the grand total and part count are the (tiny) sum
     of the per-part partials, and the HAVING compare is exact-integer
     (value_c * n_parts * 2 > 3 * grand_c) — no float share."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     line = read_table(sf_dir, "lineitem", columns=["l_partkey", "l_extendedprice"])
 
@@ -5049,7 +4964,6 @@ def q13_order_count_distribution(sf_dir: str) -> pa.Table:
     orders only; the zero bucket is arithmetic (total customers minus
     customers seen in orders) — the customer table is scanned for its
     count alone, never joined."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     orders = read_table(sf_dir, "orders", columns=["o_custkey"])
 
@@ -5112,8 +5026,6 @@ def q15_top_suppliers(sf_dir: str) -> rd.Dataset:
     global max is a scalar over that bounded aggregate; names attach on
     the (tiny) winner set only."""
     import pyarrow.dataset as pads
-
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     lo, hi = pd.Timestamp("1996-01-01"), pd.Timestamp("1996-04-01")
     line = read_table(
@@ -5178,7 +5090,6 @@ def q16_supplier_count_by_part_attrs(sf_dir: str) -> rd.Dataset:
     attr-level dedup removes suppliers shipping several same-attr parts,
     and the final count is a combiner sum — three bounded exchanges, no
     row-level COUNT DISTINCT shuffle."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     line = read_table(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"])
 
@@ -5246,7 +5157,6 @@ def q17_small_quantity_revenue(sf_dir: str) -> pa.Table:
     keys (broadcast set — same values the oracle's unfiltered correlated
     average yields for those parts); pass 2 re-scans, filters against the
     broadcast per-part sums and reduces to one row."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     part = read_table_pandas(sf_dir, "part", columns=["p_partkey", "p_brand"])
     brand_keys = frozenset(part.loc[part["p_brand"] == "Brand#23", "p_partkey"].tolist())
@@ -5322,7 +5232,6 @@ def q19_bracketed_revenue(sf_dir: str) -> pa.Table:
     quantity-range) conjunctions — the disjunctive-predicate showcase.
     Part attrs resolve from two broadcast maps; the whole predicate is one
     vectorized boolean expression per block, reduced to a single row."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     part = read_table_pandas(sf_dir, "part", columns=["p_partkey", "p_brand", "p_size"])
     brand = part.set_index("p_partkey")["p_brand"]
@@ -5386,7 +5295,6 @@ def q22_idle_customer_balance(sf_dir: str) -> rd.Dataset:
     the "not ordered since" test is the size-hybrid anti-join against the
     distinct recent-order custkeys (combiner unique + grouped reduce —
     never a row-level orders shuffle)."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.joins import anti_join
 
     cust = read_table(
@@ -5499,7 +5407,6 @@ def q2_min_balance_supplier_per_part(sf_dir: str) -> rd.Dataset:
     Min ((bal_c + 2e6) * 1e7 + suppkey — bal in [-1e6, 1e6] cents,
     suppkey < 1e7; both bounds asserted) — the CDC latest-per-user
     pattern, no per-part window sort."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     supp = read_table_pandas(sf_dir, "supplier", columns=["s_suppkey", "s_acctbal"])
     bal_c = pd.Series(
@@ -5569,7 +5476,6 @@ def events_hourly_distinct_users(sf_dir: str) -> rd.Dataset:
     (hour, user) dedup combiner → ONE pair-keyed exchange → per-hour
     count. Hours bucket as integer microseconds (epoch_us // 3.6e9 — a
     float epoch would round the x.55 boundaries)."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     _HOUR_US = 3_600_000_000
     ds = read_table(sf_dir, "events", columns=["ts", "user_id"])
@@ -5621,7 +5527,6 @@ def dq_orphan_lineitems(sf_dir: str) -> pa.Table:
     combiner + one bounded grouped reduce each), then the two set
     differences run as size-hybrid anti-joins over those key Datasets —
     the raw fact rows never shuffle. Output is one summary row."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.joins import anti_join
 
     def distinct_keys(table: str, col: str) -> rd.Dataset:
@@ -5673,8 +5578,6 @@ def users_by_type_signature(sf_dir: str) -> rd.Dataset:
     Sum. The signature string exists only on the deduped pair table
     (≤ users x type-vocabulary rows), never on the raw event stream."""
     import pyarrow.dataset as pads
-
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     ds = read_table(
         sf_dir,
@@ -5738,7 +5641,6 @@ def events_value_var_parts(sf_dir: str) -> rd.Dataset:
     mergeable form). Overflow headroom: cents ≤ ~5.6e4 here, squares
     ~3e9/row, ~9e18/int64 ⇒ ~3e9 rows per type per partial; beyond that
     split groups or widen to per-block HUGEINT partials."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     ds = read_table(sf_dir, "events", columns=["event_type", "value"])
 
@@ -5789,7 +5691,6 @@ def q20_promotion_suppliers(sf_dir: str) -> rd.Dataset:
     centi-units so the halving test is exact integer arithmetic; ONE
     pair-keyed combiner exchange, then the per-supplier count is a
     second bounded reduce and names attach on the driver-sized result."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     part = read_table_pandas(sf_dir, "part", columns=["p_partkey", "p_name"])
     fam_keys = np.sort(
@@ -5904,8 +5805,6 @@ def q21_waiting_suppliers(sf_dir: str) -> rd.Dataset:
             )
         )
     import pyarrow.dataset as pads
-
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     orders = read_table(
         sf_dir,
@@ -6038,7 +5937,6 @@ def events_type_lift(sf_dir: str) -> pa.Table:
     type-vocab²-sized count table on the driver in arbitrary-precision
     Python int (n_ab·n_users·10⁶ overflows int64 at web scale; the
     counts it folds are tiny, the corpus never lands here)."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     ds = read_table(sf_dir, "events", columns=["user_id", "event_type"])
 
@@ -6173,7 +6071,6 @@ def events_user_sketch_by_type(sf_dir: str, k: int = 64) -> pa.Table:
     Standard error ~1/√k (~12% at the default k=64 — chosen so the
     estimator branch, not just the exact-small branch, is live at the
     sf0.01 gate scale of ~150 users/type; production would run k≥1024)."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.dedup import _portable_token_hashes
 
     ds = read_table(sf_dir, "events", columns=["event_type", "user_id"])
@@ -6410,7 +6307,6 @@ def orders_cohort_ltv(sf_dir: str) -> rd.Dataset:
     vocabulary-bounded) → the (cohort, offset) census. After the
     (custkey, month) grouping each (custkey, offset) pair is unique, so
     n_active is a plain COUNT — no distinct-count machinery needed."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.joins import large_join
 
     orders = read_table(
@@ -6582,7 +6478,6 @@ def lineitem_benford_digits(sf_dir: str) -> rd.Dataset:
     per block cross the wire) → tiny digit-keyed groupby. Reference
     analog: kgw's statistics sinks (graph.py:get_statistics) — corpus
     audit as a first-class pipeline output."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     ds = read_table(sf_dir, "lineitem", columns=["l_extendedprice"])
 
@@ -6620,7 +6515,6 @@ def events_dow_hour_heatmap(sf_dir: str) -> rd.Dataset:
     // 3.6e9 — so no dayofweek()/strftime() locale or ISO-vs-US mismatch
     can split Ray from the oracle. Combiner: per-batch bincount over the
     ≤168-cell grid; one row per (block, cell) crosses the wire."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     ds = read_table(sf_dir, "events", columns=["ts"])
     _US_DAY = 86_400_000_000
@@ -6680,8 +6574,6 @@ def events_session_stats(sf_dir: str, gap_minutes: int = 30) -> rd.Dataset:
     (len → count) unique fold), so the second exchange is bounded by the
     length histogram vocabulary, never the session count."""
     import numpy as np
-
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
     gap = pd.Timedelta(minutes=gap_minutes).to_timedelta64()
@@ -6773,7 +6665,6 @@ def events_hourly_modal_type(sf_dir: str) -> rd.Dataset:
     vocabulary — every exchange is native-mergeable, no window sort."""
     import numpy as np
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.graph_metrics import _hybrid_attach
 
     ds = read_table(sf_dir, "events", columns=["ts", "event_type"])
@@ -6927,7 +6818,6 @@ def events_path_trigrams(sf_dir: str, k: int = 20) -> pa.Table:
     user, a per-shard pandas groupby folds to ≤ |types|³ partial rows,
     a vocabulary-sized Sum merges shards, and ``distributed_topk``
     avoids the global sort."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     ds = read_table(
         sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"]
@@ -7000,7 +6890,6 @@ def events_user_simpson(sf_dir: str) -> rd.Dataset:
     Sum exchange → a vectorized cnt² projection → one user-keyed Sum →
     the closed-form division. int64-safe to ~3·10⁹ events per user
     (cnt²·10⁶ < 2⁶³)."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     ds = read_table(sf_dir, "events", columns=["user_id", "event_type"])
 
@@ -7082,7 +6971,6 @@ def events_weekly_retention(sf_dir: str) -> rd.Dataset:
     (broadcast under the limit, hash-partitioned beyond); after the
     distinct, each (user, offset) is unique so n_users is a plain Sum
     over a (weeks²)-bounded key space."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
 
@@ -7158,8 +7046,6 @@ def orders_basket_triples(sf_dir: str, min_support: int = 2) -> rd.Dataset:
     C(25,3)=2300); partials fold per shard before the tiny final Sum and
     support filter."""
     import ray as _ray
-
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     part = read_table_pandas(sf_dir, "part", columns=["p_partkey", "p_brand"])
     brand_ref = _ray.put(
@@ -7251,7 +7137,6 @@ def events_dau_wau_stickiness(sf_dir: str) -> rd.Dataset:
     users, and a day-keyed Sum yields WAU; DAU is a plain distinct
     count. Gap days appear via the WAU spine with dau = 0 (a user's
     activity keeps windows alive for 6 more days)."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.joins import broadcast_join
 
     ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
@@ -7393,7 +7278,6 @@ def events_hll_registers(sf_dir: str) -> rd.Dataset:
     ``mix64_sql`` / ``length(bin(w))``). Only touched registers surface
     (vocabulary ≤ |types| × 1024). Estimation accuracy is pinned in
     tests/test_hll.py (within 10%% of exact per type at sf0.01)."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     ds = read_table(sf_dir, "events", columns=["event_type", "user_id"])
 
@@ -7553,8 +7437,6 @@ def users_decayed_engagement(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
-
     return grouped_aggregate_hybrid(
         ds.map_batches(_partial, batch_format="pyarrow"),
         "user_id",
@@ -7619,8 +7501,6 @@ def users_activity_bitmap(sf_dir: str) -> rd.Dataset:
                 "one": pa.array(np.ones(len(pairs), dtype=np.int64)),
             }
         )
-
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     distinct = grouped_aggregate_hybrid(
         ds.map_batches(_pairs, batch_format="pyarrow"),
@@ -7785,7 +7665,6 @@ def events_hourly_dispersion(sf_dir: str) -> pa.Table:
     grouped count (vocabulary-bounded), then a per-type Python-int fold
     over ≤ |types|·|hours| rows — nothing corpus-scale on the driver.
     Types with a single observed hour are excluded (variance undefined)."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     ds = read_table(sf_dir, "events", columns=["event_type", "ts"])
 
@@ -7869,7 +7748,6 @@ def events_daily_hll_trailing(sf_dir: str) -> rd.Dataset:
     from which the estimate is one driver-side fold
     (relational.hll_estimate). Mergeability is the load-bearing property
     and is exactly what the hash gate pins."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
 
@@ -7973,7 +7851,6 @@ def events_top3_users_per_type(sf_dir: str) -> rd.Dataset:
     top-3 inside a |types|-group map_groups under the (cents desc,
     user_id) total order."""
     from kgw_ray.functions.arrow_utils import arrow_from_pandas
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     ds = read_table(sf_dir, "events", columns=["event_type", "user_id", "value"])
 
@@ -8134,7 +8011,6 @@ def events_selfjoin_size_estimate(sf_dir: str) -> pa.Table:
     Plan: one user-vocabulary count fold, a per-batch Σc² partial (int64
     partials, bound asserted), and the (depth × width)-bounded sketch
     Sum; everything after the count fold is sketch-sized."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     ds = read_table(sf_dir, "events", columns=["user_id"])
 

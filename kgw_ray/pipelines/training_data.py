@@ -18,6 +18,7 @@ import ray.data as rd
 from kgw_ray.functions.arrow_utils import typed_pandas
 from kgw_ray.functions.tokenize import split_tokens
 from kgw_ray.sources.readers import read_table
+from kgw_ray.stages.agg import fold, grouped_aggregate_hybrid
 
 
 def _docs(sf_dir: str, cols=("doc_id", "text")) -> rd.Dataset:
@@ -129,7 +130,6 @@ def text_rare_token_stats(sf_dir: str, rare_divisor: int = 1000) -> rd.Dataset:
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
-    from kgw_ray.stages.agg import grouped_aggregate
     from kgw_ray.stages.textstats import _segment_sums
 
     docs = _docs(sf_dir)
@@ -143,8 +143,6 @@ def text_rare_token_stats(sf_dir: str, rare_divisor: int = 1000) -> rd.Dataset:
         return pa.table(
             {"tok": pa.array(uq, pa.string()), "c": pa.array(cnt.astype(np.int64))}
         )
-
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     freq = grouped_aggregate_hybrid(
         docs.map_batches(tok_partials, batch_format="pyarrow"),
@@ -222,7 +220,6 @@ def web_domain_stats(sf_dir: str) -> rd.Dataset:
     import pyarrow.compute as pc
     from ray.data.aggregate import Max, Sum
 
-    from kgw_ray.stages.agg import grouped_aggregate
 
     docs = read_table(
         sf_dir, "documents", columns=["doc_id", "text", "source", "n_chars"]
@@ -251,8 +248,6 @@ def web_domain_stats(sf_dir: str) -> rd.Dataset:
                 "max_doc_chars": pa.array(max_chars),
             }
         )
-
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     return grouped_aggregate_hybrid(
         docs.map_batches(partials, batch_format="pyarrow"),
@@ -294,7 +289,6 @@ def pareto_concentration(sf_dir: str) -> "pa.Table":
     the oracle hashes bit-identically. Reference analog: the corpus
     statistics reports of kgw's ``*_stats`` sinks (graph.py:get_statistics).
     """
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     docs = read_table(sf_dir, "documents", columns=["source", "n_chars"])
 
@@ -371,7 +365,6 @@ def source_gini(sf_dir: str) -> "pa.Table":
     int64 bound: Σ i·c_i ≤ n_hosts·total_chars — overflows only past
     ~10⁷ hosts × 10¹⁴ chars; swap the fold to Python ints (exact) and
     the oracle to HUGEINT if a corpus ever gets there."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     docs = read_table(sf_dir, "documents", columns=["source", "n_chars"])
 
@@ -1193,6 +1186,18 @@ def media_frame_sample(sf_dir: str) -> rd.Dataset:
     )
 
 
+def _exact_dedup_winners(good: rd.Dataset) -> "pa.Table | rd.Dataset":
+    """Exact dedup, first wins: MIN(doc_id) per content hash, folded per
+    block and merged on the driver while the hash set is driver-sized
+    (16-byte keys move, never text)."""
+    return fold(
+        good.select_columns(["content_md5", "doc_id"]),
+        "content_md5",
+        [("doc_id", "min", "doc_id")],
+        combine=True,
+    )
+
+
 def curate_documents(sf_dir: str) -> rd.Dataset:
     """End-to-end training-data curation: quality filter → exact dedup →
     MinHash near-dedup, returning surviving (doc_id, n_tokens,
@@ -1213,8 +1218,6 @@ def curate_documents(sf_dir: str) -> rd.Dataset:
     Ordering note: cheap vectorized filters run FIRST so the expensive
     shingle/LSH stage sees only the quality-surviving subset.
     """
-    from ray.data.aggregate import Min
-
     from kgw_ray.stages.dedup import minhash_dedup_keep
     from kgw_ray.stages.joins import semi_join_dataset
     from kgw_ray.stages.textstats import content_md5_list, quality_stats_batch
@@ -1229,12 +1232,7 @@ def curate_documents(sf_dir: str) -> rd.Dataset:
 
     enriched = _docs(sf_dir).map_batches(enrich, batch_format="pyarrow")
     good = enriched.filter(expr="n_tokens >= 10 and quality_score >= 0.2").materialize()
-    # exact dedup: first-wins winner ids (16-byte keys shuffle, never text)
-    winners = (
-        good.groupby("content_md5")
-        .aggregate(Min("doc_id", alias_name="doc_id"))
-        .select_columns(["doc_id"])
-    )
+    winners = _exact_dedup_winners(good)
     # no materialize here: minhash_dedup_keep consumes its input exactly
     # once (into its shingle hub), so a second corpus-sized checkpoint
     # between the semi join and the hub would be pure overhead
@@ -1413,7 +1411,6 @@ def _dup_window_hash_set(docs: rd.Dataset, k: int, min_count: int) -> rd.Dataset
     size)."""
     import pyarrow.compute as pc
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.corpus import window_count_partial
 
     partials = docs.map_batches(
@@ -1689,11 +1686,8 @@ def ngram_topk(sf_dir: str, k: int = _NGRAM_TOPK_K) -> pa.Table:
     with the deterministic (n desc, gram asc) total order."""
     from ray.data.aggregate import Sum
 
-    from kgw_ray.stages.agg import grouped_aggregate
     from kgw_ray.stages.corpus import bigram_count_partial
     from kgw_ray.pipelines.relational import distributed_topk
-
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     counts = grouped_aggregate_hybrid(
         _docs(sf_dir).map_batches(bigram_count_partial, batch_format="pyarrow"),
@@ -1730,7 +1724,6 @@ def docs_inverted_index(sf_dir: str) -> rd.Dataset:
     vocabulary, never the token stream. Output is vocabulary-bounded."""
     import pyarrow.compute as pc
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.corpus import flat_tokens
 
     def partials(batch: pa.Table) -> pa.Table:
@@ -1802,7 +1795,6 @@ def text_commonness(sf_dir: str) -> rd.Dataset:
     import ray
     import pyarrow.compute as pc
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.textstats import _segment_sums
 
     docs = _docs(sf_dir)
@@ -1917,7 +1909,6 @@ def text_keyword_extraction(sf_dir: str, topn: int = _KEYWORD_TOPN) -> rd.Datase
     import ray
     import pyarrow.compute as pc
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.corpus import flat_tokens
 
     docs = _docs(sf_dir)
@@ -2061,7 +2052,6 @@ def text_bigram_lift(
     """
     import pyarrow.compute as pc
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.corpus import bigram_count_partial
     from kgw_ray.pipelines.relational import distributed_topk
 
@@ -2229,11 +2219,9 @@ def tfidf_top_terms(sf_dir: str) -> rd.Dataset:
     import ray
     from ray.data.aggregate import Sum
 
-    from kgw_ray.stages.agg import grouped_aggregate
     from kgw_ray.stages.corpus import df_partial, tfidf_batch
 
     docs = _docs(sf_dir)
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     df_tbl = grouped_aggregate_hybrid(
         docs.map_batches(df_partial, batch_format="pyarrow"),
@@ -2429,7 +2417,6 @@ def curate_documents_full(sf_dir: str) -> rd.Dataset:
     survivors via its Dataset-native drop set, and the final mixing is an
     embarrassingly parallel md5-mod map. No driver-side O(N) id lists."""
     import ray
-    from ray.data.aggregate import Min
 
     from kgw_ray.stages.agg import exact_quantiles
     from kgw_ray.stages.corpus import decontaminate_batch, stratified_keep_mask
@@ -2475,11 +2462,7 @@ def curate_documents_full(sf_dir: str) -> rd.Dataset:
             f"and n_chars >= {lo} and n_chars <= {hi} and n_contaminated <= 0"
         )
     ).materialize()
-    winners = (
-        good.groupby("content_md5")
-        .aggregate(Min("doc_id", alias_name="doc_id"))
-        .select_columns(["doc_id"])
-    )
+    winners = _exact_dedup_winners(good)
     exact_docs = semi_join_dataset(good, winners, on="doc_id")
     survivors = minhash_dedup_keep(
         exact_docs,
@@ -2591,7 +2574,6 @@ def web_host_stats(sf_dir: str) -> rd.Dataset:
     import pyarrow.compute as pc
 
     from kgw_ray.sources.pages import url_for  # noqa: F401 (derivation doc)
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text", "source"])
 
@@ -2686,8 +2668,6 @@ def web_url_canonicalize(sf_dir: str) -> rd.Dataset:
     (np.unique) then one url-vocabulary exchange.
     Output: (canon_url, n_variants)."""
     import pyarrow.compute as pc
-
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "source"])
 
@@ -2997,7 +2977,6 @@ def dedup_cross_source_overlap(sf_dir: str, *, prefix_tokens: int = 16) -> rd.Da
     wider than the distinct (hash, source) set ever shuffles."""
     from kgw_ray.functions.arrow_utils import arrow_from_pandas
     from kgw_ray.functions.tokenize import py_tokens
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.graph_metrics import _hybrid_attach
     import hashlib as _hashlib
     import pandas as _pd
@@ -3182,8 +3161,6 @@ def embeddings_gram_quantized(sf_dir: str, *, scale: int = 1000) -> rd.Dataset:
                 "gram": pa.array(G[iu]),
             }
         )
-
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     return grouped_aggregate_hybrid(
         ds.map_batches(gram_partial, batch_format="pyarrow"),
@@ -3388,8 +3365,6 @@ def embeddings_scatter_quantized(sf_dir: str, *, scale: int = 1000) -> pa.Table:
                 "v": pa.array(gv.astype(np.int64)),
             }
         )
-
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     merged = grouped_aggregate_hybrid(
         ds.map_batches(partials, batch_format="pyarrow"),
@@ -3649,8 +3624,6 @@ def webkg_crawl_budget(sf_dir: str, budget: int = _CRAWL_BUDGET) -> pa.Table:
     (host, n_pages, budget)."""
     from kgw_ray.pipelines.training_data import web_domain_stats  # noqa: F401
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
-
     docs = read_table(sf_dir, "documents", columns=["source"])
 
     def partial(t: pa.Table) -> pa.Table:
@@ -3742,8 +3715,6 @@ def docs_interleave_roundrobin(sf_dir: str) -> rd.Dataset:
     (r, source) materializes with ONE coarse per-source shuffle and no
     global sort (the ordered-scan family's cheapest member)."""
     import ray as _ray
-
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "source"])
 
@@ -3838,7 +3809,6 @@ def text_template_groups(sf_dir: str, k: int = _TEMPLATE_PREFIX_LEN) -> rd.Datas
     import hashlib
 
     from kgw_ray.functions.arrow_utils import arrow_from_pandas
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     docs = _docs(sf_dir)
 
@@ -3991,8 +3961,6 @@ def docs_vocab_growth(sf_dir: str) -> pa.Table:
     folds on the driver — the corpus is never re-scanned per decile."""
     import ray as _ray
     from ray.data.aggregate import Max
-
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     docs = _docs(sf_dir)
     _mx = read_table(sf_dir, "documents", columns=["doc_id"]).aggregate(
@@ -4175,7 +4143,6 @@ def dedup_cluster_sizes(sf_dir: str) -> rd.Dataset:
     sizes."""
     import pyarrow.compute as pc
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.canonicalize import connected_components
     from kgw_ray.stages.dedup import exact_jaccard_pairs
 
@@ -4270,7 +4237,6 @@ def docs_lang_source_contingency(sf_dir: str) -> rd.Dataset:
     // N, truncating division — both engines agree on non-negative
     ints)."""
     from kgw_ray.functions.arrow_utils import arrow_from_pandas
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     ds = _docs(sf_dir, cols=("lang", "source"))
 
@@ -4349,8 +4315,6 @@ def profile_documents(sf_dir: str) -> rd.Dataset:
     (col, key) reduce is vocabulary-bounded for every column except the
     primary key, whose distinct-count shuffle is inherently key-sized."""
     import hashlib
-
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     cols = ["doc_id", "text", "lang", "source", "n_chars"]
     ds = read_table(sf_dir, "documents", columns=cols)
@@ -4454,7 +4418,6 @@ def embeddings_label_centroid_parts(sf_dir: str) -> rd.Dataset:
     convention both engines share); per block, np.add.at folds a batch
     to |labels|×dim partial rows, so the ONE exchange is
     label-vocabulary × dimension bounded regardless of corpus size."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.similarity import _quantize_matrix
 
     ds = read_table(sf_dir, "embeddings", columns=["label", "embedding"])
@@ -4506,7 +4469,6 @@ def docs_train_val_split(sf_dir: str) -> rd.Dataset:
     curator audits for stratification skew before training. One combiner
     pass + a host-vocabulary-bounded Sum; no shuffle of the corpus."""
     from kgw_ray.functions.porthash import mix64
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "n_chars", "source"])
 
@@ -4583,8 +4545,6 @@ def docs_partitioned_export(sf_dir: str) -> rd.Dataset:
 
     import ray.data as rd
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
-
     docs = read_table(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
     out_dir = tempfile.mkdtemp(prefix="kgw_ray_part_export_")
     docs.write_parquet(out_dir, partition_cols=["lang"])
@@ -4639,7 +4599,6 @@ def docs_lang_source_chi2(sf_dir: str) -> pa.Table:
     (o·N)² — far past int64 at corpus scale; the oracle mirrors with
     HUGEINT). The driver fold is legitimate under the house rule: the
     grid is vocabulary², never corpus-sized."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     docs = read_table(sf_dir, "documents", columns=["lang", "source"])
 
@@ -4867,7 +4826,6 @@ def text_cooccurrence_lift(sf_dir: str) -> pa.Table:
     pair space is V², never corpus-vocabulary²."""
     import ray
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.corpus import df_partial, distinct_doc_grams, flat_tokens
 
     docs = _docs(sf_dir)

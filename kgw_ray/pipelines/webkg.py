@@ -30,6 +30,7 @@ import ray.data as rd
 from kgw_ray.functions.arrow_utils import arrow_from_pandas
 from kgw_ray.functions.scalars import json_dumps, json_loads
 from kgw_ray.sources.pages import pages_dataset, url_for, warc_ts_for
+from kgw_ray.stages.agg import as_dataset, fold, grouped_aggregate_hybrid
 from kgw_ray.stages.extract import HtmlExtract
 from kgw_ray.stages.linking import link_triples_batch
 from kgw_ray.stages.triples import ENTITY_TYPE, extract_triples_batch
@@ -153,8 +154,8 @@ def _coalesce_partials(partials: rd.Dataset) -> rd.Dataset:
     lazy map chain throttles the upstream map's task concurrency (measured
     here at sf0.1×64: 14.5s lazy vs 4.3s materialized on 8 CPUs, 3.1s vs
     2.3s on 32 — the gap grows as CPUs shrink, which silently inflated the
-    8→32 scaling ratio; same pathology as stages/agg.py:grouped_aggregate's
-    default). Scale note: what lands in the object store is the per-block
+    8→32 scaling ratio; the reason stages/agg.py:fold materializes its
+    partials). Scale note: what lands in the object store is the per-block
     COMBINED representation (≤ |distinct keys| rows per block, ~28 bytes/doc
     here), not the corpus — the map stage upstream still streams."""
     import ray
@@ -201,42 +202,40 @@ _STATE_TO_IR = {"subj_id": "source_id", "obj_id": "target_id", "pred": "type"}
 _DRIVER_MERGE_LIMIT = 2_000_000
 
 
-def _merge_edge_partials(partials: rd.Dataset, *, rename: bool = True) -> rd.Dataset:
-    """Final reduce of the triple combiner — SIZE-HYBRID (the repo's
-    driver-merge rule, stages/agg.py:grouped_aggregate_hybrid):
+def _ir_edge_rows(batch: pa.Table) -> pa.Table:
+    """Merged combiner state → rendered unified-IR edge rows."""
+    names = [_STATE_TO_IR.get(c, c) for c in batch.column_names]
+    return _render_edge_rows(batch.rename_columns(names))
+
+
+def _merge_edge_partials(partials: rd.Dataset, *, render: bool = True):
+    """Final reduce of the triple combiner through the size-hybrid fold
+    (stages/agg.py:fold):
 
     - at or under ``_DRIVER_MERGE_LIMIT`` combined-partial rows the merge
-      is one pandas groupby on the driver. Measured at ×1024/32 CPUs the
-      Repartition + Aggregate all-to-all pair costs ~2.6s of an 8.8s wall
-      (~30%) to reduce ~2k rows — a pure fixed latency that CAPS scaling
-      efficiency (at 8 CPUs the same pair is ~1.7s of 18s), so removing
-      it directly improves the N→4N ratio;
-    - beyond the limit, the two-level tree combine bounds the sort
-      exchange at O(cpus × keyspace) rows and the native hash aggregates
-      run as before (never groupby().map_groups — per-group Python over
-      tiny groups is the measured slow pattern, stages/agg.py).
+      and the render run on the driver and a ``pa.Table`` comes back.
+      Measured at ×1024/32 CPUs the Repartition + Aggregate all-to-all
+      pair costs ~2.6s of an 8.8s wall (~30%) to reduce ~2k rows — a pure
+      fixed latency that CAPS scaling efficiency;
+    - beyond the limit, the two-level tree combine bounds the exchange at
+      O(cpus × keyspace) rows and the fold's exchange merges them.
 
-    ``rename=False`` keeps the COMBINER schema, making the output a
-    mergeable state (closed under another merge — Sum/Min monoids; the
-    driver-merged table is a Dataset again, so union + re-merge works
-    identically on both paths)."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
-
+    ``render=False`` keeps the COMBINER schema, making the output a
+    mergeable state (closed under another merge — Sum/Min monoids)."""
     keys = ["subj_id", "pred", "obj_id"]
     parts = partials.materialize()
     if parts.count() > _DRIVER_MERGE_LIMIT:
         parts = _tree_combine(
             parts, keys, [("n_obs", "sum"), ("first_doc", "min")]
         )
-    merged = grouped_aggregate_hybrid(
+    return fold(
         parts,
         keys,
         [("n_obs", "sum", "n_obs"), ("first_doc", "min", "first_doc")],
+        finalize=_ir_edge_rows if render else None,
+        batch_format="pyarrow",
         driver_limit=_DRIVER_MERGE_LIMIT,
     )
-    if not rename:
-        return merged
-    return merged.rename_columns(_STATE_TO_IR)
 
 
 def edge_state(triples: rd.Dataset, prior: rd.Dataset | None = None) -> rd.Dataset:
@@ -251,7 +250,7 @@ def edge_state(triples: rd.Dataset, prior: rd.Dataset | None = None) -> rd.Datas
     partials = triples.map_batches(_edge_partials, batch_format="pyarrow")
     if prior is not None:
         partials = partials.union(prior)
-    return _merge_edge_partials(partials, rename=False).materialize()
+    return as_dataset(_merge_edge_partials(partials, render=False)).materialize()
 
 
 def edges_from_state(state: rd.Dataset) -> rd.Dataset:
@@ -312,17 +311,23 @@ def _render_node_rows(batch: pa.Table) -> pa.Table:
     )
 
 
-def edges_from_triples(triples: rd.Dataset) -> rd.Dataset:
+def edge_rows(triples: rd.Dataset) -> "pa.Table | rd.Dataset":
     """Triple dedup + provenance merge (the Oregano triple-dedup analog,
-    kgw/biomedicine/_oregano.py:226-237, as a partial-agg shuffle).
+    kgw/biomedicine/_oregano.py:226-237, as a combiner fold).
 
     Output: edges(source_id, target_id, type, properties) with properties a
     canonical JSON string {"n_obs": N, "first_doc": D} — the unified-IR edge
-    shape (kgw/_shared/transform.py:18-25).
+    shape (kgw/_shared/transform.py:18-25); a driver table when the merged
+    edges are driver-sized.
     """
-    partials = triples.map_batches(_edge_partials, batch_format="pyarrow")
-    merged = _merge_edge_partials(partials)
-    return merged.map_batches(_render_edge_rows, batch_format="pyarrow")
+    return _merge_edge_partials(
+        triples.map_batches(_edge_partials, batch_format="pyarrow")
+    )
+
+
+def edges_from_triples(triples: rd.Dataset) -> rd.Dataset:
+    """:func:`edge_rows` as a Dataset (for writers and Dataset chains)."""
+    return as_dataset(edge_rows(triples))
 
 
 def _node_partials(batch: pa.Table) -> pa.Table:
@@ -343,23 +348,28 @@ def _node_partials(batch: pa.Table) -> pa.Table:
     )
 
 
-def nodes_from_triples(triples: rd.Dataset) -> rd.Dataset:
+def node_rows(triples: rd.Dataset) -> "pa.Table | rd.Dataset":
     """Distinct entities with types + mention counts → unified-IR node rows
-    (id, type, properties) per kgw/_shared/transform.py:12-16.
+    (id, type, properties) per kgw/_shared/transform.py:12-16; merged and
+    rendered by the fold (a driver table when driver-sized).
     """
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
-
     partials = triples.map_batches(_node_partials, batch_format="pyarrow")
     parts = partials.materialize()
     if parts.count() > _DRIVER_MERGE_LIMIT:
         parts = _tree_combine(parts, ["surface"], [("n_partial", "sum")])
-    counts = grouped_aggregate_hybrid(
+    return fold(
         parts,
         "surface",
         [("n_partial", "sum", "n_mentions")],
+        finalize=_render_node_rows,
+        batch_format="pyarrow",
         driver_limit=_DRIVER_MERGE_LIMIT,
     )
-    return counts.map_batches(_render_node_rows, batch_format="pyarrow")
+
+
+def nodes_from_triples(triples: rd.Dataset) -> rd.Dataset:
+    """:func:`node_rows` as a Dataset."""
+    return as_dataset(node_rows(triples))
 
 
 def nodes_from_edges(edges: rd.Dataset) -> rd.Dataset:
@@ -552,9 +562,7 @@ def build_webkg_partitioned(
     )
 
     def merge() -> rd.Dataset:
-        return _merge_edge_partials(partials).map_batches(
-            _render_edge_rows, batch_format="pyarrow"
-        )
+        return as_dataset(_merge_edge_partials(partials))
 
     return resumable_stage(
         os.path.join(out_dir, "edges"), "edges", fingerprint, merge
@@ -791,7 +799,6 @@ def latest_pages(sf_dir: str) -> rd.Dataset:
     import pyarrow.compute as pc
 
     from kgw_ray.sources.pages import recrawl_pages_dataset
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     pages = recrawl_pages_dataset(sf_dir, crawls="both", with_html=False)
 
@@ -970,7 +977,6 @@ def host_graph(sf_dir: str) -> rd.Dataset:
     spam-farm analysis consumes. One extraction pass feeds a per-block
     combiner (host pairs are near-vocabulary cardinality, ~|hosts|²
     bounded) + one bounded grouped Sum."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     links = link_graph(sf_dir)
 
@@ -1059,7 +1065,6 @@ def anchor_stats(sf_dir: str) -> rd.Dataset:
     a real crawl has millions — the plan is anchor-cardinality-bounded
     either way). One extraction pass → per-block (target, anchor) count
     combiner → ONE pair-keyed bounded Sum; raw links never shuffle."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     anchors = pages_dataset(sf_dir).map_batches(
         _extract_anchors_batch, batch_format="pyarrow"
@@ -1106,7 +1111,6 @@ def frontier_targets(sf_dir: str) -> rd.Dataset:
     size-hybrid anti-join against the crawled URL set (both sides travel
     as packed host|id keys, never full URLs)."""
     from kgw_ray.sources.readers import read_table
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.joins import anti_join
 
     anchors = pages_dataset(sf_dir).map_batches(
@@ -1170,7 +1174,6 @@ def frontier_targets(sf_dir: str) -> rd.Dataset:
 
 
 def _count_by_host(frontier: rd.Dataset) -> rd.Dataset:
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     def host_count(df: "pd.DataFrame") -> pa.Table:
         import numpy as np
@@ -1217,7 +1220,6 @@ def frontier_polite_by_host(sf_dir: str) -> rd.Dataset:
     # rule-less (allowed) while the oracle applies its band to every
     # srcN-pattern host — divergent for corpora where some source residue
     # is absent.
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     targets = frontier_targets(sf_dir).materialize()
 
@@ -1363,7 +1365,6 @@ def link_spam_scores(sf_dir: str) -> rd.Dataset:
     score itself is host-vocabulary-bounded arithmetic: per-block
     (sum, max) partials over (src, dst, n) triples + ONE host-keyed
     reduce; integer permille keeps the oracle float-free."""
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     hg = host_graph(sf_dir)
 
@@ -1600,7 +1601,6 @@ def line_dedup(
     import pyarrow.compute as pc
     import ray
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.corpus import (
         line_df_partial,
         line_dedup_mark_batch,
@@ -1730,8 +1730,6 @@ def mirror_host_pairs(sf_dir: str) -> rd.Dataset:
     set sizes attach from a host-vocabulary broadcast."""
     import numpy as np
     import pyarrow.compute as pc
-
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     hg = host_graph(sf_dir).select_columns(["src_host", "dst_host"])
 

@@ -1,19 +1,52 @@
-"""Grouped-aggregation helper: coalesce before the shuffle.
+"""The one grouped fold: partials → merge → finalize, sized by the result.
 
-Ray Data's sort-based groupby uses one reduce partition per input block; a
-pipeline that pre-aggregates per batch produces MANY small partial blocks,
-turning the final groupby into an N×N task storm (observed: 47s for a 76k-row
-aggregate over 80 blocks). Partials are small by construction, so coalescing
-them to ~#CPUs blocks first makes the shuffle constant-size regardless of
-upstream fan-out — the two-phase (combiner → reduce) shape at any scale.
+Every grouped aggregate in the repo runs through :func:`fold`:
+
+- **partials.** Callers hand in per-batch combiner output (≤ |groups| rows
+  per block), or raw rows with ``combine=True``, in which case each block
+  is first collapsed by an Arrow ``group_by`` with the same specs. The
+  partials are materialized once (not again when they already are), and
+  the row count is read from the block metadata — no extra execution.
+- **driver branch.** At or under ``driver_limit`` partial rows the merge
+  is one pandas group-by on the driver and ``finalize`` runs there too;
+  the result is a ``pa.Table``. A result this small is pulled or
+  broadcast by its consumer anyway, so an all-to-all exchange to reduce
+  it is pure fixed latency (120–290 ms per ``Aggregate``/``Sort`` at
+  1 CPU, for a few hundred rows).
+- **exchange branch.** Above the limit the partials are reduced by one
+  hash-shard exchange (each row hashes to an int shard, ``map_groups``
+  merges each shard with the same pandas group-by) and ``finalize`` runs
+  as a ``map_batches``; the result is a Dataset. So ``finalize`` must be
+  row-local; order-dependent tails (sort, top-k) follow the fold
+  (:func:`order_by`). Ray Data's sort-based ``groupby().aggregate`` is
+  not used: it raises on NULL string keys spread over several blocks
+  (Ray 2.49 compares None with str while picking sort boundaries), and
+  for near-unique multi-column keys it sorts the full key tuple.
+- **typed empty.** An empty input returns a zero-row table whose key
+  types come from the partials' schema (read from the materialized
+  blocks, never a ``ds.schema()`` execution) and whose aggregate types
+  follow the ops. NULL keys are groups on both branches (SQL GROUP BY).
+
+Exact either way: sum/min/max/count over integers and strings have one
+answer, so the branches agree row for row.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
+import numpy as np
+import pandas as pd
+import pyarrow as pa
 import ray
 import ray.data as rd
+from ray.data.dataset import MaterializedDataset
+
+from kgw_ray.functions.arrow_utils import arrow_from_pandas
+
+# partial rows at or under this count merge on the driver (read at call
+# time, so a test can pin the exchange branch for callers without a hook)
+DRIVER_LIMIT = 2_000_000
 
 
 def default_shuffle_partitions() -> int:
@@ -24,27 +57,234 @@ def default_shuffle_partitions() -> int:
     return max(2, n)
 
 
-def grouped_aggregate(
+def as_dataset(result: "pa.Table | rd.Dataset") -> rd.Dataset:
+    """A fold result as a Dataset (for consumers that chain Dataset ops)."""
+    return rd.from_arrow(result) if isinstance(result, pa.Table) else result
+
+
+def order_by(result, keys: Sequence[str], descending: Sequence[bool]):
+    """ORDER BY over a fold result, NULLs last: a driver table sorts in
+    place, a Dataset pays the exchange ``sort``. Ray Data's sort cannot
+    compare NULL with a value while it picks range boundaries, so every
+    key rides as (is-null flag, null-filled value) through the exchange."""
+    if isinstance(result, pa.Table):
+        return result.sort_by(
+            [(k, "descending" if d else "ascending") for k, d in zip(keys, descending)]
+        )
+    import pyarrow.compute as pc
+
+    flags = [f"_null_{k}" for k in keys]
+
+    def split(t: pa.Table) -> pa.Table:
+        for k, f in zip(keys, flags):
+            c = t.column(k)
+            fill = pa.scalar("" if pa.types.is_string(c.type) else 0).cast(c.type)
+            t = t.set_column(t.column_names.index(k), k, pc.fill_null(c, fill))
+            t = t.append_column(f, pc.cast(pc.is_null(c), pa.int8()))
+        return t
+
+    def join(t: pa.Table) -> pa.Table:
+        for k, f in zip(keys, flags):
+            c = t.column(k)
+            null = pa.scalar(None, c.type)
+            c = pc.if_else(pc.cast(t.column(f), pa.bool_()), null, c)
+            t = t.set_column(t.column_names.index(k), k, c)
+        return t.drop_columns(flags)
+
+    sort_keys = [c for pair in zip(flags, keys) for c in pair]
+    sort_desc = [d for dd in descending for d in (False, dd)]
+    return (
+        result.map_batches(split, batch_format="pyarrow")
+        .sort(sort_keys, descending=sort_desc)
+        .map_batches(join, batch_format="pyarrow")
+    )
+
+
+def _materialized(ds: rd.Dataset):
+    """(materialized dataset, block refs, row count, Arrow schema): one
+    execution at most, none when ``ds`` is already materialized."""
+    if not isinstance(ds, MaterializedDataset):
+        ds = ds.materialize()
+    bundles = list(ds.iter_internal_ref_bundles())
+    refs = [ref for b in bundles for ref, _ in b.blocks]
+    n = sum(m.num_rows or 0 for b in bundles for _, m in b.blocks)
+    schema = next((b.schema for b in bundles if b.schema is not None), None)
+    return ds, refs, n, schema
+
+
+def pull(ds: rd.Dataset) -> pa.Table:
+    """All rows of ``ds`` as one Arrow table on the driver. The blocks are
+    fetched by reference, so a materialized Dataset costs no execution
+    (``to_pandas`` runs one even then); a schema-less empty Dataset gives
+    a zero-column table."""
+    from ray.data.block import BlockAccessor
+
+    _, refs, _, schema = _materialized(ds)
+    tables = [BlockAccessor.for_block(b).to_arrow() for b in ray.get(refs)]
+    if not tables:
+        return schema.empty_table() if schema is not None else pa.table({})
+    return pa.concat_tables(
+        [t.replace_schema_metadata(None) for t in tables],
+        promote_options="permissive",
+    )
+
+
+def _types(schema) -> dict:
+    schema = getattr(schema, "base_schema", schema)
+    return dict(zip(schema.names, schema.types)) if schema is not None else {}
+
+
+def _out_type(op: str, t: Optional[pa.DataType]) -> pa.DataType:
+    if op == "count":
+        return pa.int64()
+    if t is None:
+        return pa.float64()
+    if op == "sum" and pa.types.is_integer(t):
+        return pa.int64()
+    if op == "sum" and pa.types.is_floating(t):
+        return pa.float64()
+    return t
+
+
+def _to_arrow(df: pd.DataFrame, types: dict) -> pa.Table:
+    """pandas → Arrow with the columns named in ``types`` pinned to their
+    type (a NULL int key must not turn float); an empty object column with
+    no pinned type is a string column (every object column here is)."""
+    cols = {}
+    for c in df.columns:
+        t = types.get(c)
+        if t is None and len(df) == 0 and df[c].dtype == object:
+            t = pa.string()
+        try:
+            cols[c] = pa.array(df[c], type=t, from_pandas=True)
+        except (pa.ArrowInvalid, pa.ArrowTypeError, TypeError):
+            cols[c] = pa.array(df[c], from_pandas=True)
+    return pa.table(cols) if cols else arrow_from_pandas(df)
+
+
+def _finalized(finalize: Callable, types: dict) -> Callable:
+    """``finalize`` with an Arrow result whose pass-through columns keep
+    the merged types (a NULL int key stays int on both branches)."""
+
+    def run(batch):
+        res = finalize(batch)
+        return res if isinstance(res, pa.Table) else _to_arrow(res, types)
+
+    return run
+
+
+def _merge_frame(pdf: pd.DataFrame, key_list, specs, types: dict) -> pa.Table:
+    """One pandas group-by merge of partial rows (``dropna=False``: NULL
+    keys are groups), typed by ``types``."""
+    agg = {
+        alias: (key_list[0], "size") if op == "count" else (col, op)
+        for col, op, alias in specs
+    }
+    g = pdf.groupby(key_list, sort=False, dropna=False).agg(**agg).reset_index()
+    return _to_arrow(g, types)
+
+
+def _combiner(key_list, specs) -> Callable[[pa.Table], pa.Table]:
+    """Per-block Arrow group_by with ``specs``: output (keys, aliases)."""
+    aggs = [([], "count_all") if op == "count" else (col, op) for col, op, _ in specs]
+    names = ["count_all" if op == "count" else f"{col}_{op}" for col, op, _ in specs]
+    aliases = [alias for _, _, alias in specs]
+
+    def combine(t: pa.Table) -> pa.Table:
+        g = t.group_by(key_list, use_threads=False).aggregate(aggs)
+        return g.select(key_list + names).rename_columns(key_list + aliases)
+
+    return combine
+
+
+def _sharded_exchange(ds, key_list, specs, types, n_shards: int) -> rd.Dataset:
+    """The fold's exchange: each row hashes to one of ``n_shards`` int
+    shards, ONE shuffle groups by the cheap int key, and a pandas group-by
+    merges exactly within each shard (a sort-based aggregate pays a full
+    multi-string-column sort instead: 7.8s vs 1.5s for a 766k-row
+    3-string-key count at sf0.1/32cpus). The hash only partitions —
+    groups stay the full key tuple, NULL keys included."""
+
+    def shard(batch: pa.Table) -> pa.Table:
+        k = pd.util.hash_pandas_object(
+            batch.select(key_list).to_pandas(), index=False
+        ).to_numpy()
+        return batch.append_column(
+            "shard", pa.array((k % n_shards).astype(np.int32), pa.int32())
+        )
+
+    def merge(g: pd.DataFrame) -> pa.Table:
+        return _merge_frame(g.drop(columns=["shard"]), key_list, specs, types)
+
+    return ds.map_batches(shard, batch_format="pyarrow").groupby("shard").map_groups(
+        merge, batch_format="pandas"
+    )
+
+
+def fold(
     partials: rd.Dataset,
     keys: Union[str, Sequence[str]],
-    *aggs,
-    materialize_partials: bool = True,
-) -> rd.Dataset:
-    """groupby(keys).aggregate(aggs) over pre-aggregated partials.
+    specs: Sequence[tuple],
+    *,
+    finalize: Optional[Callable] = None,
+    batch_format: str = "pandas",
+    combine: bool = False,
+    driver_limit: Optional[int] = None,
+    n_shards: Optional[int] = None,
+) -> "pa.Table | rd.Dataset":
+    """GROUP BY ``keys`` over ``partials`` (see the module docstring).
 
-    The partials are MATERIALIZED before the shuffle by default: a
-    sort-based aggregate consuming a lazy map chain degrades catastrophically
-    (measured at sf0.1/32cpus: 65s lazy vs 0.8s materialize + 11s aggregate
-    on 766k rows; same family as the lazy-union pathology noted at
-    tpch_graph). Partials are collapsed by construction, so pinning them in
-    the object store is cheap relative to the exchange; Ray spills if not.
-
-    Do NOT chain ``repartition`` in front instead — an all-to-all fed by a
-    lazy pandas map shows the same degradation (measured 64s).
+    ``specs`` is ``[(col, op, alias)]`` with op in {sum, min, max, count};
+    ``count`` counts rows (``col`` is None). With ``combine=False`` the
+    partials already hold one row per (block, group) and ``count`` counts
+    partial rows; with ``combine=True`` raw rows are collapsed per block
+    first and every op merges exactly. ``finalize`` is a row-local map in
+    ``batch_format`` applied to the merged groups. ``n_shards`` sizes the
+    exchange (default: one shard per CPU). Returns a ``pa.Table`` on the
+    driver branch, a Dataset on the exchange branch.
     """
-    if materialize_partials:
-        partials = partials.materialize()
-    return partials.groupby(keys).aggregate(*aggs)
+    key_list = [keys] if isinstance(keys, str) else list(keys)
+    if driver_limit is None:
+        driver_limit = DRIVER_LIMIT
+    # the input's schema as far as it is known without executing: types
+    # the result when no partial block carries a schema (an all-empty map)
+    hint = _types(
+        _materialized(partials)[3]
+        if isinstance(partials, MaterializedDataset)
+        else partials.schema(fetch_if_missing=False)
+    )
+    types = {k: hint.get(k) for k in key_list}
+    for col, op, alias in specs:
+        types[alias] = _out_type(op, hint.get(col))
+    if combine:
+        partials = partials.map_batches(_combiner(key_list, specs), batch_format="pyarrow")
+        # a combined count merges by summing the per-block counts
+        specs = [(a, "sum" if op == "count" else op, a) for _, op, a in specs]
+    mat, _, n, schema = _materialized(partials)
+    in_types = _types(schema)
+    for k in key_list:
+        types[k] = in_types.get(k) or hint.get(k) or pa.string()
+    for col, op, alias in specs:
+        if col in in_types:
+            types[alias] = _out_type(op, in_types[col])
+
+    if n <= driver_limit:
+        if n == 0:
+            out = pa.table({c: pa.array([], t) for c, t in types.items()})
+        else:
+            out = _merge_frame(pull(mat).to_pandas(), key_list, specs, types)
+        if finalize is None:
+            return out
+        return _finalized(finalize, types)(
+            out.to_pandas() if batch_format == "pandas" else out
+        )
+
+    merged = _sharded_exchange(
+        mat, key_list, specs, types, n_shards or default_shuffle_partitions()
+    )
+    if finalize is None:
+        return merged
+    return merged.map_batches(_finalized(finalize, types), batch_format=batch_format)
 
 
 def sharded_count(
@@ -53,85 +293,20 @@ def sharded_count(
     *,
     count_name: str = "n",
     n_shards: Optional[int] = None,
-) -> rd.Dataset:
-    """COUNT(*) GROUP BY ``keys`` for HIGH-CARDINALITY keys (groups ≈ rows):
-    each row hashes deterministically to one of ``n_shards`` int shards,
-    ONE shuffle groups by the cheap int key, and a vectorized pandas
-    groupby counts exactly within each shard.
-
-    A native sort-based aggregate pays a full multi-string-column sort of
-    the table (measured 7.8s vs 1.5s for a 766k-row 3-string-key count at
-    sf0.1/32cpus); a per-batch combiner is useless because near-unique
-    keys barely collapse. The hash only PARTITIONS — grouping keys stay
-    the full tuple, so results are exact. ``n_shards`` bounds per-shard
-    memory to ~|rows|/n_shards; scale it with the corpus (default 4×CPUs).
-    """
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-
-    from kgw_ray.functions.arrow_utils import arrow_from_pandas
-
+) -> "pa.Table | rd.Dataset":
+    """COUNT(*) GROUP BY ``keys``: a per-block Arrow count combiner feeding
+    :func:`fold`. Over the driver limit the merge is the hash-shard
+    exchange (``n_shards`` bounds per-shard memory to ~|rows|/n_shards;
+    default 4×CPUs) — high-cardinality keys barely collapse per block, and
+    a sort-based aggregate would sort the full key tuple."""
     keys = list(keys)
-    if n_shards is None:
-        n_shards = 4 * default_shuffle_partitions()
-    # key types pinned from the input schema: a group whose key column is
-    # ALL-null would otherwise infer float64/null in pandas→arrow and break
-    # cross-block schema unification
-    sch = ds.schema()
-    if sch is None:
-        # never-executed empty input: no schema to pin key types from —
-        # hand back a zero-row count table (string-typed keys; an empty
-        # result's key types are inert, the repo-wide empty rule)
-        import pyarrow as _pa
-
-        return rd.from_arrow(
-            _pa.table(
-                {**{k: _pa.array([], _pa.string()) for k in list(keys)},
-                 count_name: _pa.array([], _pa.int64())}
-            )
-        )
-    type_of = dict(zip(sch.names, sch.types))
-
-    def shard(batch: pa.Table) -> pa.Table:
-        proj = batch.select(keys)
-        k = pd.util.hash_pandas_object(proj.to_pandas(), index=False).to_numpy()
-        return proj.append_column(
-            "shard", pa.array((k % n_shards).astype(np.int32), pa.int32())
-        )
-
-    def count_group(g: pd.DataFrame) -> pa.Table:
-        # dropna=False: NULL group keys are rows too — SQL GROUP BY keeps
-        # them and the oracles compare exact counts
-        out = (
-            g.groupby(keys, sort=False, dropna=False)
-            .size()
-            .rename(count_name)
-            .reset_index()
-        )
-        return pa.table(
-            {
-                **{
-                    k: pa.array(out[k], type=type_of[k], from_pandas=True)
-                    for k in keys
-                },
-                count_name: pa.array(out[count_name], pa.int64()),
-            }
-        )
-
-    counted = ds.map_batches(shard, batch_format="pyarrow").groupby("shard").map_groups(
-        count_group, batch_format="pandas"
+    return fold(
+        ds.select_columns(keys),
+        keys,
+        [(None, "count", count_name)],
+        combine=True,
+        n_shards=n_shards or 4 * default_shuffle_partitions(),
     )
-    # an all-empty input never invokes count_group, leaving a SCHEMA-LESS
-    # empty dataset (the repo-wide empty-pull hazard) — union a typed empty
-    # table so downstream column access always works
-    empty = pa.table(
-        {
-            **{k: pa.array([], type_of[k]) for k in keys},
-            count_name: pa.array([], pa.int64()),
-        }
-    )
-    return rd.from_arrow(empty).union(counted)
 
 
 def salted_aggregate(
@@ -757,49 +932,11 @@ def grouped_aggregate_hybrid(
     keys: Union[str, Sequence[str]],
     specs: Sequence[tuple],
     *,
-    driver_limit: int = 2_000_000,
+    driver_limit: Optional[int] = None,
 ) -> rd.Dataset:
-    """grouped_aggregate with the bounded-result driver-merge fast path.
-
-    ``specs`` is ``[(col, op, alias)]`` with op in {sum, min, max}. The
-    combiner partials are materialized (the repo rule) and COUNTED; at or
-    under ``driver_limit`` rows the merge is one pandas groupby on the
-    driver (results this small get pulled/broadcast by their consumers
-    anyway — paying an all-to-all for them is pure latency, the
-    kg_statistics/pagerank lesson), beyond it the exchange runs as usual.
-    Exact either way: sum/min/max over int64/strings have one answer.
-    """
-    import pandas as pd
-    import pyarrow as pa
-
-    from ray.data.aggregate import Max, Min, Sum
-
-    from kgw_ray.functions.arrow_utils import arrow_from_pandas
-
-    key_list = [keys] if isinstance(keys, str) else list(keys)
-    partials = partials.materialize()
-    if partials.count() <= driver_limit:
-        pdf = partials.to_pandas()
-        if len(pdf) == 0 or not set(key_list).issubset(pdf.columns):
-            sch = partials.schema()
-            if sch is None:
-                # a never-executed combiner has no schema to type an empty
-                # with — hand back the empty dataset; consumers guard
-                # empties per the repo-wide rule
-                return partials
-            types = dict(zip(sch.names, sch.types))
-            cols = {k: pa.array([], types[k]) for k in key_list}
-            for col, _op, alias in specs:
-                cols[alias] = pa.array([], types[col])
-            return rd.from_arrow(pa.table(cols))
-        g = pdf.groupby(key_list, sort=False, dropna=False).agg(
-            **{alias: (col, op) for col, op, alias in specs}
-        ).reset_index()
-        return rd.from_arrow(arrow_from_pandas(g))
-    ctor = {"sum": Sum, "min": Min, "max": Max}
-    return partials.groupby(keys).aggregate(
-        *[ctor[op](col, alias_name=alias) for col, op, alias in specs]
-    )
+    """:func:`fold` for consumers that chain Dataset operations: the driver
+    branch's table comes back wrapped (``rd.from_arrow``, no execution)."""
+    return as_dataset(fold(partials, keys, specs, driver_limit=driver_limit))
 
 
 def table_checksum(ds: rd.Dataset, cols: "Sequence[str]") -> dict:

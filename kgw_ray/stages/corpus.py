@@ -7,7 +7,7 @@ these extend the engine with the standard web-pipeline set (benchmark
 decontamination, n-gram LM counts, C4-style normalization, data-mixing
 samplers, TF-IDF term scoring) expressed Ray-Data-first: every kernel here
 is a vectorized per-batch map; the only shuffles are vocabulary-sized
-(grouped_aggregate over per-batch combined partials).
+(stages/agg.py:fold over per-batch combined partials).
 
 Tokenization: every token-based operator here uses THE pinned tokenizer
 (functions/tokenize.py — RE2 ``\\s`` runs, both engines), so the gates

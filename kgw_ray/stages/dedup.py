@@ -34,6 +34,7 @@ import ray.data as rd
 
 from kgw_ray.functions.arrow_utils import arrow_from_pandas
 from kgw_ray.functions.tokenize import py_tokens
+from kgw_ray.stages.agg import grouped_aggregate_hybrid, pull
 
 # ---------------------------------------------------------------------------
 # Exact dedup
@@ -413,7 +414,7 @@ def jaccard_verify_pairs(
         )
 
     if not force_shuffle and pairs.count() <= broadcast_limit:
-        cand_ids_tbl = pairs.select_columns(["a", "b"]).to_pandas().drop_duplicates(
+        cand_ids_tbl = pull(pairs).select(["a", "b"]).to_pandas().drop_duplicates(
             ignore_index=True
         )
         # re-feed the deduped (small) pair set so cross-band duplicates are
@@ -639,11 +640,11 @@ def minhash_dedup_keep(
     survivors_src = hub.select_columns(
         list(dict.fromkeys(["doc_id", *keep_columns]))
     )
-    drop_ds: Optional[rd.Dataset]
+    drop_ds: "rd.Dataset | pa.Table | None"
     if n_verified == 0:
         drop_ds = None
     elif n_verified <= driver_pair_limit:
-        pairs_df = verified.to_pandas()
+        pairs_df = pull(verified).to_pandas()
         parent: dict[int, int] = {}
 
         def find(x: int) -> int:
@@ -666,7 +667,7 @@ def minhash_dedup_keep(
         drop_ids = np.array(
             sorted(m for m in members if find(int(m)) != int(m)), dtype=np.int64
         )
-        drop_ds = rd.from_arrow(pa.table({"doc_id": pa.array(drop_ids, pa.int64())}))
+        drop_ds = pa.table({"doc_id": pa.array(drop_ids, pa.int64())})
     else:
         # zero-pad ids so lexicographic min-label == numeric min (first-wins);
         # the component table STAYS distributed — non-keeper members flow
@@ -1184,8 +1185,6 @@ def edit_distance_pairs(
     """
     import numpy as np
     import pandas as pd
-
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     def _distinct_partial(batch: pa.Table) -> pa.Table:
         v = pd.unique(batch.column(col).to_numpy(zero_copy_only=False))

@@ -11,67 +11,36 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 import ray.data as rd
-from ray.data.aggregate import Count, Sum
 
 from kgw_ray.functions.arrow_utils import arrow_from_pandas
-from kgw_ray.stages.agg import grouped_aggregate
+from kgw_ray.stages.agg import (
+    as_dataset,
+    default_shuffle_partitions,
+    fold,
+    grouped_aggregate_hybrid,
+    order_by,
+    pull,
+    sharded_count,
+)
 from kgw_ray.stages.joins import large_join
 
 
-def type_histogram(ds: rd.Dataset) -> rd.Dataset:
+def _count_by(ds: rd.Dataset, keys: list[str], alias: str = "n"):
+    """COUNT(*) GROUP BY ``keys`` through the fold's per-block combiner."""
+    return fold(ds, keys, [(None, "count", alias)], combine=True)
+
+
+def type_histogram(ds: rd.Dataset) -> "pa.Table | rd.Dataset":
     """GROUP BY type / COUNT(*) / ORDER BY count DESC, type ASC
     (reference load.py:20-31,47-58).
 
-    Per-batch ``pc.value_counts`` combiner first: type columns have a
-    handful of distinct values, so each batch collapses to ≤|types| rows
-    and the shuffle sorts partials, not the table (766k-row edge histogram
-    3.4s → 0.6s at sf0.1/32cpus)."""
-    import pyarrow.compute as pc
-
-    def partial(batch: pa.Table) -> pa.Table:
-        vc = pc.value_counts(batch.column("type"))
-        return pa.table(
-            {
-                "type": vc.field("values"),
-                "n_partial": pc.cast(vc.field("counts"), pa.int64()),
-            }
-        )
-
-    partials = (
-        ds.select_columns(["type"])
-        .map_batches(partial, batch_format="pyarrow")
-        .materialize()
-    )
-    # combiner output is ≤ #blocks × |types| rows; type domains are
-    # bounded, so the merge is a driver-side pandas groupby — the
-    # groupby+Sort EXCHANGE alternative costs ~2 all-to-all latencies for
-    # a ten-row answer (measured: kg_statistics 7.1s → sub-second at
-    # sf0.1/32cpus). The exchange path remains for unbounded domains.
-    if partials.count() <= 1_000_000:
-        pdf = partials.to_pandas()
-        if "type" not in pdf.columns or len(pdf) == 0:
-            # explicit typed empty (an object-dtype pandas empty infers a
-            # null-typed Arrow column and breaks string consumers)
-            return rd.from_arrow(
-                pa.table(
-                    {"type": pa.array([], pa.string()),
-                     "n": pa.array([], pa.int64())}
-                )
-            )
-        out = (
-            pdf.groupby("type", sort=False, dropna=False)["n_partial"]
-            .sum()
-            .rename("n")
-            .reset_index()
-            .sort_values(["n", "type"], ascending=[False, True])
-            .reset_index(drop=True)
-        )
-        return rd.from_arrow(arrow_from_pandas(out))
-    out = grouped_aggregate(
-        partials, "type", Sum("n_partial", alias_name="n"),
-        materialize_partials=False,
-    )
-    return out.sort(["n", "type"], descending=[True, False])
+    Per-block count combiner first: type columns have a handful of
+    distinct values, so each block collapses to ≤|types| rows and the fold
+    merges and orders them on the driver — the groupby+Sort exchange
+    costs ~2 all-to-all latencies for a ten-row answer (measured:
+    kg_statistics 7.1s → sub-second at sf0.1/32cpus)."""
+    out = _count_by(ds.select_columns(["type"]), ["type"])
+    return order_by(out, ["n", "type"], [True, False])
 
 
 def graph_statistics(nodes: rd.Dataset, edges: rd.Dataset) -> pa.Table:
@@ -220,12 +189,11 @@ def schema_graph(
     """Type-level schema: (source_type, edge_type, target_type, n) ordered by
     n DESC (reference load.py:109-132)."""
     t = _typed_edges(nodes, edges, num_partitions)
-    out = grouped_aggregate(
-        t, ["source_type", "edge_type", "target_type"], Count(alias_name="n")
-    )
-    return out.sort(
+    out = _count_by(t, ["source_type", "edge_type", "target_type"])
+    return order_by(
+        out,
         ["n", "source_type", "edge_type", "target_type"],
-        descending=[True, False, False, False],
+        [True, False, False, False],
     )
 
 
@@ -236,15 +204,15 @@ def schema_graph_compact(
     (reference load.py:218-241). Exact distinct via two-level groupby —
     no in-memory distinct set."""
     t = _typed_edges(nodes, edges, num_partitions)
-    per_triple = grouped_aggregate(
-        t, ["source_type", "edge_type", "target_type"], Count(alias_name="n")
+    per_triple = _count_by(t, ["source_type", "edge_type", "target_type"])
+    # one row per triple: counting rows counts the distinct edge types
+    out = fold(
+        as_dataset(per_triple),
+        ["source_type", "target_type"],
+        [("n", "sum", "n_edges"), (None, "count", "n_edge_types")],
     )
-    out = grouped_aggregate(
-        per_triple, ["source_type", "target_type"],
-        Sum("n", alias_name="n_edges"), Count(alias_name="n_edge_types")
-    )
-    return out.sort(
-        ["n_edges", "source_type", "target_type"], descending=[True, False, False]
+    return order_by(
+        out, ["n_edges", "source_type", "target_type"], [True, False, False]
     )
 
 
@@ -300,7 +268,9 @@ def neighborhood(edges: rd.Dataset, node_id: str) -> rd.Dataset:
     )
 
 
-def triple_dedup(edges: rd.Dataset, *, n_shards: int | None = None) -> rd.Dataset:
+def triple_dedup(
+    edges: rd.Dataset, *, n_shards: int | None = None
+) -> "pa.Table | rd.Dataset":
     """Exact (source_id, type, target_id) dedup with multiplicity count
     (reference _oregano.py:235-237 drops repeats; we also keep n).
 
@@ -314,8 +284,6 @@ def triple_dedup(edges: rd.Dataset, *, n_shards: int | None = None) -> rd.Datase
     keys stay the full triple, so results are exact. ``n_shards`` bounds
     per-shard memory to ~|edges|/n_shards — scale it with the corpus
     (default 4×CPUs)."""
-    from kgw_ray.stages.agg import sharded_count
-
     return sharded_count(
         edges.select_columns(["source_id", "type", "target_id"]),
         ["source_id", "type", "target_id"],
@@ -366,8 +334,7 @@ def pagerank(
     import numpy as np
     import pyarrow.compute as pc
 
-    from kgw_ray.stages.agg import sharded_count
-    from kgw_ray.stages.joins import broadcast_join, large_join
+    from kgw_ray.stages.joins import broadcast_join
 
     if nodes.count() == 0:  # empty graph: typed empty rank table
         return rd.from_arrow(
@@ -385,8 +352,8 @@ def pagerank(
     broadcast_limit = 5_000_000
 
     def _hybrid_left(left_ds, right_mat, *, on, right_key, how):
-        # right_mat is materialized; count-then-pull double-exec rule holds
-        n = right_mat.count()
+        # right_mat is a driver table or materialized: the count is free
+        n = right_mat.num_rows if isinstance(right_mat, pa.Table) else right_mat.count()
         if n <= broadcast_limit:
             return broadcast_join(left_ds, right_mat, on=[on], right_on=[right_key], how=how
             )
@@ -401,7 +368,7 @@ def pagerank(
 
     deg = sharded_count(
         edges.select_columns(["source_id"]), ["source_id"], count_name="deg"
-    ).materialize()
+    )
     ew = _hybrid_left(
         edges.select_columns(["source_id", "target_id"]),
         deg,
@@ -462,64 +429,63 @@ def pagerank(
             {"target_id": pa.array(uq, pa.string()), "c": pa.array(acc)}
         )
 
-    # driver-merge fast path: when the edge-weight table is small enough
-    # that the rank side ALREADY broadcasts in the join (same memory
-    # envelope), the contribution partials merge on the driver too — a
-    # PageRank iteration then costs ZERO exchanges (one broadcast-join map
-    # + one small pull) instead of a join + groupby all-to-all per step
-    # (measured: 11.5s → ~2s for 3 iterations at sf0.1/32 CPUs). The
-    # exchange loop below remains the at-scale path and is parity-pinned.
-    driver_contrib_limit = 20_000_000
-    use_driver = (not force_exchange) and ew_count <= driver_contrib_limit
-
-    ranks: rd.Dataset | None = None  # logical r0 ≡ SCALE for every node
-    rank_pdf = None  # driver-path rank table (id, rank)
-    for _ in range(iters):
-        if ranks is None and rank_pdf is None:
-            contrib = ew.map_batches(
-                lambda b: _contrib_partials(b, with_rank=False), batch_format="pyarrow"
+    # driver branch: an edge-weight table of ≤20M rows (the envelope the
+    # rank broadcast needs anyway) is pulled ONCE and every iteration is a
+    # driver fold over it (the same integer arithmetic as
+    # ``_contrib_partials``) — no execution per iteration instead of a
+    # broadcast join + pull each (query mix at 1 CPU: 7 → 3 executions).
+    # The exchange loop below remains the at-scale path and is
+    # parity-pinned by ``force_exchange``.
+    if not force_exchange and ew_count <= 20_000_000:
+        e = pull(ew).to_pandas()
+        src, tgt = e["source_id"], e["target_id"].to_numpy()
+        d = e["d"].to_numpy().astype(np.int64)
+        rank = np.full(len(e), SCALE, dtype=np.int64)  # r0 ≡ SCALE
+        for _ in range(iters):
+            c = (rank * np.int64(damp_micro)) // (np.int64(SCALE) * d)
+            g = pd.Series(c).groupby(tgt, sort=False).sum() + base_micro
+            # a source with no in-edges has no row: its rank is the base
+            rank = src.map(g).fillna(base_micro).to_numpy().astype(np.int64)
+        ranks = pa.table(
+            {
+                "id": pa.array(g.index.to_numpy(), pa.string()),
+                "rank": pa.array(g.to_numpy().astype(np.int64)),
+            }
+        )
+    else:
+        ranks = None  # logical r0 ≡ SCALE for every node
+        for _ in range(iters):
+            if ranks is None:
+                contrib = ew.map_batches(
+                    lambda b: _contrib_partials(b, with_rank=False),
+                    batch_format="pyarrow",
+                )
+            else:
+                joined = _hybrid_left(
+                    ew, ranks, on="source_id", right_key="id", how="left"
+                )
+                contrib = joined.map_batches(
+                    lambda b: _contrib_partials(b, with_rank=True),
+                    batch_format="pyarrow",
+                )
+            sums = fold(
+                contrib,
+                "target_id",
+                [("c", "sum", "c")],
+                driver_limit=0 if force_exchange else None,
             )
-        elif use_driver:
-            from kgw_ray.stages.joins import broadcast_join as _bj
-
-            joined = _bj(ew, rank_pdf, on=["source_id"], right_on=["id"], how="left")
-            contrib = joined.map_batches(
-                lambda b: _contrib_partials(b, with_rank=True), batch_format="pyarrow"
-            )
-        else:
-            joined = _hybrid_left(
-                ew, ranks, on="source_id", right_key="id", how="left"
-            )
-            contrib = joined.map_batches(
-                lambda b: _contrib_partials(b, with_rank=True), batch_format="pyarrow"
-            )
-        if use_driver:
-            parts = contrib.to_pandas()
-            g = parts.groupby("target_id", sort=False)["c"].sum()
-            rank_pdf = pd.DataFrame(
-                {
-                    "id": g.index.to_numpy(),
-                    "rank": (g.to_numpy() + base_micro).astype("int64"),
-                }
-            )
-            continue
-        sums = grouped_aggregate(contrib, "target_id", Sum("c", alias_name="c"))
-        ranks = sums.map_batches(
-            lambda t: pa.table(
-                {
-                    "id": t.column("target_id"),
-                    "rank": pc.add(
-                        pa.scalar(base_micro, pa.int64()),
-                        pc.cast(t.column("c"), pa.int64()),
-                    ),
-                }
-            ),
-            batch_format="pyarrow",
-        ).materialize()
-    if use_driver and rank_pdf is not None:
-        from kgw_ray.functions.arrow_utils import arrow_from_pandas
-
-        ranks = rd.from_arrow(arrow_from_pandas(rank_pdf)).materialize()
+            ranks = as_dataset(sums).map_batches(
+                lambda t: pa.table(
+                    {
+                        "id": t.column("target_id"),
+                        "rank": pc.add(
+                            pa.scalar(base_micro, pa.int64()),
+                            pc.cast(t.column("c"), pa.int64()),
+                        ),
+                    }
+                ),
+                batch_format="pyarrow",
+            ).materialize()
 
     out = _hybrid_left(
         nodes.select_columns(["id"]), ranks, on="id", right_key="id", how="left"
@@ -609,7 +575,6 @@ def personalized_pagerank(
     import numpy as np
     import pyarrow.compute as pc
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid, sharded_count
     from kgw_ray.stages.joins import broadcast_join
 
     SCALE = 1_000_000
@@ -641,9 +606,9 @@ def personalized_pagerank(
             num_partitions=num_partitions,
         )
 
-    deg = sharded_count(
-        edges.select_columns(["source_id"]), ["source_id"], count_name="deg"
-    ).materialize()
+    deg = as_dataset(
+        sharded_count(edges.select_columns(["source_id"]), ["source_id"], count_name="deg")
+    )
     ew = _hybrid_left(
         edges.select_columns(["source_id", "target_id"]),
         deg,
@@ -857,21 +822,30 @@ def personalized_pagerank_sql(
     )
 
 
-def degree_distribution(edges: rd.Dataset) -> rd.Dataset:
+def degree_distribution(edges: rd.Dataset) -> "pa.Table | rd.Dataset":
     """Out-degree histogram: two-level aggregation (per-node degree →
-    per-degree node count). Level 1 is a high-cardinality count (source_id
-    nearly unique per batch, avg degree ~4 — a per-batch combiner barely
-    collapses anything), so it uses the sharded exact count
-    (stages/agg.py:sharded_count); level 2 groups a tiny degree column."""
-    from kgw_ray.stages.agg import sharded_count
+    per-degree node count). Level 1 is the exact per-source count
+    (``sharded_count``); level 2 counts the degree column as the fold's
+    finalize — the whole histogram on the driver when the degree table is
+    driver-sized. On the exchange branch that finalize yields per-block
+    partial counts, which a second fold merges."""
 
-    deg = sharded_count(
-        edges.select_columns(["source_id"]), ["source_id"], count_name="degree"
+    def level2(t: pa.Table) -> pa.Table:
+        g = t.group_by("degree", use_threads=False).aggregate([([], "count_all")])
+        return g.select(["degree", "count_all"]).rename_columns(["degree", "n_nodes"])
+
+    hist = fold(
+        edges.select_columns(["source_id"]),
+        ["source_id"],
+        [(None, "count", "degree")],
+        combine=True,
+        finalize=level2,
+        batch_format="pyarrow",
+        n_shards=4 * default_shuffle_partitions(),
     )
-    out = grouped_aggregate(
-        deg.select_columns(["degree"]), "degree", Count(alias_name="n_nodes")
-    )
-    return out.sort("degree")
+    if not isinstance(hist, pa.Table):
+        hist = fold(hist, "degree", [("n_nodes", "sum", "n_nodes")])
+    return order_by(hist, ["degree"], [False])
 
 
 _TRI_SEP = "\x1f"  # wedge/edge pack separator (cannot appear in tokens)
@@ -883,8 +857,6 @@ def _distinct_undirected_pairs(edges: rd.Dataset, src: str, dst: str) -> rd.Data
     self-loops dropped; per-batch drop_duplicates combiner before the
     vocabulary-sized exchange."""
     import numpy as np
-
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
 
     def _pair_partial(batch: pa.Table) -> pa.Table:
         a = batch.column(src).to_numpy(zero_copy_only=False)
@@ -939,7 +911,6 @@ def triangle_counts(
     import pyarrow.compute as pc
     import ray
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.joins import semi_join_dataset
 
     pairs = _distinct_undirected_pairs(edges, src, dst)
@@ -1262,8 +1233,6 @@ def _wedge_pair_fold(
     upstream when the degree distribution has no ceiling."""
     import numpy as np
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
-
     def _sym(batch: pa.Table) -> pa.Table:
         a = batch.column("a").to_numpy(zero_copy_only=False)
         b = batch.column("b").to_numpy(zero_copy_only=False)
@@ -1348,7 +1317,6 @@ def bfs_depths(
     silently truncating, the connected_components convention)."""
     import numpy as np
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
     from kgw_ray.stages.joins import anti_join, large_join
 
     pairs = _distinct_undirected_pairs(edges, src, dst)
@@ -1466,7 +1434,6 @@ def eigenvector_centrality(
     import pyarrow.compute as pc
     from ray.data.aggregate import Max
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid, sharded_count
     from kgw_ray.stages.joins import broadcast_join
 
     SCALE = 1_000_000
@@ -1489,8 +1456,8 @@ def eigenvector_centrality(
     ranks = None
     for t in range(iters):
         if ranks is None:
-            sums = sharded_count(
-                e.select_columns(["target_id"]), ["target_id"], count_name="s"
+            sums = as_dataset(
+                sharded_count(e.select_columns(["target_id"]), ["target_id"], count_name="s")
             ).map_batches(
                 lambda b: pa.table(
                     {

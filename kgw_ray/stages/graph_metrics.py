@@ -648,21 +648,12 @@ def _hybrid_attach(
     per-call ``broadcast_limit`` override — 0 is the forced-shuffle parity
     hook) and falls back to the hash-partitioned Dataset.join beyond (the
     repo-wide size rule, stages/joins.py)."""
-    from kgw_ray.stages.joins import _empty_arrow_like, broadcast_join, large_join
+    from kgw_ray.stages.joins import broadcast_join, large_join
 
     limit = _BROADCAST_LIMIT if broadcast_limit is None else broadcast_limit
     small = small.materialize()
-    n_small = small.count()
-    if n_small <= limit:
-        if n_small == 0:
-            # a zero-row to_pandas drops its columns (the repo-wide
-            # empty-pull hazard) and the probe merge would KeyError —
-            # rebuild the typed empty frame from the Arrow schema
-            et = _empty_arrow_like(small)
-            side = et.to_pandas() if et is not None else small.to_pandas()
-        else:
-            side = small.to_pandas()
-        return broadcast_join(big, side, on=[on], right_on=[right_on], how=how)
+    if small.count() <= limit:
+        return broadcast_join(big, small, on=[on], right_on=[right_on], how=how)
     return large_join(
         big,
         small,

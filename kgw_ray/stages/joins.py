@@ -22,6 +22,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from kgw_ray.stages.agg import pull
 from kgw_ray.stages.dedup import _mix64
 
 
@@ -37,20 +38,20 @@ def broadcast_join(
     """Map-side hash join: ``small`` is broadcast via the object store once,
     merged into every batch with a vectorized pandas merge.
 
-    ``small`` may be a pandas DataFrame or a (materialized) Dataset — the
-    Dataset form is preferred: a zero-row ``to_pandas()`` drops its
-    columns (the repo-wide empty-pull hazard) and the probe merge then
-    KeyErrors; passing the Dataset lets the pull rebuild the typed empty
-    frame from the Arrow schema."""
+    ``small`` may be a pandas DataFrame, an Arrow table (a fold's driver
+    result) or a Dataset. A Dataset side is pulled by block reference
+    (stages/agg.py:pull), so an empty side keeps its Arrow schema; a
+    schema-less one (e.g. a map that never ran) becomes an empty frame
+    holding the ``right_on`` keys, and the probe gives those the probe
+    side's dtypes — the merge keys always exist."""
     right_on = list(right_on or on)
     on = list(on)
     if isinstance(small, rd.Dataset):
-        pdf = small.to_pandas()
-        if len(pdf) == 0 and not set(right_on).issubset(pdf.columns):
-            et = _empty_arrow_like(small)
-            if et is not None:
-                pdf = et.to_pandas()
-        small = pdf
+        small = pull(small)
+    if isinstance(small, pa.Table):
+        small = small.to_pandas()
+    if not set(right_on).issubset(small.columns):  # schema-less empty
+        small = pd.DataFrame({c: [] for c in right_on})
     ref = ray.put(small)
 
     from kgw_ray.functions.arrow_utils import arrow_from_pandas
@@ -61,6 +62,8 @@ def broadcast_join(
         # (pandas reconstruction is cheap relative to the merge), and task
         # maps scale elastically with zero pool-startup/rampup cost
         side = ray.get(ref)
+        if len(side) == 0:
+            side = side.astype({r: batch[o].dtype for o, r in zip(on, right_on)})
         out = batch.merge(side, how=how, left_on=on, right_on=right_on, copy=False)
         drop = [c for c in right_on if c not in on and c in out.columns]
         # arrow_from_pandas strips pandas schema metadata — raw pandas
@@ -220,9 +223,26 @@ def _distributed_join(
     )
 
 
+def _small_keys(keys_ds: "rd.Dataset | pa.Table", key_col: str, broadcast_limit: int):
+    """(key side, row count): a driver table within the broadcast limit as
+    is; otherwise a Dataset projected and materialized ONCE — the count
+    probe and the key pull must not execute the keys pipeline twice."""
+    if isinstance(keys_ds, pa.Table):
+        if keys_ds.num_rows <= broadcast_limit:
+            return keys_ds, keys_ds.num_rows
+        keys_ds = rd.from_arrow(keys_ds)
+    keys_small = keys_ds.select_columns([key_col]).materialize()
+    return keys_small, keys_small.count()
+
+
+def _key_values(keys_small: "rd.Dataset | pa.Table", key_col: str) -> pa.Array:
+    t = keys_small if isinstance(keys_small, pa.Table) else pull(keys_small)
+    return t.column(key_col).combine_chunks().drop_null()
+
+
 def semi_join_dataset(
     big: rd.Dataset,
-    keys_ds: rd.Dataset,
+    keys_ds: "rd.Dataset | pa.Table",
     *,
     on: str,
     key_col: Optional[str] = None,
@@ -236,23 +256,18 @@ def semi_join_dataset(
     the object store, and probed by an actor pool whose value-set is built
     in ``__init__`` (never per batch) — zero shuffle. Above it: a
     hash-partitioned ``Dataset.join`` (both sides shuffle once), the
-    10^12-row path."""
+    10^12-row path. A ``pa.Table`` key set (a fold's driver result) is
+    already pulled and broadcasts as is under the limit."""
     key_col = key_col or on
-    # materialize once: the count probe and the key pull must not execute
-    # the (possibly expensive) keys pipeline twice
-    keys_small = keys_ds.select_columns([key_col]).materialize()
-    n_keys = keys_small.count()
+    keys_small, n_keys = _small_keys(keys_ds, key_col, broadcast_limit)
     if n_keys == 0:
-        # empty Ray datasets drop their schema on to_pandas — handle the
-        # degenerate case explicitly: semi join against nothing keeps nothing
+        # semi join against nothing keeps nothing
         return big.limit(0)
     if n_keys <= broadcast_limit:
         import pyarrow.compute as pc
 
-        key_arr = keys_small.to_pandas()[key_col].dropna().to_numpy()
-        # no sort: pc.is_in needs no ordering, and np.sort raises on
-        # object arrays containing nulls
-        ref = ray.put(pa.array(key_arr))
+        # no sort: pc.is_in needs no ordering
+        ref = ray.put(_key_values(keys_small, key_col))
 
         def probe(batch: pa.Table) -> pa.Table:
             # task map, not an actor pool: ray.get(ref) per task is a
@@ -274,7 +289,7 @@ def semi_join_dataset(
 
 def anti_join(
     big: rd.Dataset,
-    keys_ds: rd.Dataset,
+    keys_ds: "rd.Dataset | pa.Table",
     *,
     on: str,
     key_col: Optional[str] = None,
@@ -282,23 +297,20 @@ def anti_join(
     num_partitions: Optional[int] = None,
 ) -> rd.Dataset:
     """Size-hybrid distributed anti join: keep ``big`` rows whose ``on``
-    value does NOT appear in ``keys_ds[key_col]``. Broadcast negated filter
-    below the limit; hash-partitioned ``left_anti`` join beyond (the
-    10^9-key path)."""
+    value does NOT appear in ``keys_ds[key_col]`` (a Dataset or a driver
+    table). Broadcast negated filter below the limit; hash-partitioned
+    ``left_anti`` join beyond (the 10^9-key path)."""
     import numpy as np
     import pyarrow.compute as pc
 
     key_col = key_col or on
-    keys_small = keys_ds.select_columns([key_col]).materialize()
-    n_keys = keys_small.count()
+    keys_small, n_keys = _small_keys(keys_ds, key_col, broadcast_limit)
     if n_keys == 0:
         # anti join against an empty key set keeps everything (the empty
         # to_pandas would otherwise KeyError — schema drops on empty pulls)
         return big
     if n_keys <= broadcast_limit:
-        ref = ray.put(
-            pa.array(keys_small.to_pandas()[key_col].dropna().to_numpy())
-        )
+        ref = ray.put(_key_values(keys_small, key_col))
 
         def probe(batch: pa.Table) -> pa.Table:
             mask = pc.is_in(batch[on], value_set=ray.get(ref))

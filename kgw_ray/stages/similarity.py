@@ -200,10 +200,8 @@ class IVFIndex:
             n_cells = int(min(4096, max(16, round(np.sqrt(max(n, 1))))))
         sample_n = max(sample_n, 16 * n_cells)
         sample = embeds.limit(sample_n).to_pandas()
-        if len(sample) == 0:  # empty corpus: a 0-cell index (assign no-ops)
-            C = np.zeros((0, 0), dtype=np.float64)
-            ref = ray.put(C)
-            return cls(C, embeds, id_col, vec_col)
+        if len(sample) == 0:  # empty corpus: a 0-cell index (topk is empty)
+            return cls(np.zeros((0, 0), dtype=np.float64), embeds, id_col, vec_col)
         M = _normalize(np.vstack(sample[vec_col].to_numpy()).astype(np.float64))
         C = _centroids_from_sample(M, n_cells)
         ref = ray.put(C)
@@ -230,6 +228,8 @@ class IVFIndex:
         import ray
         import pyarrow.compute as pc
 
+        if self.n_cells == 0:  # empty corpus: nothing to rank
+            return _empty_topk_table()
         Qn = _normalize(np.asarray(queries, dtype=np.float64))
         qcells = np.argsort(-(Qn @ self.centroids.T), axis=1)[:, :nprobe]
         probe_cells = pa.array(sorted(set(qcells.reshape(-1).tolist())), pa.int32())
