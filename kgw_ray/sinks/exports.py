@@ -40,6 +40,7 @@ from typing import Callable, Iterator
 from xml.sax import saxutils
 
 import pyarrow as pa
+import pyarrow.dataset as pads
 import ray.data as rd
 
 from kgw_ray.functions.scalars import clean, json_dumps, json_loads
@@ -296,12 +297,6 @@ def _attr_schema_from_refs(
                 merged[k] = (t, o)
     ordered = sorted(merged.items(), key=lambda kv: kv[1][1])
     return [(k, owner, t) for k, (t, _) in ordered]
-
-
-def _collect_attr_schema(ds: rd.Dataset, owner: str) -> list[tuple[str, str, str]]:
-    """Standalone form of the attribute-schema pass (materializes ``ds``)."""
-    refs, offsets = _blocks_with_offsets(ds)
-    return _attr_schema_from_refs(refs, offsets, owner)
 
 
 def _esc(s) -> str:
@@ -700,6 +695,9 @@ def _bucket_of(ids, num_buckets: int):
     return (h % num_buckets).astype("int64")
 
 
+EDGE_COLUMNS = ["source_id", "target_id", "type", "properties"]
+
+
 def write_hub(
     nodes: rd.Dataset,
     edges: rd.Dataset,
@@ -713,8 +711,12 @@ def write_hub(
     ``edges/bucket=<hash(source_id) % B>/`` — the reference's
     ``idx_edges_source`` B-tree analog (transform.py:27-28): an adjacency
     lookup then reads ONE bucket directory instead of the whole table
-    (``read_adjacency``). Nodes are bucketed by id the same way. At 100 TB,
-    B is sized so one bucket ≈ a few GB (e.g. B=4096)."""
+    (``read_adjacency``). Nodes are bucketed by id the same way. Each block
+    is sorted by (bucket, key) before the write, so the rows one block puts
+    in a bucket file are ordered by key (the whole file, when a write task
+    carries one block) and the file's row-group min/max statistics let a
+    pushed-down key filter skip row groups. At 100 TB, B is sized so one
+    bucket ≈ a few GB (e.g. B=4096)."""
     if num_buckets <= 0:
         nodes.write_parquet(os.path.join(out_dir, "nodes"))
         edges.write_parquet(os.path.join(out_dir, "edges"))
@@ -724,7 +726,7 @@ def write_hub(
         def fn(batch: pa.Table) -> pa.Table:
             return batch.append_column(
                 "bucket", pa.array(_bucket_of(batch.column(col), num_buckets))
-            )
+            ).sort_by([("bucket", "ascending"), (col, "ascending")])
 
         return fn
 
@@ -736,30 +738,52 @@ def write_hub(
     )
 
 
-def read_adjacency(out_dir: str, node_id: str, *, num_buckets: int) -> rd.Dataset:
-    """Out-edges of ``node_id`` reading ONLY its hash bucket (partition
-    pruning at the path level — the point of the bucketed hub layout)."""
-    import pandas as pd
-    import pyarrow.compute as pc
-    import numpy as np
+class Adjacency:
+    """A lookup answer held on the driver as a ``pa.Table``, with the three
+    Dataset verbs callers use (no Ray object behind it)."""
 
-    # modulo on the ARRAY: a numpy uint64 SCALAR % python int promotes to
-    # float64 and corrupts the bucket number
-    b = int(
-        (
-            pd.util.hash_array(
-                np.array([node_id], dtype=object), hash_key="kgw_ray_bucket00"
-            )
-            % num_buckets
-        )[0]
-    )
-    bucket_dir = os.path.join(out_dir, "edges", f"bucket={b}")
+    def __init__(self, table: pa.Table):
+        self.table = table
+
+    def take_all(self) -> list[dict]:
+        return self.table.to_pylist()
+
+    def to_pandas(self):
+        return self.table.to_pandas()
+
+    def count(self) -> int:
+        return self.table.num_rows
+
+
+def _edge_schema(edges_dir: str) -> pa.Schema:
+    """Schema of the hub's edge files (from any one bucket); the IR's
+    all-string schema when no edge was written."""
+    if os.path.isdir(edges_dir):
+        for entry in os.scandir(edges_dir):
+            if entry.name.startswith("bucket="):
+                return pads.dataset(entry.path, format="parquet").schema
+    return pa.schema([(c, pa.string()) for c in EDGE_COLUMNS])
+
+
+def read_adjacency(out_dir: str, node_id: str, *, num_buckets: int) -> Adjacency:
+    """Out-edges of ``node_id`` from a hub written with the same
+    ``num_buckets``: a driver-side index probe, no Ray Data execution. Only
+    ``edges/bucket=<b>/`` is opened (partition pruning at the path level),
+    and the ``source_id`` filter is pushed into the Parquet scan, where the
+    key-sorted files' row-group statistics skip what cannot match. Returns
+    an ``Adjacency`` over the four edge IR columns, typed as the hub files
+    are (a typed empty table when no edge hashed into the bucket)."""
+    if num_buckets < 1:
+        raise ValueError(
+            f"read_adjacency needs a bucketed hub (num_buckets >= 1), got {num_buckets}"
+        )
+    b = int(_bucket_of(pa.array([node_id]), num_buckets)[0])
+    edges_dir = os.path.join(out_dir, "edges")
+    bucket_dir = os.path.join(edges_dir, f"bucket={b}")
     if not os.path.isdir(bucket_dir):
-        # no edges hashed into this bucket (common when distinct source
-        # ids < num_buckets): empty adjacency, schema from the full layout
-        return rd.read_parquet(os.path.join(out_dir, "edges")).limit(0)
-    ds = rd.read_parquet(bucket_dir)
-    return ds.map_batches(
-        lambda t: t.filter(pc.equal(t["source_id"], node_id)),
-        batch_format="pyarrow",
+        schema = _edge_schema(edges_dir)
+        return Adjacency(schema.empty_table().select(EDGE_COLUMNS))
+    table = pads.dataset(bucket_dir, format="parquet").to_table(
+        columns=EDGE_COLUMNS, filter=pads.field("source_id") == node_id
     )
+    return Adjacency(table)

@@ -412,26 +412,6 @@ def range_join(
     return j.map_batches(exact, batch_format="pyarrow")
 
 
-def semi_join_filter(
-    big: rd.Dataset, keys, *, on: str, negate: bool = False
-) -> rd.Dataset:
-    """Semi (or anti) join by broadcasting the key set; vectorized filter.
-    Task map (zero-copy plasma read per task) — trivial state never earns
-    an actor pool's startup cost."""
-    import pyarrow.compute as pc
-
-    key_arr = pa.array([k for k in set(keys) if k is not None])
-    ref = ray.put(key_arr)
-
-    def filt(batch: pa.Table) -> pa.Table:
-        mask = pc.is_in(batch[on], value_set=ray.get(ref))
-        if negate:
-            mask = pc.invert(mask)
-        return batch.filter(mask)
-
-    return big.map_batches(filt, batch_format="pyarrow")
-
-
 # ---------------------------------------------------------------------------
 # Bloom-filter join prefilter
 # ---------------------------------------------------------------------------

@@ -30,3 +30,24 @@ def sf_smoke():
 @pytest.fixture(scope="session")
 def sf_correct():
     return SF_CORRECT
+
+
+@pytest.fixture
+def executions(monkeypatch):
+    """Every Ray Data execution as the list of its operators' names."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    seen = []
+    orig = StreamingExecutor.execute
+
+    def record(self, dag, *a, **k):
+        ops, stack = [], [dag]
+        while stack:
+            op = stack.pop()
+            ops.append(f"{type(op).__name__}:{op.name}")
+            stack.extend(op.input_dependencies)
+        seen.append(ops)
+        return orig(self, dag, *a, **k)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", record)
+    return seen

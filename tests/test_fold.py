@@ -237,27 +237,6 @@ def test_fold_typed_empty_without_schema():
     assert out.schema.field("n").type == pa.int64()
 
 
-@pytest.fixture
-def executions(monkeypatch):
-    """Every Ray Data execution as the list of its operators' names."""
-    from ray.data._internal.execution.streaming_executor import StreamingExecutor
-
-    seen = []
-    orig = StreamingExecutor.execute
-
-    def record(self, dag, *a, **k):
-        ops, stack = [], [dag]
-        while stack:
-            op = stack.pop()
-            ops.append(f"{type(op).__name__}:{op.name}")
-            stack.extend(op.input_dependencies)
-        seen.append(ops)
-        return orig(self, dag, *a, **k)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", record)
-    return seen
-
-
 def _exchanges(seen):
     return [
         op for ops in seen for op in ops

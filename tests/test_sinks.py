@@ -293,19 +293,110 @@ def test_hub_roundtrip(tiny_graph, tmp_path):
     assert set(n2.schema().names) == {"id", "type", "properties"}
 
 
-def test_bucketed_hub_and_adjacency(tiny_graph, tmp_path):
+@pytest.fixture(scope="module")
+def multi_block_graph():
+    """Edges over three blocks, every source in every block, so each
+    non-empty bucket of a hub holds several files."""
+    n_src, per_block = 10, 30
+    blocks = []
+    for blk in range(3):
+        src = [f"s{(i * 7 + blk) % n_src}" for i in range(per_block)]
+        blocks.append(
+            pa.table(
+                {
+                    "source_id": src,
+                    "target_id": [f"t{blk}_{i}" for i in range(per_block)],
+                    "type": ["rel" if i % 3 else "other" for i in range(per_block)],
+                    "properties": [
+                        None if i % 5 == 0 else f'{{"i":{i}}}' for i in range(per_block)
+                    ],
+                }
+            )
+        )
+    nodes = rd.from_arrow(
+        pa.table(
+            {
+                "id": [f"s{i}" for i in range(n_src)],
+                "type": ["n"] * n_src,
+                "properties": ["{}"] * n_src,
+            }
+        )
+    )
+    edges = rd.from_arrow(blocks)
+    assert edges.num_blocks() >= 3
+    return nodes, edges
+
+
+def _hub_lookup(out: str, node_id: str) -> pa.Table:
+    """Reference answer: a pyarrow filter over the whole hive-partitioned
+    edge table."""
+    import pyarrow.dataset as pads
+
+    return pads.dataset(f"{out}/edges", partitioning="hive").to_table(
+        columns=exports.EDGE_COLUMNS, filter=pads.field("source_id") == node_id
+    )
+
+
+def _same_rows(got: pa.Table, want: pa.Table) -> None:
+    assert got.schema.names == exports.EDGE_COLUMNS
+    assert got.schema.equals(want.schema)
+    order = [("target_id", "ascending"), ("type", "ascending")]
+    assert got.sort_by(order).to_pylist() == want.sort_by(order).to_pylist()
+
+
+def _bucket_dirs(path: str) -> set[str]:
+    import os
+
+    return {d for d in os.listdir(path) if d.startswith("bucket=")}
+
+
+def test_bucketed_hub_and_adjacency(tiny_graph, multi_block_graph, tmp_path, executions):
     """Bucketed hub layout: adjacency lookup reads only the node's hash
-    bucket and returns exactly its out-edges."""
+    bucket on the driver (no Ray Data execution) and returns exactly its
+    out-edges; every bucket file is sorted by key."""
+    import os
+
+    import pyarrow.parquet as pq
+
     nodes, edges = tiny_graph
     out = str(tmp_path / "hub_bucketed")
     exports.write_hub(nodes, edges, out, num_buckets=4)
+    executions.clear()
     adj = exports.read_adjacency(out, "a", num_buckets=4).to_pandas()
     assert sorted(adj["target_id"]) == ["b", "c"]
     assert set(adj["source_id"]) == {"a"}
+    assert executions == []
     # bucket dirs exist on disk (path-level pruning is real)
-    import os
+    assert _bucket_dirs(f"{out}/edges")
 
-    assert any(d.startswith("bucket=") for d in os.listdir(f"{out}/edges"))
+    nodes, edges = multi_block_graph
+    out = str(tmp_path / "hub_multi")
+    exports.write_hub(nodes, edges, out, num_buckets=4)
+    present = _bucket_dirs(f"{out}/edges")
+    assert max(len(os.listdir(f"{out}/edges/{d}")) for d in present) >= 3
+    for table, key in (("edges", "source_id"), ("nodes", "id")):
+        for d in _bucket_dirs(f"{out}/{table}"):
+            for f in os.listdir(f"{out}/{table}/{d}"):
+                keys = pq.read_table(f"{out}/{table}/{d}/{f}")[key].to_pylist()
+                assert keys == sorted(keys), f"{table}/{d}/{f} not sorted by {key}"
+
+    miss = next(
+        f"missing{i}" for i in range(1000)
+        if f"bucket={exports._bucket_of(pa.array([f'missing{i}']), 4)[0]}" in present
+    )
+    executions.clear()
+    hit = exports.read_adjacency(out, "s3", num_buckets=4)
+    missed = exports.read_adjacency(out, miss, num_buckets=4)
+    assert executions == []
+    assert isinstance(hit.table, pa.Table) and not isinstance(hit, rd.Dataset)
+    assert hit.count() == 9 and hit.take_all() == hit.table.to_pylist()
+    _same_rows(hit.table, _hub_lookup(out, "s3"))
+    assert missed.count() == 0 and missed.take_all() == []
+    _same_rows(missed.table, _hub_lookup(out, miss))
+
+    # a flat hub has no buckets: fail loudly instead of answering empty
+    with pytest.raises(ValueError, match="num_buckets"):
+        exports.read_adjacency(out, "s3", num_buckets=0)
 
 
 def test_counted_two_pass_ids_across_many_blocks(tmp_path):
@@ -434,28 +525,33 @@ def test_sinks_on_empty_graph(tmp_path):
     write_schema_html(empty_nodes, empty_edges, str(tmp_path / "e.html"))
     assert "; Types" in open(tmp_path / "e1.metta").read()
     ET.parse(tmp_path / "e.graphml")  # well-formed empty graph
+    # a hub with no edge file still answers lookups with the IR's typed empty
+    exports.write_hub(empty_nodes, empty_edges, str(tmp_path / "hub"), num_buckets=4)
+    adj = exports.read_adjacency(str(tmp_path / "hub"), "x", num_buckets=4)
+    assert adj.count() == 0
+    assert adj.table.schema == pa.schema([(c, pa.string()) for c in exports.EDGE_COLUMNS])
 
 
-def test_read_adjacency_empty_bucket(tiny_graph, tmp_path):
-    """A node hashing to a bucket no edge landed in must yield an empty
-    adjacency, not FileNotFoundError."""
-    nodes, edges = tiny_graph
+def test_read_adjacency_empty_bucket(multi_block_graph, tmp_path, executions):
+    """A node hashing to a bucket no edge landed in must yield a typed
+    empty adjacency, not FileNotFoundError, with no Ray Data execution."""
+    nodes, edges = multi_block_graph
     out = str(tmp_path / "hub_sparse")
     exports.write_hub(nodes, edges, out, num_buckets=64)
     # find an id whose bucket dir does not exist (probe via the SAME
     # helper the sink uses, so a salt change can't silently detune this)
-    import os
-
-    import pyarrow as _pa
-
-    existing = {d for d in os.listdir(f"{out}/edges") if d.startswith("bucket=")}
+    existing = _bucket_dirs(f"{out}/edges")
     probe = None
     for i in range(1000):
         cand = f"missing{i}"
-        b = int(exports._bucket_of(_pa.array([cand]), 64)[0])
+        b = int(exports._bucket_of(pa.array([cand]), 64)[0])
         if f"bucket={b}" not in existing:
             probe = cand
             break
     assert probe is not None
+    executions.clear()
     adj = exports.read_adjacency(out, probe, num_buckets=64)
-    assert adj.count() == 0
+    assert executions == []
+    assert adj.count() == 0 and adj.take_all() == [] and adj.to_pandas().empty
+    _same_rows(adj.table, _hub_lookup(out, probe))
+
