@@ -15,18 +15,28 @@ writes the reference's output formats:
 - ``write_metta_repr1/2/3`` — S-expression exports (load.py:548-842)
 - ``write_sql_dump`` — CREATE TABLE + INSERT statements (load.py:286-291)
 
-Physical strategy: **render-parallel, assemble-serial**. Row formatting runs
-distributed (each block → one rendered UTF-8 fragment); the driver streams
-fragments IN ORDER to the single output file with O(window) memory.
+Physical strategy: **one ordered pass, render-parallel, assemble-serial.**
+Every writer takes each input table's block refs in dataset order from
+``stages.agg._materialized`` (no execution when the table is already
+materialized, one order-preserving execution when it is lazy) and each
+block's global row offset from the prefix sum of the block metadata's row
+counts. Every block renders in its own task with its offset baked in, so
+the sequential ids of GraphML edges and MeTTa repr2/3 need no second pass,
+and the driver writes the fragments to the one output file in order
+(``_publish``). What a header needs from the rows (the distinct types of
+the MeTTa type decls, the GraphML attribute schema) comes from per-block
+tasks over the same refs, merged on the driver.
 
-Order-dependent formats (GraphML edge ids, MeTTa repr2/3 ids) use the
-**counted two-pass** scheme: pass 1 takes per-block row counts from the
-materialized block refs (tiny remote tasks — no data to the driver), the
-prefix sum gives each block its global id offset, and pass 2 renders every
-block IN PARALLEL with final ids baked in. The driver's only serial work is
-ordered file I/O — no string processing (SURVEY.md §7 hard part 1/3).
-All files are written atomically (temp + rename), mirroring the reference's
-``temp_output_path`` (kgw/_shared/tasks.py:13-28).
+Renderers build a block's lines a column at a time with
+``pyarrow.compute``: line templates are ``binary_join_element_wise`` over
+whole columns, CSV/SQL quote doubling and the XML escapes are
+``replace_substring``, and ``_clean`` quotes a string column in one pass,
+handing only values that hold ``"``, ``\\`` or a control character to the
+scalar ``clean``. Python touches single rows only to walk a ``properties``
+JSON object (GraphML, MeTTa repr2/3, JSONL), caching each key's rendering.
+All files are written atomically (temp + rename; the temp is removed when
+a render fails), mirroring the reference's ``temp_output_path``
+(kgw/_shared/tasks.py:13-28).
 """
 
 from __future__ import annotations
@@ -35,33 +45,37 @@ import csv
 import io
 import json
 import os
+from collections import deque
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from functools import lru_cache, partial
+from typing import Callable, Iterable, NamedTuple
 from xml.sax import saxutils
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
+import ray
 import ray.data as rd
+from ray.data.block import BlockAccessor
 
 from kgw_ray.functions.scalars import clean, json_dumps, json_loads
+from kgw_ray.stages.agg import _materialized
 
 
-def _atomic_write(path: str, chunks: Iterator[str]) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     tmp = f"{path}.partial"
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(tmp, "w", encoding="utf-8", newline="") as f:
-        for c in chunks:
-            f.write(c)
-    os.replace(tmp, path)
-
-
-def _fragments(ds: rd.Dataset, render: Callable[[pa.Table], str]) -> rd.Dataset:
-    """Distributed render: each block → one fragment string row."""
-
-    def to_frag(batch: pa.Table) -> pa.Table:
-        return pa.table({"frag": pa.array([render(batch)], pa.large_string())})
-
-    return ds.map_batches(to_frag, batch_format="pyarrow")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as f:
+            for c in chunks:
+                f.write(c)
+        os.replace(tmp, path)
+    except BaseException:
+        # a failed render leaves neither the target nor a half-written temp
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 @contextmanager
@@ -89,83 +103,154 @@ def _ordered(ds: rd.Dataset):
         opts.preserve_order = prev
 
 
-def _stream_fragments(frags: rd.Dataset) -> Iterator[str]:
-    # generator-scoped ordering: the finally restores the flag when the
-    # consumer exhausts (or abandons) the stream
-    with _ordered(frags):
-        for b in frags.iter_batches(batch_format="pyarrow", batch_size=1):
-            for s in b.column("frag").to_pylist():
-                yield s
+# --- the one assembly path -------------------------------------------------
 
 
-# --- counted two-pass assembly for order-dependent formats -----------------
+class _Blocks(NamedTuple):
+    """One table's non-empty blocks in dataset order: ``refs[i]`` holds the
+    rows from global offset ``starts[i]`` on; ``end`` is one past the last."""
 
-import ray  # noqa: E402
-
-
-@ray.remote
-def _block_num_rows(tbl: pa.Table) -> int:
-    return tbl.num_rows
-
-
-@ray.remote
-def _render_block(tbl: pa.Table, render: Callable[[pa.Table, int], str], start: int) -> str:
-    return render(tbl, start)
+    refs: list
+    starts: list[int]
+    end: int
+    schema: object
 
 
-def _blocks_with_offsets(ds: rd.Dataset, start: int = 0) -> tuple[list, list[int]]:
-    """Materialize ``ds`` in dataset order → (block refs, global row
-    offsets). Counts travel via tiny remote tasks; blocks stay put. The
-    shared pass-1 of every counted two-pass consumer below."""
+def _blocks(ds: rd.Dataset, start: int = 0) -> _Blocks:
+    """Block refs of ``ds`` in dataset order, numbered from ``start`` by
+    the block metadata's row counts. Zero-row blocks are dropped: an empty
+    dataset's blocks can be column-less."""
     with _ordered(ds):
-        refs = ds.materialize().to_arrow_refs()
-    counts = ray.get([_block_num_rows.remote(r) for r in refs])
-    # drop zero-row blocks: an EMPTY dataset's blocks can be column-less
-    # (schema drops), and renderers indexing columns would crash on them
-    refs = [r for r, c in zip(refs, counts) if c > 0]
-    counts = [c for c in counts if c > 0]
-    offsets = [start]
-    for c in counts:
-        offsets.append(offsets[-1] + c)
-    return refs, offsets
+        _, refs, rows, schema = _materialized(ds)
+    kept, starts = [], []
+    for ref, n in zip(refs, rows):
+        if n > 0:
+            kept.append(ref)
+            starts.append(start)
+            start += n
+    return _Blocks(kept, starts, start, schema)
 
 
-def _fragments_from_refs(
-    refs: list,
-    offsets: list[int],
-    render: Callable[[pa.Table, int], str],
-    *,
-    window: int = 32,
-) -> Iterator[str]:
-    """Pass 2: render every block IN PARALLEL with its global row offset
-    baked in; the driver consumes fragments in dataset order with at most
-    ``window`` render tasks outstanding (bounds object-store residency for
-    single-file exports — a small-graph surface anyway; the 100 TB sink is
-    the partitioned Parquet hub below)."""
-    pending = []
-    for i, r in enumerate(refs):
-        pending.append(_render_block.remote(r, render, offsets[i]))
-        if len(pending) >= window:
-            yield ray.get(pending.pop(0))
-    while pending:
-        yield ray.get(pending.pop(0))
+@ray.remote
+def _on_block(fn: Callable, block, start: int):
+    return fn(BlockAccessor.for_block(block).to_arrow(), start)
 
 
-def _counted_fragments(
-    ds: rd.Dataset,
-    render: Callable[[pa.Table, int], str],
-    start: int = 0,
-    *,
-    window: int = 32,
-) -> tuple[Iterator[str], int]:
-    """Counted two-pass parallel render with global per-row counters.
+def _per_block(fn: Callable, blocks: _Blocks) -> list:
+    """``fn(block, start)`` of every block, run as parallel tasks."""
+    return ray.get(
+        [_on_block.remote(fn, r, s) for r, s in zip(blocks.refs, blocks.starts)]
+    )
 
-    Returns ``(ordered fragment iterator, total_row_count)``; the total is
-    known immediately so a second dataset can chain its counter (MeTTa
-    repr3 numbers nodes then edges from one sequence, load.py:795-840).
-    """
-    refs, offsets = _blocks_with_offsets(ds, start)
-    return _fragments_from_refs(refs, offsets, render, window=window), offsets[-1]
+
+# parts in flight while a file is assembled: bounds object-store residency
+# for single-file exports (a small-graph surface anyway; the 100 TB sink is
+# the partitioned Parquet hub below)
+_WINDOW = 32
+
+
+def _publish(path: str, parts: list) -> None:
+    """Write ``path`` from ``parts`` in order. A ``str`` part is written as
+    is; a ``(blocks, render)`` part renders every block in its own task as
+    ``render(block, start) -> str``, at most ``_WINDOW`` parts ahead of the
+    driver's ordered writes."""
+
+    def submitted():
+        for part in parts:
+            if isinstance(part, str):
+                yield part
+            else:
+                blocks, render = part
+                for r, s in zip(blocks.refs, blocks.starts):
+                    yield _on_block.remote(render, r, s)
+
+    def fetch(item) -> str:
+        return item if isinstance(item, str) else ray.get(item)
+
+    def chunks():
+        queue: deque = deque()
+        for item in submitted():
+            queue.append(item)
+            if len(queue) >= _WINDOW:
+                yield fetch(queue.popleft())
+        while queue:
+            yield fetch(queue.popleft())
+
+    _atomic_write(path, chunks())
+
+
+# --- column kernels --------------------------------------------------------
+
+
+def _cols(tbl: pa.Table, *names: str) -> list[pa.Array]:
+    # one string type throughout: the join kernels do not mix string with
+    # large_string
+    out = []
+    for n in names:
+        col = tbl.column(n).combine_chunks()
+        out.append(col.cast(pa.string()) if pa.types.is_large_string(col.type) else col)
+    return out
+
+
+def _join(*parts) -> pa.Array:
+    """Element-wise concatenation of string columns and scalars."""
+    return pc.binary_join_element_wise(*parts, "")
+
+
+def _lines(rows: pa.Array, end: str = "\n") -> str:
+    """Every value of ``rows`` followed by ``end``, as one string."""
+    if len(rows) == 0:
+        return ""
+    one = pa.LargeListArray.from_arrays(pa.array([0, len(rows)], pa.int64()), rows)
+    return pc.binary_join(one, end)[0].as_py() + end
+
+
+def _strings(values: list) -> pa.Array:
+    return pa.array(values, pa.string())
+
+
+def _str(col: pa.Array) -> pa.Array:
+    """``str()`` of every non-NULL value (string columns as they are)."""
+    if pa.types.is_string(col.type):
+        return col
+    return _strings([None if v is None else str(v) for v in col.to_pylist()])
+
+
+def _ids(start: int, n: int) -> pa.Array:
+    return pa.array(np.arange(start, start + n)).cast(pa.string())
+
+
+_NEEDS_ESCAPE = r'[[:cntrl:]"\\]'
+
+
+def _clean(col: pa.Array, null: str = '"null"') -> pa.Array:
+    """``clean`` of every value, NULL rendered as ``null``. orjson escapes
+    only ``"``, ``\\`` and characters below U+0020 in a string, so a string
+    free of those is quoted as is; the flagged rest (and non-string
+    columns) go through the scalar ``clean``."""
+    if not pa.types.is_string(col.type):
+        return _strings([null if v is None else clean(v) for v in col.to_pylist()])
+    out = pc.fill_null(_join('"', col, '"'), null)
+    flagged = pc.fill_null(pc.match_substring_regex(col, _NEEDS_ESCAPE), False)
+    if pc.any(flagged).as_py():
+        slow = [clean(v) for v in pc.filter(col, flagged).to_pylist()]
+        out = pc.replace_with_mask(out, flagged, _strings(slow))
+    return out
+
+
+def _quoted(col: pa.Array, quote: str, null: str) -> pa.Array:
+    """``quote + str(v) + quote`` with ``quote`` doubled inside (CSV, SQL)."""
+    doubled = pc.replace_substring(_str(col), quote, quote * 2)
+    return pc.fill_null(_join(quote, doubled, quote), null)
+
+
+def _xml(col: pa.Array, attr: bool = False) -> pa.Array:
+    """``_esc`` (``_attr`` with ``attr``) of every value; NULL is "None"."""
+    out = pc.fill_null(_str(col), "None")
+    subs = [("&", "&amp;"), (">", "&gt;"), ("<", "&lt;")] + ([('"', "&quot;")] if attr else [])
+    for a, b in subs:
+        out = pc.replace_substring(out, a, b)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -188,29 +273,21 @@ def write_statistics(nodes: rd.Dataset, edges: rd.Dataset, path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _csv_fragment(batch: pa.Table) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, dialect="excel", quoting=csv.QUOTE_ALL)
-    cols = [batch.column(c).to_pylist() for c in batch.column_names]
-    for row in zip(*cols):
-        w.writerow(row)
-    return buf.getvalue()
+def _csv_rows(tbl: pa.Table, _start: int) -> str:
+    # csv.writer's QUOTE_ALL: every cell quoted, quotes doubled, NULL as ""
+    cells = [_quoted(c, '"', '""') for c in _cols(tbl, *tbl.column_names)]
+    return _lines(pc.binary_join_element_wise(*cells, ","), "\r\n")
 
 
 def write_csv_export(ds: rd.Dataset, path: str) -> None:
     """Single CSV file: header + QUOTE_ALL rows; parallel per-block render,
     ordered assembly."""
-    sch = ds.schema()
-    header_cols = sch.names if sch is not None else []  # empty ds: no schema
-    buf = io.StringIO()
-    csv.writer(buf, dialect="excel", quoting=csv.QUOTE_ALL).writerow(header_cols)
-    frags = _fragments(ds, _csv_fragment)
-
-    def chunks():
-        yield buf.getvalue()
-        yield from _stream_fragments(frags)
-
-    _atomic_write(path, chunks())
+    blocks = _blocks(ds)
+    header = io.StringIO()
+    csv.writer(header, dialect="excel", quoting=csv.QUOTE_ALL).writerow(
+        blocks.schema.names if blocks.schema is not None else []  # schema-less empty
+    )
+    _publish(path, [header.getvalue(), (blocks, _csv_rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -218,20 +295,26 @@ def write_csv_export(ds: rd.Dataset, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _jsonl_fragment(batch: pa.Table) -> str:
-    names = batch.column_names
-    cols = [batch.column(c).to_pylist() for c in names]
-    out = []
-    for row in zip(*cols):
-        d = dict(zip(names, row))
-        if "properties" in d and isinstance(d["properties"], str):
-            d["properties"] = json_loads(d["properties"])
-        out.append(json_dumps(d))
-    return "\n".join(out) + "\n" if out else ""
+def _json_values(name: str, col: pa.Array) -> pa.Array:
+    if not pa.types.is_string(col.type):
+        return _strings([json_dumps(v) for v in col.to_pylist()])
+    if name == "properties":  # nested: re-serialized as its JSON object
+        return _strings(
+            ["null" if p is None else json_dumps(json_loads(p)) for p in col.to_pylist()]
+        )
+    return _clean(col, "null")  # clean() of a str is its JSON string
+
+
+def _jsonl_rows(tbl: pa.Table, _start: int) -> str:
+    fields = [
+        _join(json_dumps(name) + ":", _json_values(name, col))
+        for name, col in zip(tbl.column_names, _cols(tbl, *tbl.column_names))
+    ]
+    return _lines(_join("{", pc.binary_join_element_wise(*fields, ","), "}"))
 
 
 def write_jsonl_export(ds: rd.Dataset, path: str) -> None:
-    _atomic_write(path, _stream_fragments(_fragments(ds, _jsonl_fragment)))
+    _publish(path, [(_blocks(ds), _jsonl_rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +351,6 @@ def _attr_schema_of_block(batch: pa.Table, start: int) -> dict:
     return seen
 
 
-@ray.remote
-def _attr_schema_task(batch: pa.Table, start: int) -> dict:
-    return _attr_schema_of_block(batch, start)
-
-
 def _graphml_key_id(owner: str, k: str) -> str:
     """Key id for a property attribute. A property literally named "type"
     would collide with the built-in ``{owner}_type`` declaration (duplicate
@@ -281,22 +359,21 @@ def _graphml_key_id(owner: str, k: str) -> str:
     return f"{owner}_{k}_prop" if k == "type" else f"{owner}_{k}"
 
 
-def _attr_schema_from_refs(
-    refs: list, offsets: list, owner: str
-) -> list[tuple[str, str, str]]:
-    """Union of property keys + inferred type in first-seen order over
-    already-materialized blocks (pass 1 of GraphML, load.py:404-459):
+def _attr_schema(blocks: _Blocks, owner: str) -> list[str]:
+    """``<key>`` declarations of every property key in first-seen order,
+    typed by its first value (pass 1 of GraphML, load.py:404-459):
     per-block maps computed in parallel, tiny driver merge by min
     (row, key_index) ordinal."""
     merged: dict[str, tuple[str, tuple[int, int]]] = {}
-    for seen in ray.get(
-        [_attr_schema_task.remote(r, offsets[i]) for i, r in enumerate(refs)]
-    ):
+    for seen in _per_block(_attr_schema_of_block, blocks):
         for k, (t, o) in seen.items():
             if k not in merged or o < merged[k][1]:
                 merged[k] = (t, o)
-    ordered = sorted(merged.items(), key=lambda kv: kv[1][1])
-    return [(k, owner, t) for k, (t, _) in ordered]
+    return [
+        f'  <key id="{_attr(_graphml_key_id(owner, k))}" for="{owner}" '
+        f'attr.name="{_attr(k)}" attr.type="{t}"/>\n'
+        for k, (t, _) in sorted(merged.items(), key=lambda kv: kv[1][1])
+    ]
 
 
 def _esc(s) -> str:
@@ -318,86 +395,58 @@ def _graphml_value(v) -> str:
     return _esc(v)
 
 
+def _graphml_data(owner: str, props: pa.Array) -> pa.Array:
+    """Per row, the ``<data>`` lines of its properties, each after a
+    newline ("" for a row without properties)."""
+    tag = lru_cache(maxsize=None)(
+        lambda k: f'\n      <data key="{_attr(_graphml_key_id(owner, k))}">'
+    )
+    return _strings([
+        "".join(f"{tag(k)}{_graphml_value(v)}</data>" for k, v in json_loads(p).items())
+        if p else ""
+        for p in props.to_pylist()
+    ])
+
+
+def _graphml_nodes(tbl: pa.Table, _start: int) -> str:
+    nid, ntype, props = _cols(tbl, "id", "type", "properties")
+    return _lines(_join(
+        '    <node id="', _xml(nid, attr=True), '">\n      <data key="node_type">',
+        _xml(ntype), "</data>", _graphml_data("node", props), "\n    </node>",
+    ))
+
+
+def _graphml_edges(tbl: pa.Table, start: int) -> str:
+    # final edge ids baked in from the block's global row offset
+    s, t, etype, props = _cols(tbl, "source_id", "target_id", "type", "properties")
+    return _lines(_join(
+        '    <edge id="e', _ids(start, tbl.num_rows), '" source="', _xml(s, attr=True),
+        '" target="', _xml(t, attr=True), '">\n      <data key="edge_type">',
+        _xml(etype), "</data>", _graphml_data("edge", props), "\n    </edge>",
+    ))
+
+
 def write_graphml(nodes: rd.Dataset, edges: rd.Dataset, path: str) -> None:
     """GraphML export: attribute-schema pass, then parallel rendering with
-    sequential edge ids (load.py:503) assigned by the counted two-pass
-    scheme — each block knows its global edge offset up front.
-
-    Each input executes ONCE: the materialized block refs feed both the
-    attribute-schema pass and the render pass."""
-    n_refs, n_offs = _blocks_with_offsets(nodes)
-    e_refs, e_offs = _blocks_with_offsets(edges)
-    node_attrs = _attr_schema_from_refs(n_refs, n_offs, "node")
-    edge_attrs = _attr_schema_from_refs(e_refs, e_offs, "edge")
-
-    def node_frag(batch: pa.Table, _start: int) -> str:
-        out = []
-        for nid, ntype, props in zip(
-            batch.column("id").to_pylist(),
-            batch.column("type").to_pylist(),
-            batch.column("properties").to_pylist(),
-        ):
-            out.append(f'    <node id="{_attr(nid)}">')
-            out.append(f'      <data key="node_type">{_esc(ntype)}</data>')
-            if props:
-                for k, v in json_loads(props).items():
-                    out.append(
-                        f'      <data key="{_attr(_graphml_key_id("node", k))}">'
-                        f"{_graphml_value(v)}</data>"
-                    )
-            out.append("    </node>")
-        return "\n".join(out) + "\n" if out else ""
-
-    # final edge ids baked in per block from the block's global row offset
-    def edge_frag(batch: pa.Table, start: int) -> str:
-        out = []
-        for i, (s, t, etype, props) in enumerate(
-            zip(
-                batch.column("source_id").to_pylist(),
-                batch.column("target_id").to_pylist(),
-                batch.column("type").to_pylist(),
-                batch.column("properties").to_pylist(),
-            )
-        ):
-            out.append(
-                f'    <edge id="e{start + i}" source="{_attr(s)}" target="{_attr(t)}">'
-            )
-            out.append(f'      <data key="edge_type">{_esc(etype)}</data>')
-            if props:
-                for k, v in json_loads(props).items():
-                    out.append(
-                        f'      <data key="{_attr(_graphml_key_id("edge", k))}">'
-                        f"{_graphml_value(v)}</data>"
-                    )
-            out.append("    </edge>")
-        return "\n".join(out) + "\n" if out else ""
-
-    def chunks():
-        yield '<?xml version="1.0" encoding="UTF-8"?>\n'
-        yield (
-            '<graphml xmlns="http://graphml.graphdrawing.org/xmlns" '
-            'xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" '
-            'xsi:schemaLocation="http://graphml.graphdrawing.org/xmlns '
-            "http://graphml.graphdrawing.org/xmlns/1.0/graphml.xsd\">\n"
-        )
-        yield '  <key id="node_type" for="node" attr.name="type" attr.type="string"/>\n'
-        yield '  <key id="edge_type" for="edge" attr.name="type" attr.type="string"/>\n'
-        for k, owner, t in node_attrs:
-            yield (
-                f'  <key id="{_attr(_graphml_key_id("node", k))}" for="node" '
-                f'attr.name="{_attr(k)}" attr.type="{t}"/>\n'
-            )
-        for k, owner, t in edge_attrs:
-            yield (
-                f'  <key id="{_attr(_graphml_key_id("edge", k))}" for="edge" '
-                f'attr.name="{_attr(k)}" attr.type="{t}"/>\n'
-            )
-        yield '  <graph edgedefault="directed">\n'
-        yield from _fragments_from_refs(n_refs, n_offs, node_frag)
-        yield from _fragments_from_refs(e_refs, e_offs, edge_frag)
-        yield "  </graph>\n</graphml>\n"
-
-    _atomic_write(path, chunks())
+    sequential edge ids (load.py:503), each block knowing its global edge
+    offset up front. Each input executes at most once: its block refs feed
+    both the attribute-schema pass and the render pass."""
+    n, e = _blocks(nodes), _blocks(edges)
+    _publish(path, [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns" '
+        'xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" '
+        'xsi:schemaLocation="http://graphml.graphdrawing.org/xmlns '
+        'http://graphml.graphdrawing.org/xmlns/1.0/graphml.xsd">\n'
+        '  <key id="node_type" for="node" attr.name="type" attr.type="string"/>\n'
+        '  <key id="edge_type" for="edge" attr.name="type" attr.type="string"/>\n',
+        *_attr_schema(n, "node"),
+        *_attr_schema(e, "edge"),
+        '  <graph edgedefault="directed">\n',
+        (n, _graphml_nodes),
+        (e, _graphml_edges),
+        "  </graph>\n</graphml>\n",
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -405,50 +454,66 @@ def write_graphml(nodes: rd.Dataset, edges: rd.Dataset, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _distinct_types(ds: rd.Dataset) -> list[str]:
-    return sorted(ds.unique("type") or [])  # unique() is None when empty
+def _block_types(tbl: pa.Table, _start: int) -> list:
+    return pc.unique(tbl.column("type")).to_pylist()
+
+
+def _type_decls(blocks: _Blocks, kind: str) -> list[str]:
+    """One ``(: "t" NodeType)`` line per distinct type, sorted (the
+    reference emits SQLite's DISTINCT order, which is storage-dependent)."""
+    types = sorted({t for ts in _per_block(_block_types, blocks) for t in ts})
+    return [f"(: {clean(t)} {kind})\n" for t in types]
+
+
+def _repr1_nodes(tbl: pa.Table, _start: int) -> str:
+    nid, ntype = _cols(tbl, "id", "type")
+    return _lines(_join("(: ", _clean(nid), " ", _clean(ntype), ")"))
+
+
+def _repr1_edges(tbl: pa.Table, _start: int) -> str:
+    s, t, o = _cols(tbl, "source_id", "type", "target_id")
+    return _lines(_join("(", _clean(s), " ", _clean(t), " ", _clean(o), ")"))
 
 
 def write_metta_repr1(nodes: rd.Dataset, edges: rd.Dataset, path: str) -> None:
     """repr1 "spo" (load.py:548-607): ``; Types`` / ``; Nodes`` / ``; Edges``
-    sections, node-type decls, node type atoms, (s p o) triples. Type decls
-    render in sorted order (the reference emits SQLite's DISTINCT order,
-    which is storage-dependent)."""
-    ntypes = _distinct_types(nodes)
+    sections, node-type decls, node type atoms, (s p o) triples."""
+    n = _blocks(nodes)
+    _publish(path, [
+        "; Types\n(: NodeType Type)\n",
+        *_type_decls(n, "NodeType"),
+        "; Nodes\n",
+        (n, _repr1_nodes),
+        "; Edges\n",
+        (_blocks(edges), _repr1_edges),
+    ])
 
-    def node_frag(batch: pa.Table) -> str:
-        return (
-            "".join(
-                f"(: {clean(i)} {clean(t)})\n"
-                for i, t in zip(
-                    batch.column("id").to_pylist(), batch.column("type").to_pylist()
-                )
-            )
-        )
 
-    def edge_frag(batch: pa.Table) -> str:
-        return (
-            "".join(
-                f"({clean(s)} {clean(t)} {clean(o)})\n"
-                for s, t, o in zip(
-                    batch.column("source_id").to_pylist(),
-                    batch.column("type").to_pylist(),
-                    batch.column("target_id").to_pylist(),
-                )
-            )
-        )
+def _has_property(subjects: pa.Array, props: pa.Array) -> pa.Array:
+    """Per row, its ``("has_property" subject (k v))`` lines, each after a
+    newline ("" for a row without properties)."""
+    key = lru_cache(maxsize=None)(clean)
+    return _strings([
+        "".join(f'\n("has_property" {subj} ({key(k)} {clean(v)}))' for k, v in json_loads(p).items())
+        if p else ""
+        for subj, p in zip(subjects.to_pylist(), props.to_pylist())
+    ])
 
-    def chunks():
-        yield "; Types\n"
-        yield "(: NodeType Type)\n"
-        for t in ntypes:
-            yield f"(: {clean(t)} NodeType)\n"
-        yield "; Nodes\n"
-        yield from _stream_fragments(_fragments(nodes, node_frag))
-        yield "; Edges\n"
-        yield from _stream_fragments(_fragments(edges, edge_frag))
 
-    _atomic_write(path, chunks())
+def _repr2_nodes(tbl: pa.Table, _start: int) -> str:
+    nid, ntype, props = _cols(tbl, "id", "type", "properties")
+    subj = _clean(nid)
+    return _lines(_join("(: ", subj, " ", _clean(ntype), ")", _has_property(subj, props)))
+
+
+def _repr2_edges(tbl: pa.Table, start: int) -> str:
+    s, t, o, props = _cols(tbl, "source_id", "type", "target_id", "properties")
+    eid = _join('"e', _ids(start, tbl.num_rows), '"')
+    pred = _clean(t)
+    return _lines(_join(
+        "(: ", eid, " ", pred, ")\n(", eid, " (", pred, " ", _clean(s), " ",
+        _clean(o), "))", _has_property(eid, props),
+    ))
 
 
 def write_metta_repr2(nodes: rd.Dataset, edges: rd.Dataset, path: str) -> None:
@@ -458,59 +523,19 @@ def write_metta_repr2(nodes: rd.Dataset, edges: rd.Dataset, path: str) -> None:
     ``(: "eN" pred)`` decl per edge.
 
     Deviation from the reference (documented): edge ids are GLOBALLY
-    monotone via the counted two-pass scheme; the reference's ``enumerate``
-    restarts per 10k-row fetch batch (load.py:691-694), repeating ids —
-    a bug we do not reproduce."""
-    ntypes = _distinct_types(nodes)
-    etypes = _distinct_types(edges)
-    prop_rel = '"has_property"'
-
-    def node_frag(batch: pa.Table) -> str:
-        out = []
-        for nid, ntype, props in zip(
-            batch.column("id").to_pylist(),
-            batch.column("type").to_pylist(),
-            batch.column("properties").to_pylist(),
-        ):
-            out.append(f"(: {clean(nid)} {clean(ntype)})")
-            if props:
-                for k, v in json_loads(props).items():
-                    out.append(f"({prop_rel} {clean(nid)} ({clean(k)} {clean(v)}))")
-        return "\n".join(out) + "\n" if out else ""
-
-    def edge_frag(batch: pa.Table, start: int) -> str:
-        out = []
-        for i, (s, t, o, props) in enumerate(
-            zip(
-                batch.column("source_id").to_pylist(),
-                batch.column("type").to_pylist(),
-                batch.column("target_id").to_pylist(),
-                batch.column("properties").to_pylist(),
-            )
-        ):
-            eid = f'"e{start + i}"'
-            out.append(f"(: {eid} {clean(t)})")
-            out.append(f"({eid} ({clean(t)} {clean(s)} {clean(o)}))")
-            if props:
-                for k, v in json_loads(props).items():
-                    out.append(f"({prop_rel} {eid} ({clean(k)} {clean(v)}))")
-        return "\n".join(out) + "\n" if out else ""
-
-    def chunks():
-        yield "; Types\n"
-        yield "(: NodeType Type)\n"
-        yield "(: EdgeType Type)\n"
-        for t in ntypes:
-            yield f"(: {clean(t)} NodeType)\n"
-        for t in etypes:
-            yield f"(: {clean(t)} EdgeType)\n"
-        yield "; Nodes\n"
-        yield from _stream_fragments(_fragments(nodes, node_frag))
-        yield "; Edges\n"
-        edge_frags, _ = _counted_fragments(edges, edge_frag)
-        yield from edge_frags
-
-    _atomic_write(path, chunks())
+    monotone from each block's global row offset; the reference's
+    ``enumerate`` restarts per 10k-row fetch batch (load.py:691-694),
+    repeating ids — a bug we do not reproduce."""
+    n, e = _blocks(nodes), _blocks(edges)
+    _publish(path, [
+        "; Types\n(: NodeType Type)\n(: EdgeType Type)\n",
+        *_type_decls(n, "NodeType"),
+        *_type_decls(e, "EdgeType"),
+        "; Nodes\n",
+        (n, _repr2_nodes),
+        "; Edges\n",
+        (e, _repr2_edges),
+    ])
 
 
 # --- repr3 nested-property walker (reference load.py:720-789) --------------
@@ -543,9 +568,10 @@ def _list_gen(key, value, pre: list, idx: tuple = ()):
             yield from _dict_gen(v, pre + [(key, *idx, k)])
 
 
-def _path_to_line(path: list) -> str:
+def _path_to_line(path: list, key: Callable = clean) -> str:
     """Reference ``dict_to_metta`` line rendering: strings cleaned, numbers
-    verbatim, path elements wrapped innermost-out.
+    verbatim, path elements wrapped innermost-out; ``key`` renders a path
+    element (a memoized ``clean`` when keys repeat).
 
     Parity note: ONLY str leaves are cleaned (load.py:779-781), so a JSON
     ``null`` renders as the bare atom ``None`` — matching the reference's
@@ -557,62 +583,46 @@ def _path_to_line(path: list) -> str:
         s = clean(s)
     for item in reversed(path[:-1]):
         if isinstance(item, tuple):
-            item_str = " ".join(clean(x) for x in item)
+            item_str = " ".join(key(x) for x in item)
             s = f"({item_str} {s})"
         else:
-            s = f"({clean(item)} {s})"
+            s = f"({key(item)} {s})"
     return s
+
+
+def _repr3_rows(fields: tuple[str, ...], tbl: pa.Table, start: int) -> str:
+    """Each record ``{cnt: {field: value, ..., "properties": {...}}}``
+    walked to one line per scalar leaf. The record's own fields are
+    string leaves (NULL is the bare atom ``None``), rendered per column;
+    only the properties object is walked per row."""
+    *cols, props = _cols(tbl, *fields, "properties")
+    cnt = _ids(start, tbl.num_rows)
+    parts: list = []
+    for name, col in zip(fields, cols):
+        parts += ["\n(" if parts else "(", cnt, f" ({clean(name)} ", _clean(col, "None"), "))"]
+    key = lru_cache(maxsize=None)(clean)
+    walked = _strings([
+        "".join(
+            f"\n({c} {_path_to_line(p, key)})"
+            for p in _dict_gen({"properties": json_loads(v)}, [])
+        )
+        if v else ""
+        for c, v in zip(range(start, start + tbl.num_rows), props.to_pylist())
+    ])
+    return _lines(_join(*parts, walked))
 
 
 def write_metta_repr3(nodes: rd.Dataset, edges: rd.Dataset, path: str) -> None:
     """repr3 (load.py:719-842): fully expanded nested-property
     S-expressions — every record becomes ``{cnt: {...record dict...}}``
     walked to one line per scalar leaf, with ONE global monotone counter
-    across nodes then edges, assigned by the counted two-pass scheme."""
-
-    def node_frag(batch: pa.Table, start: int) -> str:
-        out = []
-        for i, (nid, ntype, props) in enumerate(
-            zip(
-                batch.column("id").to_pylist(),
-                batch.column("type").to_pylist(),
-                batch.column("properties").to_pylist(),
-            )
-        ):
-            rec = {
-                "id": nid,
-                "type": ntype,
-                "properties": json_loads(props) if props else {},
-            }
-            out.extend(_path_to_line(p) for p in _dict_gen({start + i: rec}, []))
-        return "\n".join(out) + "\n" if out else ""
-
-    def edge_frag(batch: pa.Table, start: int) -> str:
-        out = []
-        for i, (s, t, o, props) in enumerate(
-            zip(
-                batch.column("source_id").to_pylist(),
-                batch.column("target_id").to_pylist(),
-                batch.column("type").to_pylist(),
-                batch.column("properties").to_pylist(),
-            )
-        ):
-            rec = {
-                "source_id": s,
-                "target_id": t,
-                "type": o,
-                "properties": json_loads(props) if props else {},
-            }
-            out.extend(_path_to_line(p) for p in _dict_gen({start + i: rec}, []))
-        return "\n".join(out) + "\n" if out else ""
-
-    def chunks():
-        node_frags, n_nodes = _counted_fragments(nodes, node_frag)
-        yield from node_frags
-        edge_frags, _ = _counted_fragments(edges, edge_frag, n_nodes)
-        yield from edge_frags
-
-    _atomic_write(path, chunks())
+    across nodes then edges (the edges' offsets continue the nodes')."""
+    n = _blocks(nodes)
+    e = _blocks(edges, n.end)
+    _publish(path, [
+        (n, partial(_repr3_rows, ("id", "type"))),
+        (e, partial(_repr3_rows, ("source_id", "target_id", "type"))),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -636,47 +646,24 @@ CREATE TABLE edges (
 """
 
 
-def _sql_quote(v) -> str:
-    if v is None:
-        return "NULL"
-    return "'" + str(v).replace("'", "''") + "'"
+def _sql_rows(table: str, columns: list[str], tbl: pa.Table, _start: int) -> str:
+    values = [_quoted(c, "'", "NULL") for c in _cols(tbl, *columns)]
+    return _lines(_join(
+        f"INSERT INTO {table} VALUES(", pc.binary_join_element_wise(*values, ","), ");"
+    ))
 
 
 def write_sql_dump(nodes: rd.Dataset, edges: rd.Dataset, path: str) -> None:
     """SQLite-compatible dump: the reference's schema (transform.py:10-30)
     + INSERT per row, indexes, COMMIT."""
-
-    def node_frag(batch: pa.Table) -> str:
-        return "".join(
-            f"INSERT INTO nodes VALUES({_sql_quote(i)},{_sql_quote(t)},{_sql_quote(p)});\n"
-            for i, t, p in zip(
-                batch.column("id").to_pylist(),
-                batch.column("type").to_pylist(),
-                batch.column("properties").to_pylist(),
-            )
-        )
-
-    def edge_frag(batch: pa.Table) -> str:
-        return "".join(
-            f"INSERT INTO edges VALUES({_sql_quote(s)},{_sql_quote(t)},"
-            f"{_sql_quote(ty)},{_sql_quote(p)});\n"
-            for s, t, ty, p in zip(
-                batch.column("source_id").to_pylist(),
-                batch.column("target_id").to_pylist(),
-                batch.column("type").to_pylist(),
-                batch.column("properties").to_pylist(),
-            )
-        )
-
-    def chunks():
-        yield _SCHEMA_SQL
-        yield from _stream_fragments(_fragments(nodes, node_frag))
-        yield from _stream_fragments(_fragments(edges, edge_frag))
-        yield "CREATE INDEX idx_edges_source ON edges (source_id);\n"
-        yield "CREATE INDEX idx_edges_target ON edges (target_id);\n"
-        yield "COMMIT;\n"
-
-    _atomic_write(path, chunks())
+    _publish(path, [
+        _SCHEMA_SQL,
+        (_blocks(nodes), partial(_sql_rows, "nodes", ["id", "type", "properties"])),
+        (_blocks(edges), partial(_sql_rows, "edges", EDGE_COLUMNS)),
+        "CREATE INDEX idx_edges_source ON edges (source_id);\n"
+        "CREATE INDEX idx_edges_target ON edges (target_id);\n"
+        "COMMIT;\n",
+    ])
 
 
 # ---------------------------------------------------------------------------

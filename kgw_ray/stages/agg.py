@@ -101,15 +101,16 @@ def order_by(result, keys: Sequence[str], descending: Sequence[bool]):
 
 
 def _materialized(ds: rd.Dataset):
-    """(materialized dataset, block refs, row count, Arrow schema): one
-    execution at most, none when ``ds`` is already materialized."""
+    """(materialized dataset, block refs, per-block row counts, Arrow
+    schema), blocks in the order the dataset stores them: one execution at
+    most, none when ``ds`` is already materialized."""
     if not isinstance(ds, MaterializedDataset):
         ds = ds.materialize()
     bundles = list(ds.iter_internal_ref_bundles())
     refs = [ref for b in bundles for ref, _ in b.blocks]
-    n = sum(m.num_rows or 0 for b in bundles for _, m in b.blocks)
+    rows = [m.num_rows or 0 for b in bundles for _, m in b.blocks]
     schema = next((b.schema for b in bundles if b.schema is not None), None)
-    return ds, refs, n, schema
+    return ds, refs, rows, schema
 
 
 def pull(ds: rd.Dataset) -> pa.Table:
@@ -260,7 +261,8 @@ def fold(
         partials = partials.map_batches(_combiner(key_list, specs), batch_format="pyarrow")
         # a combined count merges by summing the per-block counts
         specs = [(a, "sum" if op == "count" else op, a) for _, op, a in specs]
-    mat, _, n, schema = _materialized(partials)
+    mat, _, rows, schema = _materialized(partials)
+    n = sum(rows)
     in_types = _types(schema)
     for k in key_list:
         types[k] = in_types.get(k) or hint.get(k) or pa.string()

@@ -401,7 +401,7 @@ def test_bucketed_hub_and_adjacency(tiny_graph, multi_block_graph, tmp_path, exe
 
 def test_counted_two_pass_ids_across_many_blocks(tmp_path):
     """Sequential ids must be continuous and in dataset order when the
-    edge table spans MANY blocks (the counted two-pass offsets are per
+    edge table spans MANY blocks (the global row offsets are per
     block — this is the case the single-block tiny_graph can't catch)."""
     n = 1000
     nodes = rd.from_arrow(
@@ -445,6 +445,11 @@ def test_counted_two_pass_ids_across_many_blocks(tmp_path):
         if m and (not recs or int(m.group(1)) != recs[-1]):
             recs.append(int(m.group(1)))
     assert recs == list(range(10 + n))  # nodes 0..9 then edges continue
+
+    p2 = str(tmp_path / "many_repr2.metta")
+    exports.write_metta_repr2(nodes, edges, p2)
+    decls = re.findall(r'^\(: "e(\d+)" "r(\d+)"\)$', open(p2).read(), re.M)
+    assert decls == [(str(i), str(i)) for i in range(n)]  # typed decl per edge, in order
 
 
 def test_ordered_sets_plan_context_flag():
@@ -555,3 +560,194 @@ def test_read_adjacency_empty_bucket(multi_block_graph, tmp_path, executions):
     assert adj.count() == 0 and adj.take_all() == [] and adj.to_pandas().empty
     _same_rows(adj.table, _hub_lookup(out, probe))
 
+
+# --- byte parity: every export file pinned by its SHA-256 ------------------
+# Values carry every character class the renderers escape differently
+# (", \, control characters, tab, newline, non-ASCII, & < > and '), NULL
+# ids, targets and properties, nested list/dict properties, a property
+# named "type", -0.5 and a 20-digit integer, spread over several blocks.
+# ``type`` is never NULL and ``properties`` never "" (the MeTTa type decls
+# sort the types, and JSONL parses every properties value).
+
+_NODE_ROWS = [
+    [
+        ('a"q', "gene", '{"name":"A \\"quoted\\" \\\\ back","score":-0.5,"big":12345678901234567890}'),
+        ("b\\slash", "gene", '{"type":"custom","nested":{"k":[1,[2,3]],"d":{"x":null}},"list":[{"a":1},"s"]}'),
+        (None, "disease", None),
+    ],
+    [
+        ("c\x01ctl", "dis\tease", '{"txt":"tab\\there\\nnl","uni":"é—ü 日本","xml":"& < > \' \\""}'),
+        ("d é & <x>", "it's", "{}"),
+        ("e'q", "gene", '{ "flag" : true, "off":false,"n":null,"f":1.5e-7,"k\\"ey":1,"a<b":"x"}'),
+    ],
+    [("f", "gene\nline", '{"empty":[],"ed":{},"score":"high"}')],
+]
+_EDGE_ROWS = [
+    [
+        ('a"q', "b\\slash", 'rel"q', '{"w":2,"type":"edgeprop"}'),
+        ('a"q', None, "dangling", None),
+    ],
+    [
+        (None, "f", "r\x01", '{"nested":{"deep":[[1,2],[3]]}}'),
+        ("c\x01ctl", "d é & <x>", "it's & <ok>", '{"s":"a\\\\b","u":"\\u00e9\\u2028","w":"two"}'),
+    ],
+    [
+        ("f", "f", "self", "{}"),
+        ("e'q", 'a"q', 'rel"q', '{"v":-0.5,"big":12345678901234567890,"l":["x\\ty",null]}'),
+    ],
+    [("b\\slash", "c\x01ctl", "gene", '{"deep":{"a":{"b":[{"c":[1]}]}}}')],
+]
+_PLAIN_SCHEMA = pa.schema(
+    [("n", pa.int64()), ("x", pa.float64()), ("ok", pa.bool_()),
+     ("s", pa.string()), ("z", pa.null())]
+)
+_PLAIN_ROWS = [
+    [(1, 0.5, True, 'q"t', None), (None, -0.5, None, None, None)],
+    [(-3, 1e16, False, "tab\there\nnl", None), (2**62, None, True, "é & <'>", None)],
+    [(0, float("nan"), None, "\\", None), (12, 1e-05, False, "", None)],
+]
+
+
+def _blocks(rows, schema) -> list[pa.Table]:
+    return [
+        pa.Table.from_pylist([dict(zip(schema.names, r)) for r in block], schema)
+        for block in rows
+    ]
+
+
+def _parity_inputs(mode: str):
+    """(nodes, edges, plain) as ``materialized``, ``lazy`` (an identity map
+    over the blocks) or ``empty`` Datasets."""
+    node_schema = pa.schema([(c, pa.string()) for c in ("id", "type", "properties")])
+    edge_schema = pa.schema([(c, pa.string()) for c in exports.EDGE_COLUMNS])
+    out = []
+    for rows, schema in (
+        (_NODE_ROWS, node_schema), (_EDGE_ROWS, edge_schema), (_PLAIN_ROWS, _PLAIN_SCHEMA)
+    ):
+        ds = rd.from_arrow(_blocks(rows, schema))
+        if mode == "materialized":
+            ds = ds.materialize()
+        elif mode == "lazy":
+            ds = ds.map_batches(lambda t: t, batch_format="pyarrow")
+        else:
+            ds = ds.filter(lambda row: False)
+        out.append(ds)
+    return out
+
+
+def _write_every_export(nodes, edges, plain, out) -> None:
+    exports.write_csv_export(nodes, f"{out}/kg_nodes.csv")
+    exports.write_csv_export(edges, f"{out}/kg_edges.csv")
+    exports.write_jsonl_export(nodes, f"{out}/kg_nodes.jsonl")
+    exports.write_jsonl_export(edges, f"{out}/kg_edges.jsonl")
+    exports.write_graphml(nodes, edges, f"{out}/kg.graphml")
+    exports.write_metta_repr1(nodes, edges, f"{out}/kg_repr1.metta")
+    exports.write_metta_repr2(nodes, edges, f"{out}/kg_repr2.metta")
+    exports.write_metta_repr3(nodes, edges, f"{out}/kg_repr3.metta")
+    exports.write_sql_dump(nodes, edges, f"{out}/kg.sql")
+    exports.write_csv_export(plain, f"{out}/plain.csv")
+    exports.write_jsonl_export(plain, f"{out}/plain.jsonl")
+
+
+def _digests(out) -> dict:
+    import hashlib
+    import os
+
+    return {
+        f: hashlib.sha256(open(os.path.join(out, f), "rb").read()).hexdigest()
+        for f in sorted(os.listdir(out))
+    }
+
+
+_PARITY_DIGESTS = {
+    "materialized": {
+        "kg.graphml": "c8308026ee9b6d8740ae3578b1cb4c16f1d9a8f07d2d3b110ca3534f0c884608",
+        "kg.sql": "92602cf53550ab4ec7521cb454c72cce86515e22f4ffaa1c26ea7aebf6e6f910",
+        "kg_edges.csv": "0012b31b42d078f8b3898eb105e6c74520ad83175806a99c215f594074618f56",
+        "kg_edges.jsonl": "151634e5600368b4bdf6516f9df0d548200a38a4d8b131afbe11ad4fe5455463",
+        "kg_nodes.csv": "85a3c673f72208427af8ae0e6f3f50735c516f283d753443016e60ef1ad50b41",
+        "kg_nodes.jsonl": "72d4cab54de42de54e2ecb272b64b9d46b4dfc652dfbb334a41128d9a988ec0e",
+        "kg_repr1.metta": "153d042be1003ff914114026c1556584aaf830d3e0fe13aa95dd9b49eba4bba5",
+        "kg_repr2.metta": "9a521338d57b5f1837ad690fa139854c6bbf5d87e3f95ad3cc61a84a33088838",
+        "kg_repr3.metta": "c44d87a4a954abf6bb047a95cd413b7c89e18ba088e74b7358076478714d6dae",
+        "plain.csv": "55266adaa13d42eafd79f2216100844490a67c3aa9ad16ff5cf55ac53d32cb3a",
+        "plain.jsonl": "9788681ad69c47ae174b4629a6987af588c6d823c5e8b2021f3b8d394dde798a",
+    },
+    "lazy": {
+        "kg.graphml": "c8308026ee9b6d8740ae3578b1cb4c16f1d9a8f07d2d3b110ca3534f0c884608",
+        "kg.sql": "92602cf53550ab4ec7521cb454c72cce86515e22f4ffaa1c26ea7aebf6e6f910",
+        "kg_edges.csv": "0012b31b42d078f8b3898eb105e6c74520ad83175806a99c215f594074618f56",
+        "kg_edges.jsonl": "151634e5600368b4bdf6516f9df0d548200a38a4d8b131afbe11ad4fe5455463",
+        "kg_nodes.csv": "85a3c673f72208427af8ae0e6f3f50735c516f283d753443016e60ef1ad50b41",
+        "kg_nodes.jsonl": "72d4cab54de42de54e2ecb272b64b9d46b4dfc652dfbb334a41128d9a988ec0e",
+        "kg_repr1.metta": "153d042be1003ff914114026c1556584aaf830d3e0fe13aa95dd9b49eba4bba5",
+        "kg_repr2.metta": "9a521338d57b5f1837ad690fa139854c6bbf5d87e3f95ad3cc61a84a33088838",
+        "kg_repr3.metta": "c44d87a4a954abf6bb047a95cd413b7c89e18ba088e74b7358076478714d6dae",
+        "plain.csv": "55266adaa13d42eafd79f2216100844490a67c3aa9ad16ff5cf55ac53d32cb3a",
+        "plain.jsonl": "9788681ad69c47ae174b4629a6987af588c6d823c5e8b2021f3b8d394dde798a",
+    },
+    "empty": {
+        "kg.graphml": "884a366b62a80e20dcf8f59a77ef012a494af5190599b0b791877a76c96c5cc3",
+        "kg.sql": "ee937350d618fc3f320afd2d5a6dac03fe30d6adde47bc78340688c6b6372480",
+        "kg_edges.csv": "7eb70257593da06f682a3ddda54a9d260d4fc514f645237f5ca74b08f8da61a6",
+        "kg_edges.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "kg_nodes.csv": "7eb70257593da06f682a3ddda54a9d260d4fc514f645237f5ca74b08f8da61a6",
+        "kg_nodes.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "kg_repr1.metta": "dba9878f6a076365a4c14e87af952b5c9435238ab318364657c38eed989af6cc",
+        "kg_repr2.metta": "004346ef43e2c0349af83daa09cdd74746b47946382a97bfe91c281ca1991370",
+        "kg_repr3.metta": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "plain.csv": "7eb70257593da06f682a3ddda54a9d260d4fc514f645237f5ca74b08f8da61a6",
+        "plain.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", ["materialized", "lazy", "empty"])
+def test_exports_byte_parity(mode, tmp_path):
+    """Every export file is byte-identical to the row-at-a-time renderers'
+    output (digests pinned from them), whatever the input's execution
+    state."""
+    _write_every_export(*_parity_inputs(mode), tmp_path)
+    assert _digests(tmp_path) == _PARITY_DIGESTS[mode]
+
+
+_WRITERS = {
+    "csv": lambda n, e, out: (
+        exports.write_csv_export(n, f"{out}/kg_nodes.csv"),
+        exports.write_csv_export(e, f"{out}/kg_edges.csv"),
+    ),
+    "jsonl": lambda n, e, out: (
+        exports.write_jsonl_export(n, f"{out}/kg_nodes.jsonl"),
+        exports.write_jsonl_export(e, f"{out}/kg_edges.jsonl"),
+    ),
+    "graphml": lambda n, e, out: exports.write_graphml(n, e, f"{out}/kg.graphml"),
+    "metta1": lambda n, e, out: exports.write_metta_repr1(n, e, f"{out}/kg_repr1.metta"),
+    "metta2": lambda n, e, out: exports.write_metta_repr2(n, e, f"{out}/kg_repr2.metta"),
+    "metta3": lambda n, e, out: exports.write_metta_repr3(n, e, f"{out}/kg_repr3.metta"),
+    "sql": lambda n, e, out: exports.write_sql_dump(n, e, f"{out}/kg.sql"),
+}
+
+
+@pytest.mark.parametrize("mode", ["materialized", "lazy"])
+def test_export_execution_budget(mode, tmp_path, executions):
+    """Block refs, row offsets, schema and distinct types all come from the
+    blocks themselves: on materialized tables no writer starts a Ray Data
+    execution, and a lazy table is executed at most once per writer."""
+    nodes, edges, _ = _parity_inputs(mode)
+    budget = 0 if mode == "materialized" else 2  # one per table
+    for name, write in _WRITERS.items():
+        executions.clear()
+        write(nodes, edges, tmp_path)
+        assert len(executions) <= budget, (name, executions)
+
+
+def test_failed_render_leaves_no_partial(tmp_path):
+    """A render that raises (orjson cannot parse an empty properties
+    string) propagates, and leaves neither the target nor its temp file."""
+    edges = rd.from_arrow(
+        pa.table({c: ["x", "y"] for c in exports.EDGE_COLUMNS[:3]} | {"properties": ["{}", ""]})
+    )
+    path = tmp_path / "kg_edges.jsonl"
+    with pytest.raises(ValueError):
+        exports.write_jsonl_export(edges, str(path))
+    assert list(tmp_path.iterdir()) == []  # neither the target nor its .partial
