@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
 
 from kgw_ray.sources.readers import read_table
@@ -1243,14 +1244,14 @@ FROM ap GROUP BY src
 
 
 @register("kg_eccentricity", oracle=_kg_ecc_sql())
-def q_kg_eccentricity(sf_dir: str) -> rd.Dataset:
+def q_kg_eccentricity(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Per-node eccentricity (max forward hop distance) + reachable-set
     size — the diameter/radius inputs; a grouped Max/Count fold over the
     gated sssp_counts σ table (sibling machinery of kg_apsp_counts)."""
     import pyarrow.compute as pc
 
     from kgw_ray.pipelines.webkg import edges_from_triples, triples_dataset
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
+    from kgw_ray.stages.agg import as_dataset, fold
     from kgw_ray.stages.graph_metrics import sssp_counts
 
     ap = sssp_counts(edges_from_triples(triples_dataset(sf_dir)), rounds=8)
@@ -1264,7 +1265,7 @@ def q_kg_eccentricity(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return grouped_aggregate_hybrid(
+    return fold(
         ap.map_batches(partial, batch_format="pyarrow"),
         "id",
         [("ecc", "max", "ecc"), ("n_reached", "sum", "n_reached")],
@@ -1302,7 +1303,7 @@ def q_kg_diameter(sf_dir: str) -> pa.Table:
     import pyarrow.compute as pc
 
     from kgw_ray.pipelines.webkg import edges_from_triples, triples_dataset
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
+    from kgw_ray.stages.agg import as_dataset, fold
     from kgw_ray.stages.graph_metrics import sssp_counts
 
     ap = sssp_counts(edges_from_triples(triples_dataset(sf_dir)), rounds=8)
@@ -1312,11 +1313,11 @@ def q_kg_diameter(sf_dir: str) -> pa.Table:
             {"id": t.column("src"), "e": pc.cast(t.column("dist"), pa.int64())}
         )
 
-    ecc = grouped_aggregate_hybrid(
+    ecc = as_dataset(fold(
         ap.map_batches(partial, batch_format="pyarrow"),
         "id",
         [("e", "max", "e")],
-    ).materialize()
+    )).materialize()
     if ecc.count() == 0:
         return pa.table(
             {
@@ -1353,7 +1354,7 @@ FROM ap GROUP BY src
 
 
 @register("kg_harmonic", oracle=_kg_harmonic_sql())
-def q_kg_harmonic(sf_dir: str) -> rd.Dataset:
+def q_kg_harmonic(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Harmonic centrality in integer micro-units: h(s) = Σ_{t reachable,
     t≠s} 10^6 // d(s,t) — the disconnected-robust closeness variant
     (Boldi & Vigna) web-graph rankings use. Per-term integer floor is
@@ -1364,7 +1365,7 @@ def q_kg_harmonic(sf_dir: str) -> rd.Dataset:
     import pyarrow.compute as pc
 
     from kgw_ray.pipelines.webkg import edges_from_triples, triples_dataset
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
+    from kgw_ray.stages.agg import as_dataset, fold
     from kgw_ray.stages.graph_metrics import sssp_counts
 
     ap = sssp_counts(edges_from_triples(triples_dataset(sf_dir)), rounds=8)
@@ -1376,7 +1377,7 @@ def q_kg_harmonic(sf_dir: str) -> rd.Dataset:
             {"id": t.column("src"), "harmonic_micro": pa.array(h.astype(np.int64))}
         )
 
-    return grouped_aggregate_hybrid(
+    return fold(
         ap.map_batches(partial, batch_format="pyarrow"),
         "id",
         [("harmonic_micro", "sum", "harmonic_micro")],
@@ -1470,72 +1471,29 @@ FROM d GROUP BY doc_id
 
 
 @register("webkg_doc_yield", oracle=_DOC_YIELD_SQL)
-def q_webkg_doc_yield(sf_dir: str) -> rd.Dataset:
+def q_webkg_doc_yield(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Per-document triple yield (crawl-quality signal: mention count +
     distinct-triple count per page) — two chained combiner aggregates over
     ONE triple scan: (doc,s,p,o)-keyed multiplicity dedup, then the
     doc-keyed rollup. Shuffles move one row per (batch, key), never raw
     mention streams."""
-    import numpy as np
 
     from kgw_ray.pipelines.webkg import triples_dataset
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
+    from kgw_ray.stages.agg import as_dataset, fold
 
     tr = triples_dataset(sf_dir)
 
-    def _dedup_partial(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = pd.DataFrame(
-            {
-                "doc_id": batch.column("doc_id").to_numpy(zero_copy_only=False),
-                "subj": batch.column("subj").to_numpy(zero_copy_only=False),
-                "pred": batch.column("pred").to_numpy(zero_copy_only=False),
-                "obj": batch.column("obj").to_numpy(zero_copy_only=False),
-            }
-        )
-        g = (
-            df.groupby(["doc_id", "subj", "pred", "obj"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        return pa.table(
-            {
-                "doc_id": pa.array(g["doc_id"].to_numpy(), pa.int64()),
-                "subj": pa.array(g["subj"].to_numpy(), pa.string()),
-                "pred": pa.array(g["pred"].to_numpy(), pa.string()),
-                "obj": pa.array(g["obj"].to_numpy(), pa.string()),
-                "n": pa.array(g["n"].to_numpy().astype(np.int64)),
-            }
-        )
-
-    deduped = grouped_aggregate_hybrid(
-        tr.map_batches(_dedup_partial, batch_format="pyarrow"),
+    deduped = as_dataset(fold(
+        tr.select_columns(["doc_id", "subj", "pred", "obj"]),
         ["doc_id", "subj", "pred", "obj"],
-        [("n", "sum", "n")],
-    )
-
-    def _doc_partial(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        n = batch.column("n").to_numpy(zero_copy_only=False)
-        uq, inv = np.unique(ids, return_inverse=True)
-        return pa.table(
-            {
-                "doc_id": pa.array(uq, pa.int64()),
-                "n_mentions": pa.array(
-                    np.bincount(inv, weights=n).astype(np.int64)
-                ),
-                "n_distinct_triples": pa.array(np.bincount(inv).astype(np.int64)),
-            }
-        )
-
-    return grouped_aggregate_hybrid(
-        deduped.map_batches(_doc_partial, batch_format="pyarrow"),
+        [(None, "count", "n")],
+        combine=True,
+    ))
+    return fold(
+        deduped,
         "doc_id",
-        [
-            ("n_mentions", "sum", "n_mentions"),
-            ("n_distinct_triples", "sum", "n_distinct_triples"),
-        ],
+        [("n", "sum", "n_mentions"), (None, "count", "n_distinct_triples")],
+        combine=True,
     )
 
 
@@ -1780,39 +1738,28 @@ def q_kg_shortest_paths(sf_dir: str) -> rd.Dataset:
     w = 1 + 1000//n_obs — one size-hybrid join + min combiner + grouped
     Min per round (stages/graph_metrics.py:bellman_ford); oracle = the
     identical rounds unrolled into CTEs."""
-    import numpy as _np
-    import pandas as _pd
 
     from kgw_ray.pipelines.webkg import triples_dataset
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid as _gah
+    from kgw_ray.stages.agg import as_dataset, fold
     from kgw_ray.stages.graph_metrics import bellman_ford
 
     tr = triples_dataset(sf_dir)
 
-    def _pair_count(t: pa.Table) -> pa.Table:
-        subj = t.column("subj").to_numpy(zero_copy_only=False)
-        obj = t.column("obj").to_numpy(zero_copy_only=False)
-        keep = subj != obj
-        g = (
-            _pd.DataFrame({"s": subj[keep], "t": obj[keep]})
-            .groupby(["s", "t"], sort=False)
-            .size()
-            .rename("n")
-            .reset_index()
-        )
+    def _pairs(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.not_equal(t.column("subj"), t.column("obj")))
         return pa.table(
             {
-                "s": pa.array("E:" + g["s"].to_numpy(dtype=object), pa.string()),
-                "t": pa.array("E:" + g["t"].to_numpy(dtype=object), pa.string()),
-                "n": pa.array(g["n"].to_numpy().astype(_np.int64)),
+                "s": pc.binary_join_element_wise("E:", t.column("subj"), ""),
+                "t": pc.binary_join_element_wise("E:", t.column("obj"), ""),
             }
         )
 
-    counted = _gah(
-        tr.map_batches(_pair_count, batch_format="pyarrow"),
+    counted = as_dataset(fold(
+        tr.map_batches(_pairs, batch_format="pyarrow"),
         ["s", "t"],
-        [("n", "sum", "n")],
-    )
+        [(None, "count", "n")],
+        combine=True,
+    ))
 
     def _weight(t: pa.Table) -> pa.Table:
         import numpy as np
@@ -1878,27 +1825,17 @@ def q_kg_two_hop_paths(sf_dir: str) -> rd.Dataset:
         _grouped_sum_of,
         _hybrid_attach,
     )
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid as _gah
-    import numpy as _np
+    from kgw_ray.stages.agg import as_dataset, fold
 
     edges = edges_from_triples(triples_dataset(sf_dir))
     pairs = _distinct_ordered_pairs(edges).materialize()
 
-    def _deg_partial(t: pa.Table) -> pa.Table:
-        s = t.column("s").to_numpy(zero_copy_only=False)
-        uq, cnt = _np.unique(s, return_counts=True)
-        return pa.table(
-            {
-                "id": pa.array(uq, pa.string()),
-                "outdeg": pa.array(cnt.astype(_np.int64)),
-            }
-        )
-
-    deg = _gah(
-        pairs.map_batches(_deg_partial, batch_format="pyarrow"),
+    deg = as_dataset(fold(
+        pairs.map_batches(lambda t: pa.table({"id": t.column("s")}), batch_format="pyarrow"),
         "id",
-        [("outdeg", "sum", "outdeg")],
-    )
+        [(None, "count", "outdeg")],
+        combine=True,
+    ))
     joined = _hybrid_attach(pairs, deg, on="t", right_on="id")
     return _grouped_sum_of(joined, "s", "outdeg", "id", "n_two_hop_paths")
 
@@ -1926,10 +1863,9 @@ def q_kg_degree_assortativity(sf_dir: str) -> rd.Dataset:
     r derives — integers shuffle, the float never does. Plan: ONE
     distinct-pair exchange, two vocabulary-sized degree reduces attached
     size-hybrid, then a single-row-per-block moment combiner."""
-    import numpy as _np
 
     from kgw_ray.pipelines.webkg import edges_from_triples, triples_dataset
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid as _gah
+    from kgw_ray.stages.agg import as_dataset, fold
     from kgw_ray.stages.graph_metrics import (
         _distinct_ordered_pairs,
         _hybrid_attach,
@@ -1939,21 +1875,12 @@ def q_kg_degree_assortativity(sf_dir: str) -> rd.Dataset:
     pairs = _distinct_ordered_pairs(edges).materialize()
 
     def _deg_of(col: str, alias: str):
-        def _partial(t: pa.Table) -> pa.Table:
-            v = t.column(col).to_numpy(zero_copy_only=False)
-            uq, cnt = _np.unique(v, return_counts=True)
-            return pa.table(
-                {
-                    "id": pa.array(uq, pa.string()),
-                    alias: pa.array(cnt.astype(_np.int64)),
-                }
-            )
-
-        return _gah(
-            pairs.map_batches(_partial, batch_format="pyarrow"),
+        return as_dataset(fold(
+            pairs.map_batches(lambda t: pa.table({"id": t.column(col)}), batch_format="pyarrow"),
             "id",
-            [(alias, "sum", alias)],
-        )
+            [(None, "count", alias)],
+            combine=True,
+        ))
 
     withx = _hybrid_attach(pairs, _deg_of("s", "xd"), on="s", right_on="id")
     withxy = _hybrid_attach(withx, _deg_of("t", "yd"), on="t", right_on="id")
@@ -1974,11 +1901,11 @@ def q_kg_degree_assortativity(sf_dir: str) -> rd.Dataset:
         )
 
     cols = ["n_edges", "sum_x", "sum_y", "sum_xy", "sum_x2", "sum_y2"]
-    return _gah(
+    return as_dataset(fold(
         withxy.map_batches(_moments, batch_format="pyarrow"),
         "one",
         [(c, "sum", c) for c in cols],
-    ).select_columns(cols)
+    )).select_columns(cols)
 
 
 register("parts_by_type_stats", _rel.PARTS_BY_TYPE_SQL)(
@@ -2290,7 +2217,7 @@ def q_webkg_host_pagerank(sf_dir: str) -> rd.Dataset:
     the two verified operators: link extraction (webkg.link_graph) +
     integer micro-unit pagerank (stages/graph.py)."""
     from kgw_ray.pipelines.webkg import link_graph
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
+    from kgw_ray.stages.agg import as_dataset, fold
     from kgw_ray.stages.graph import pagerank
 
     links = link_graph(sf_dir).map_batches(
@@ -2300,29 +2227,16 @@ def q_webkg_host_pagerank(sf_dir: str) -> rd.Dataset:
         batch_format="pyarrow",
     ).materialize()
 
-    def host_partial(t: pa.Table) -> pa.Table:
-        import numpy as _np
+    def hosts(t: pa.Table) -> pa.Table:
+        ends = t.column("source_id").chunks + t.column("target_id").chunks
+        return pa.table({"id": pa.chunked_array(ends, pa.string())})
 
-        hosts = _np.unique(
-            _np.concatenate(
-                [
-                    t.column("source_id").to_numpy(zero_copy_only=False),
-                    t.column("target_id").to_numpy(zero_copy_only=False),
-                ]
-            )
-        )
-        return pa.table(
-            {
-                "id": pa.array(hosts, pa.string()),
-                "one": pa.array(_np.ones(len(hosts), _np.int64)),
-            }
-        )
-
-    nodes = grouped_aggregate_hybrid(
-        links.map_batches(host_partial, batch_format="pyarrow"),
+    nodes = as_dataset(fold(
+        links.map_batches(hosts, batch_format="pyarrow"),
         "id",
-        [("one", "sum", "n")],
-    ).select_columns(["id"])
+        [(None, "count", "n")],
+        combine=True,
+    )).select_columns(["id"])
     return pagerank(nodes, links)
 
 
@@ -2719,7 +2633,7 @@ FROM t GROUP BY bucket
 
 
 @register("docs_quality_buckets", oracle=_quality_buckets_sql())
-def q_docs_quality_buckets(sf_dir: str) -> rd.Dataset:
+def q_docs_quality_buckets(sf_dir: str) -> "pa.Table | rd.Dataset":
     """CCNet-style quality bucketing: rank every document by the warm
     model's integer logit (tie-break doc_id) and cut the ranking into 3
     equal NTILE buckets (head/middle/tail) — the curation recipe that
@@ -2733,7 +2647,7 @@ def q_docs_quality_buckets(sf_dir: str) -> rd.Dataset:
     import pyarrow as _pa
 
     from kgw_ray.sources.readers import read_table
-    from kgw_ray.stages.agg import global_row_number, grouped_aggregate_hybrid
+    from kgw_ray.stages.agg import as_dataset, fold, global_row_number
     from kgw_ray.stages.scoring import QualityModelScorer
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
@@ -2769,7 +2683,7 @@ def q_docs_quality_buckets(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return grouped_aggregate_hybrid(
+    return fold(
         ranked.map_batches(_bucketize, batch_format="pyarrow"),
         "bucket",
         [
@@ -3249,28 +3163,16 @@ def q_webkg_vertex_cover(sf_dir: str) -> rd.Dataset:
     the endpoints (matching edges are disjoint). Pure derivation of the
     gated webkg_matching machinery; one extra melt + distinct."""
     from kgw_ray.pipelines.registry import q_webkg_matching
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
-
-    import numpy as np
+    from kgw_ray.stages.agg import as_dataset, fold
 
     m = q_webkg_matching(sf_dir)
 
     def _ends(t: pa.Table) -> pa.Table:
-        import pyarrow as _pa
+        return pa.table({"id": pa.chunked_array(t["a"].chunks + t["b"].chunks, pa.string())})
 
-        a = t.column("a").to_numpy(zero_copy_only=False)
-        b = t.column("b").to_numpy(zero_copy_only=False)
-        ids = np.unique(np.concatenate([a, b]))
-        return _pa.table(
-            {
-                "id": _pa.array(ids, _pa.string()),
-                "one": _pa.array(np.ones(len(ids), dtype=np.int64)),
-            }
-        )
-
-    return grouped_aggregate_hybrid(
-        m.map_batches(_ends, batch_format="pyarrow"), "id", [("one", "max", "one")]
-    ).select_columns(["id"])
+    return as_dataset(fold(
+        m.map_batches(_ends, batch_format="pyarrow"), "id", [(None, "count", "n")], combine=True
+    )).select_columns(["id"])
 
 
 _KG_C4_SQL = f"""

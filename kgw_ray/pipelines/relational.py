@@ -19,16 +19,48 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Min
+from ray.data.aggregate import Max, Min
 
 from kgw_ray.functions.arrow_utils import arrow_from_pandas, typed_pandas
 from kgw_ray.functions.porthash import bitlen_u64 as _bitlen_u64
 from kgw_ray.functions.porthash import mix64 as _mix64
 from kgw_ray.sources.readers import read_table, read_table_pandas
-from kgw_ray.stages.agg import fold, grouped_aggregate_hybrid, order_by
+from kgw_ray.stages.agg import as_dataset, fold, order_by
 from kgw_ray.stages.joins import broadcast_join, large_join
 
 _R = 2  # money rounding (both sides of every oracle)
+
+
+def _rint(col) -> pa.Array:
+    """Round half to even to int64 (np.rint, as the oracles' ROUND)."""
+    return pa.array(np.rint(col.to_numpy(zero_copy_only=False)).astype(np.int64))
+
+
+def _cents(col) -> pa.Array:
+    """A money column as exact integer cents."""
+    return pa.array(
+        np.rint(col.to_numpy(zero_copy_only=False) * 100.0).astype(np.int64)
+    )
+
+
+def _lookup(col, mapping: pd.Series) -> pa.Array:
+    """``mapping[key]`` for every key of ``col`` (NULL for a missing key)."""
+    at = pc.index_in(col, value_set=pa.array(mapping.index.to_numpy()))
+    return pc.take(pa.array(mapping.to_numpy(), from_pandas=True), at)
+
+
+def _first_us(event_type: str, out_col: str):
+    """Derive for a per-user first-``event_type`` fold: (user_id, ts in
+    µs) of the matching rows."""
+
+    def derive(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.equal(t.column("event_type"), event_type))
+        return pa.table(
+            {"user_id": pc.cast(t.column("user_id"), pa.int64()),
+             out_col: pc.cast(t.column("ts"), pa.int64())}
+        )
+
+    return derive
 
 
 def distributed_topk(
@@ -90,24 +122,24 @@ def q1_pricing_summary(sf_dir: str) -> rd.Dataset:
         ],
     )
 
-    cutoff = pd.Timestamp("1998-09-02")
+    cutoff = pa.scalar(pd.Timestamp("1998-09-02"), pa.timestamp("us"))
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["l_shipdate"] <= cutoff]
-        disc_price = df["l_extendedprice"] * (1 - df["l_discount"])
-        charge = disc_price * (1 + df["l_tax"])
-        g = df.assign(disc_price=disc_price, charge=charge).groupby(
-            ["l_returnflag", "l_linestatus"], sort=False
+    def derive(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.less_equal(t.column("l_shipdate"), cutoff))
+        disc_price = pc.multiply(
+            t.column("l_extendedprice"), pc.subtract(1, t.column("l_discount"))
         )
-        out = g.agg(
-            sum_qty=("l_quantity", "sum"),
-            sum_base_price=("l_extendedprice", "sum"),
-            sum_disc_price=("disc_price", "sum"),
-            sum_charge=("charge", "sum"),
-            sum_disc=("l_discount", "sum"),
-            count_order=("l_quantity", "size"),
-        ).reset_index()
-        return arrow_from_pandas(out)
+        return pa.table(
+            {
+                "l_returnflag": t.column("l_returnflag"),
+                "l_linestatus": t.column("l_linestatus"),
+                "l_quantity": t.column("l_quantity"),
+                "l_extendedprice": t.column("l_extendedprice"),
+                "l_discount": t.column("l_discount"),
+                "disc_price": disc_price,
+                "charge": pc.multiply(disc_price, pc.add(1, t.column("l_tax"))),
+            }
+        )
 
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
         n = df["count_order"]
@@ -129,13 +161,18 @@ def q1_pricing_summary(sf_dir: str) -> rd.Dataset:
     # output cardinality is bounded by |returnflag|x|linestatus| (6 rows at
     # ANY scale): the fold merges, finalizes and orders it on the driver
     merged = fold(
-        ds.map_batches(partial, batch_format="pandas"),
+        ds.map_batches(derive, batch_format="pyarrow"),
         ["l_returnflag", "l_linestatus"],
-        [(c, "sum", c) for c in (
-            "sum_qty", "sum_base_price", "sum_disc_price", "sum_charge",
-            "sum_disc", "count_order",
-        )],
+        [
+            ("l_quantity", "sum", "sum_qty"),
+            ("l_extendedprice", "sum", "sum_base_price"),
+            ("disc_price", "sum", "sum_disc_price"),
+            ("charge", "sum", "sum_charge"),
+            ("l_discount", "sum", "sum_disc"),
+            (None, "count", "count_order"),
+        ],
         finalize=finalize,
+        combine=True,
     )
     return order_by(merged, ["l_returnflag", "l_linestatus"], [False, False])
 
@@ -223,12 +260,13 @@ def q3_top_orders(
             right_on=("o_orderkey",),
         )
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df["revenue"] = df["l_extendedprice"] * (1 - df["l_discount"])
-        return arrow_from_pandas(
-            df.groupby(["l_orderkey", "o_orderdate"], sort=False)["revenue"]
-            .sum()
-            .reset_index()
+    def derive(t: pa.Table) -> pa.Table:
+        revenue = pc.multiply(
+            t.column("l_extendedprice"), pc.subtract(1, t.column("l_discount"))
+        )
+        return pa.table(
+            {"l_orderkey": t.column("l_orderkey"), "o_orderdate": t.column("o_orderdate"),
+             "revenue": revenue}
         )
 
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
@@ -238,10 +276,11 @@ def q3_top_orders(
         ]
 
     out = fold(
-        j.map_batches(partial, batch_format="pandas"),
+        j.map_batches(derive, batch_format="pyarrow"),
         ["l_orderkey", "o_orderdate"],
         [("revenue", "sum", "revenue")],
         finalize=finalize,
+        combine=True,
     )
     return distributed_topk(out, ["revenue", "o_orderkey"], [True, False], 10)
 
@@ -299,12 +338,12 @@ def q5_revenue_by_nation(sf_dir: str, *, force_hash_join: bool = False) -> rd.Da
     s2n = supplier[["s_suppkey", "s_nationkey"]]
     j = broadcast_join(j, s2n, on=["l_suppkey"], right_on=["s_suppkey"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["c_nationkey"] == df["s_nationkey"]]
-        df = df.assign(revenue=df["l_extendedprice"] * (1 - df["l_discount"]))
-        return arrow_from_pandas(
-            df.groupby("c_nationkey", sort=False)["revenue"].sum().reset_index()
+    def derive(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.equal(t.column("c_nationkey"), t.column("s_nationkey")))
+        revenue = pc.multiply(
+            t.column("l_extendedprice"), pc.subtract(1, t.column("l_discount"))
         )
+        return pa.table({"c_nationkey": t.column("c_nationkey"), "revenue": revenue})
 
     nmap = dict(zip(nation["n_nationkey"], nation["n_name"]))
 
@@ -318,10 +357,11 @@ def q5_revenue_by_nation(sf_dir: str, *, force_hash_join: bool = False) -> rd.Da
 
     # bounded by |nation| (25 rows) — driver-order the tiny result
     merged = fold(
-        j.map_batches(partial, batch_format="pandas"),
+        j.map_batches(derive, batch_format="pyarrow"),
         "c_nationkey",
         [("revenue", "sum", "revenue")],
         finalize=finalize,
+        combine=True,
     )
     return order_by(merged, ["revenue", "n_name"], [True, False])
 
@@ -353,10 +393,14 @@ def events_hourly_window(sf_dir: str) -> "pa.Table | rd.Dataset":
     """
     ds = read_table(sf_dir, "events", columns=["ts", "event_type", "value"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df["hour"] = df["ts"].dt.floor("h")
-        g = df.groupby(["event_type", "hour"], sort=False)["value"]
-        return arrow_from_pandas(g.agg(n="size", sum_value="sum").reset_index())
+    def derive(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "event_type": t.column("event_type"),
+                "hour": pc.floor_temporal(t.column("ts"), unit="hour"),
+                "value": t.column("value"),
+            }
+        )
 
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
         df["sum_value"] = df["sum_value"].round(_R)
@@ -364,10 +408,11 @@ def events_hourly_window(sf_dir: str) -> "pa.Table | rd.Dataset":
         return df[["event_type", "hour", "n", "sum_value"]]
 
     return fold(
-        ds.map_batches(partial, batch_format="pandas"),
+        ds.map_batches(derive, batch_format="pyarrow"),
         ["event_type", "hour"],
-        [("n", "sum", "n"), ("sum_value", "sum", "sum_value")],
+        [(None, "count", "n"), ("value", "sum", "sum_value")],
         finalize=finalize,
+        combine=True,
     )
 
 
@@ -413,21 +458,15 @@ def events_hourly_gapfill(sf_dir: str) -> "rd.Dataset | pa.Table":
     hi_us = pc.cast(pa.scalar(bounds["hi"]), pa.timestamp("us")).cast(pa.int64()).as_py()
     lo_h, hi_h = lo_us // _HOUR_US, hi_us // _HOUR_US
 
-    def partial(df: pd.DataFrame) -> pa.Table:
-        he = df["ts"].astype("int64").to_numpy() // _HOUR_US
-        g = (
-            pd.DataFrame({"he": he, "value": df["value"].to_numpy()})
-            .groupby("he", sort=False)["value"]
-            .agg(n="size", sum_value="sum")
-            .reset_index()
-        )
-        g["n"] = g["n"].astype("int64")
-        return arrow_from_pandas(g)
+    def derive(t: pa.Table) -> pa.Table:
+        he = pc.divide(pc.cast(t.column("ts"), pa.int64()), _HOUR_US)
+        return pa.table({"he": he, "value": t.column("value")})
 
     counts = fold(
-        ds.map_batches(partial, batch_format="pandas"),
+        ds.map_batches(derive, batch_format="pyarrow"),
         ["he"],
-        [("n", "sum", "n"), ("sum_value", "sum", "sum_value")],
+        [(None, "count", "n"), ("value", "sum", "sum_value")],
+        combine=True,
     )
 
     spine = rd.range(hi_h - lo_h + 1).map_batches(
@@ -655,20 +694,16 @@ def top_users_by_value(sf_dir: str, k: int = 10) -> rd.Dataset:
     """groupby user → rounded sum(value) → top-k with deterministic tie-break."""
     ds = read_table(sf_dir, "events", columns=["user_id", "value"])
 
-    def partial(df: pd.DataFrame) -> pa.Table:
-        return arrow_from_pandas(
-            df.groupby("user_id", sort=False)["value"].sum().rename("total_value").reset_index()
-        )
-
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
         df["total_value"] = df["total_value"].round(_R)
         return df
 
     merged = fold(
-        ds.map_batches(partial, batch_format="pandas"),
+        ds.select_columns(["user_id", "value"]),
         "user_id",
-        [("total_value", "sum", "total_value")],
+        [("value", "sum", "total_value")],
         finalize=finalize,
+        combine=True,
     )
     return distributed_topk(merged, ["total_value", "user_id"], [True, False], k)
 
@@ -776,37 +811,32 @@ WHERE user_id NOT IN (SELECT user_id FROM events WHERE event_type = 'purchase')
 """
 
 
-def distinct_event_types(sf_dir: str) -> pa.Table:
-    """DISTINCT shape (reference load.py:557: SELECT DISTINCT type).
-    ``Dataset.unique`` runs the distributed distinct and returns the (small)
-    value list to the driver."""
+def distinct_event_types(sf_dir: str) -> "pa.Table | rd.Dataset":
+    """DISTINCT shape (reference load.py:557: SELECT DISTINCT type): a
+    COUNT fold with the count dropped (NULL is one distinct value)."""
     ds = read_table(sf_dir, "events", columns=["event_type"])
-    vals = ds.unique("event_type") or []  # None when the table is empty
-    return pa.table({"event_type": pa.array(sorted(vals), pa.string())})
+    return fold(ds, "event_type", [(None, "count", "n")], combine=True).drop_columns(["n"])
 
 
 DISTINCT_EVENT_TYPES_SQL = "SELECT DISTINCT event_type FROM events"
 
 
-def events_sliding_window(sf_dir: str) -> rd.Dataset:
+def events_sliding_window(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Sliding 1h window advancing 30min: each event belongs to 2 windows
     (flat-map the window starts per batch, then an ordinary grouped
     partial-agg shuffle — the batch-engine mapping for sliding windows)."""
     ds = read_table(sf_dir, "events", columns=["ts", "value"])
 
-    def expand(df: pd.DataFrame) -> pd.DataFrame:
-        half = df["ts"].dt.floor("30min")
-        w1 = half  # window starting at this half-hour
-        w2 = half - pd.Timedelta(minutes=30)
-        out = pd.concat(
+    def expand(t: pa.Table) -> pa.Table:
+        half = pc.floor_temporal(t.column("ts"), multiple=30, unit="minute")
+        prev = pc.subtract(half, pa.scalar(pd.Timedelta(minutes=30), pa.duration("us")))
+        value = t.column("value")
+        return pa.concat_tables(
             [
-                pd.DataFrame({"window_start": w1, "value": df["value"].values}),
-                pd.DataFrame({"window_start": w2, "value": df["value"].values}),
-            ],
-            ignore_index=True,
+                pa.table({"window_start": half, "value": value}),
+                pa.table({"window_start": prev, "value": value}),
+            ]
         )
-        g = out.groupby("window_start", sort=False)["value"]
-        return arrow_from_pandas(g.agg(n="size", sum_value="sum").reset_index())
 
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
         df["n"] = df["n"].astype("int64")
@@ -814,10 +844,11 @@ def events_sliding_window(sf_dir: str) -> rd.Dataset:
         return df[["window_start", "n", "sum_value"]]
 
     return fold(
-        ds.map_batches(expand, batch_format="pandas"),
+        ds.map_batches(expand, batch_format="pyarrow"),
         "window_start",
-        [("n", "sum", "n"), ("sum_value", "sum", "sum_value")],
+        [(None, "count", "n"), ("value", "sum", "sum_value")],
         finalize=finalize,
+        combine=True,
     )
 
 
@@ -902,14 +933,9 @@ def top_users_by_value_salted(sf_dir: str, k: int = 10) -> rd.Dataset:
     )
 
 
-def events_minmax_by_type(sf_dir: str) -> rd.Dataset:
+def events_minmax_by_type(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Min/Max/Count aggregate family per event type."""
     ds = read_table(sf_dir, "events", columns=["event_type", "value"])
-    out = ds.groupby("event_type").aggregate(
-        Min("value", alias_name="min_value"),
-        Max("value", alias_name="max_value"),
-        Count(alias_name="n"),
-    )
 
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
         df["min_value"] = df["min_value"].round(_R)
@@ -917,7 +943,13 @@ def events_minmax_by_type(sf_dir: str) -> rd.Dataset:
         df["n"] = df["n"].astype("int64")
         return df
 
-    return out.map_batches(finalize, batch_format="pandas")
+    return fold(
+        ds,
+        "event_type",
+        [("value", "min", "min_value"), ("value", "max", "max_value"), (None, "count", "n")],
+        finalize=finalize,
+        combine=True,
+    )
 
 
 EVENTS_MINMAX_SQL = """
@@ -927,7 +959,7 @@ FROM events GROUP BY event_type
 """
 
 
-def events_props_extract(sf_dir: str) -> rd.Dataset:
+def events_props_extract(sf_dir: str) -> "pa.Table | rd.Dataset":
     """JSON property extraction on the data plane (§2.7; the reference
     parses/merges JSON property columns per record, _pharmebinet.py:168-178):
     pull ``k`` out of the events ``props`` JSON column, vectorized orjson
@@ -946,11 +978,7 @@ def events_props_extract(sf_dir: str) -> rd.Dataset:
             return int(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else 0
 
         ks = [k_of(p) for p in batch.column("props").to_pylist()]
-        df = pd.DataFrame(
-            {"event_type": batch.column("event_type").to_pylist(), "k": ks}
-        )
-        g = df.groupby("event_type", sort=False)["k"]
-        return arrow_from_pandas(g.agg(sum_k="sum", n="size").reset_index())
+        return pa.table({"event_type": batch.column("event_type"), "k": pa.array(ks, pa.int64())})
 
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
         df["sum_k"] = df["sum_k"].astype("int64")
@@ -960,8 +988,9 @@ def events_props_extract(sf_dir: str) -> rd.Dataset:
     return fold(
         ds.map_batches(partial, batch_format="pyarrow"),
         "event_type",
-        [("sum_k", "sum", "sum_k"), ("n", "sum", "n")],
+        [("k", "sum", "sum_k"), (None, "count", "n")],
         finalize=finalize,
+        combine=True,
     )
 
 
@@ -1190,20 +1219,14 @@ def events_latest_per_user(sf_dir: str) -> rd.Dataset:
             ),
             "",
         )
-        df = pd.DataFrame(
-            {
-                "user_id": batch.column("user_id").to_numpy(zero_copy_only=False),
-                "key": key.to_numpy(zero_copy_only=False),
-            }
-        )
-        top = df.groupby("user_id", sort=False)["key"].max().reset_index()
-        return arrow_from_pandas(top)
+        return pa.table({"user_id": batch.column("user_id"), "key": key})
 
-    merged = grouped_aggregate_hybrid(
+    merged = as_dataset(fold(
         ds.map_batches(pack, batch_format="pyarrow"),
         "user_id",
         [("key", "max", "key")],
-    )
+        combine=True,
+    ))
 
     def unpack(batch: pa.Table) -> pa.Table:
         import numpy as np
@@ -1333,21 +1356,17 @@ def events_funnel(sf_dir: str) -> rd.Dataset:
                 batch_format="pyarrow",
             )
 
-        def combine(df: pd.DataFrame) -> pa.Table:
-            g = (
-                df.assign(_us=df["ts"].astype("int64"))
-                .groupby("user_id", sort=False)["_us"]
-                .min()
-                .rename(out_col)
-                .reset_index()
+        def first_ts(t: pa.Table) -> pa.Table:
+            return pa.table(
+                {"user_id": t.column("user_id"), out_col: pc.cast(t.column("ts"), pa.int64())}
             )
-            return arrow_from_pandas(g)
 
-        return grouped_aggregate_hybrid(
-            ev.map_batches(combine, batch_format="pandas"),
+        return as_dataset(fold(
+            ev.map_batches(first_ts, batch_format="pyarrow"),
             "user_id",
             [(out_col, "min", out_col)],
-        )
+            combine=True,
+        ))
 
     t1 = stage_min("view", None, None, "t_view")
     t2 = stage_min("click", t1, "t_view", "t_click")
@@ -1416,21 +1435,23 @@ def events_rollup(sf_dir: str) -> pa.Table:
 
     ds = read_table(sf_dir, "events", columns=["ts", "event_type", "value"])
 
-    def partial(df: pd.DataFrame) -> pa.Table:
-        df["hour"] = df["ts"].dt.floor("h")
-        g = df.groupby(["event_type", "hour"], sort=False)["value"]
-        return arrow_from_pandas(g.agg(n="size", sum_value="sum").reset_index())
+    def derive(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "event_type": t.column("event_type"),
+                "hour": pc.floor_temporal(t.column("ts"), unit="hour"),
+                "value": t.column("value"),
+            }
+        )
 
-    detail = typed_pandas(
-        fold(
-            ds.map_batches(partial, batch_format="pandas"),
-            ["event_type", "hour"],
-            [("n", "sum", "n"), ("sum_value", "sum", "sum_value")],
-        ),
-        ["event_type", "hour", "n", "sum_value"],
-    )
+    detail = fold(
+        ds.map_batches(derive, batch_format="pyarrow"),
+        ["event_type", "hour"],
+        [(None, "count", "n"), ("value", "sum", "sum_value")],
+        combine=True,
+    ).to_pandas()
     lvl1 = (
-        detail.groupby("event_type", sort=False)
+        detail.groupby("event_type", sort=False, dropna=False)
         .agg(n=("n", "sum"), sum_value=("sum_value", "sum"))
         .reset_index()
     )
@@ -1502,23 +1523,20 @@ def events_snapshot_diff(sf_dir: str) -> rd.Dataset:
         # digits so "" sorts below all of them and the SAME Max aggregate
         # works on both merge paths (pandas object-max chokes on None)
         old_key = np.where(eid <= cutoff, key, "")
-        df = pd.DataFrame(
+        return pa.table(
             {
-                "user_id": batch.column("user_id").to_numpy(zero_copy_only=False),
-                "new_key": key,
-                "old_key": old_key,
+                "user_id": batch.column("user_id"),
+                "new_key": pa.array(key, pa.string()),
+                "old_key": pa.array(old_key, pa.string()),
             }
         )
-        g = df.groupby("user_id", sort=False).agg(
-            new_key=("new_key", "max"), old_key=("old_key", "max")
-        )
-        return arrow_from_pandas(g.reset_index())
 
-    merged = grouped_aggregate_hybrid(
+    merged = as_dataset(fold(
         ds.map_batches(pack, batch_format="pyarrow"),
         "user_id",
         [("new_key", "max", "new_key"), ("old_key", "max", "old_key")],
-    )
+        combine=True,
+    ))
 
     def unpack(batch: pa.Table) -> pa.Table:
         new_keys = batch.column("new_key").to_pylist()
@@ -1715,22 +1733,16 @@ def orders_period_diff(sf_dir: str) -> rd.Dataset:
                 zero_copy_only=False
             )
             keep = ts < cut if which_first else ts >= cut
-            keys = batch.column("o_custkey").to_numpy(zero_copy_only=False)[keep]
-            uq, cnt = np.unique(keys, return_counts=True)
-            col = "n_h1" if which_first else "n_h2"
-            return pa.table(
-                {
-                    "o_custkey": pa.array(uq, pa.int64()),
-                    col: pa.array(cnt.astype(np.int64)),
-                }
-            )
+            keys = batch.column("o_custkey").filter(pa.array(keep))
+            return pa.table({"o_custkey": pc.cast(keys, pa.int64())})
 
         col = "n_h1" if which_first else "n_h2"
-        return grouped_aggregate_hybrid(
+        return as_dataset(fold(
             ds.map_batches(partial, batch_format="pyarrow"),
             "o_custkey",
-            [(col, "sum", col)],
-        ).materialize()
+            [(None, "count", col)],
+            combine=True,
+        )).materialize()
 
     joined = large_join(
         half_counts(True), half_counts(False), on=("o_custkey",), how="full_outer"
@@ -1866,34 +1878,28 @@ def events_pivot_by_type(sf_dir: str) -> rd.Dataset:
     The type list is FIXED (the five generator types, sorted) so the
     output schema is static: a dynamic pivot would need a driver-side
     distinct first; callers with open vocabularies should stay long-form.
-    Physical plan: per-batch vectorized crosstab partial (pandas
-    groupby-size + unstack against the fixed columns) then ONE
-    vocabulary-sized grouped Sum over the five int columns — the classic
+    Physical plan: one 0/1 indicator column per fixed type, summed by a
+    ``fold(combine=True)`` over users — the classic
     conditional-aggregation plan, no row explosion, no shuffle of the log.
     """
-    import numpy as np
 
     types = ["click", "error", "purchase", "signup", "view"]
     cols = [f"n_{t}" for t in types]
     ds = read_table(sf_dir, "events", columns=["user_id", "event_type"])
 
-    def partial(df: pd.DataFrame) -> pa.Table:
-        g = (
-            df.groupby(["user_id", "event_type"], sort=False)
-            .size()
-            .unstack(fill_value=0)
-            .reindex(columns=types, fill_value=0)
-        )
-        out = {"user_id": pa.array(g.index.to_numpy())}
-        for t, c in zip(types, cols):
-            out[c] = pa.array(g[t].to_numpy().astype(np.int64))
+    def indicators(t: pa.Table) -> pa.Table:
+        et = t.column("event_type")
+        out = {"user_id": t.column("user_id")}
+        for ty, c in zip(types, cols):
+            out[c] = pc.cast(pc.fill_null(pc.equal(et, ty), False), pa.int64())
         return pa.table(out)
 
-    return grouped_aggregate_hybrid(
-        ds.map_batches(partial, batch_format="pandas"),
+    return as_dataset(fold(
+        ds.map_batches(indicators, batch_format="pyarrow"),
         "user_id",
         [(c, "sum", c) for c in cols],
-    )
+        combine=True,
+    ))
 
 
 EVENTS_PIVOT_SQL = """
@@ -2125,39 +2131,24 @@ def events_cube(sf_dir: str) -> pa.Table:
         cents = np.rint(
             t.column("value").to_numpy(zero_copy_only=False) * 100.0
         ).astype(np.int64)
-        df = pd.DataFrame(
-            {
-                "event_type": t.column("event_type").to_numpy(zero_copy_only=False),
-                "hour": hour,
-                "cents": cents,
-            }
-        )
-        g = (
-            df.groupby(["event_type", "hour"], sort=False)
-            .agg(n=("cents", "size"), cents=("cents", "sum"))
-            .reset_index()
-        )
         return pa.table(
             {
-                "event_type": pa.array(g["event_type"].to_numpy(), pa.string()),
-                "hour": pa.array(g["hour"].to_numpy().astype(np.int64)),
-                "n": pa.array(g["n"].to_numpy().astype(np.int64)),
-                "cents": pa.array(g["cents"].to_numpy().astype(np.int64)),
+                "event_type": t.column("event_type"),
+                "hour": pa.array(hour),
+                "cents": pa.array(cents),
             }
         )
 
-    cells = typed_pandas(
-        grouped_aggregate_hybrid(
-            ds.map_batches(partial, batch_format="pyarrow"),
-            ["event_type", "hour"],
-            [("n", "sum", "n"), ("cents", "sum", "cents")],
-        ),
-        ["event_type", "hour", "n", "cents"],
-    )
+    cells = fold(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        ["event_type", "hour"],
+        [(None, "count", "n"), ("cents", "sum", "cents")],
+        combine=True,
+    ).to_pandas()
 
     frames = [cells.assign(grp=0)]
     by_type = (
-        cells.groupby("event_type", as_index=False)[["n", "cents"]]
+        cells.groupby("event_type", as_index=False, dropna=False)[["n", "cents"]]
         .sum()
         .assign(hour=pd.NA, grp=1)
     )
@@ -2282,7 +2273,7 @@ FROM events
 """
 
 
-def events_users_per_type(sf_dir: str) -> rd.Dataset:
+def events_users_per_type(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Exact grouped COUNT DISTINCT: unique users per event type — the
     audience-size query. Two-level exact plan: per-batch (type, user)
     dedup combiner → ONE exchange keyed on the pair (≤ one row per
@@ -2291,40 +2282,16 @@ def events_users_per_type(sf_dir: str) -> rd.Dataset:
     the zero-shuffle approximate path for when even the pair exchange is
     too wide.
     """
-    import numpy as np
 
     ds = read_table(sf_dir, "events", columns=["event_type", "user_id"])
 
-    def pair_partial(df: pd.DataFrame) -> pa.Table:
-        g = df.drop_duplicates()
-        return pa.table(
-            {
-                "event_type": pa.array(g["event_type"].to_numpy(), pa.string()),
-                "user_id": pa.array(g["user_id"].to_numpy().astype(np.int64)),
-                "one": pa.array(np.ones(len(g), dtype=np.int64)),
-            }
-        )
-
-    pairs = grouped_aggregate_hybrid(
-        ds.map_batches(pair_partial, batch_format="pandas"),
+    pairs = as_dataset(fold(
+        ds.select_columns(["event_type", "user_id"]),
         ["event_type", "user_id"],
-        [("one", "sum", "n")],
-    )
-
-    def count_partial(df: pd.DataFrame) -> pa.Table:
-        g = df.groupby("event_type", sort=False).size().rename("n_users").reset_index()
-        return pa.table(
-            {
-                "event_type": pa.array(g["event_type"].to_numpy(), pa.string()),
-                "n_users": pa.array(g["n_users"].to_numpy().astype(np.int64)),
-            }
-        )
-
-    return grouped_aggregate_hybrid(
-        pairs.map_batches(count_partial, batch_format="pandas"),
-        "event_type",
-        [("n_users", "sum", "n_users")],
-    )
+        [(None, "count", "n")],
+        combine=True,
+    ))
+    return fold(pairs, "event_type", [(None, "count", "n_users")], combine=True)
 
 
 EVENTS_USERS_PER_TYPE_SQL = """
@@ -2346,26 +2313,12 @@ def events_user_skew(sf_dir: str) -> pa.Table:
     · 1000 // (n·Σcnt), nonnegative by the rearrangement inequality, so
     floor division is engine-portable.
     """
-    import numpy as np
 
-    from kgw_ray.stages.agg import global_row_number, grouped_aggregate_hybrid
+    from kgw_ray.stages.agg import as_dataset, fold, global_row_number
 
     ds = read_table(sf_dir, "events", columns=["user_id"])
 
-    def cnt_partial(df: pd.DataFrame) -> pa.Table:
-        g = df.groupby("user_id", sort=False).size().rename("cnt").reset_index()
-        return pa.table(
-            {
-                "user_id": pa.array(g["user_id"].to_numpy().astype(np.int64)),
-                "cnt": pa.array(g["cnt"].to_numpy().astype(np.int64)),
-            }
-        )
-
-    counts = grouped_aggregate_hybrid(
-        ds.map_batches(cnt_partial, batch_format="pandas"),
-        "user_id",
-        [("cnt", "sum", "cnt")],
-    )
+    counts = as_dataset(fold(ds, "user_id", [(None, "count", "cnt")], combine=True))
     ranked = global_row_number(counts, ["cnt", "user_id"], rank_name="rn")
 
     def fold_partial(t: pa.Table) -> pa.Table:
@@ -2617,33 +2570,24 @@ def events_users_click_and_purchase(sf_dir: str) -> rd.Dataset:
     side). ONE scan folds each user's type presence into a 2-bit mask
     (per-batch bitwise-OR combiner → vocabulary-sized Max), so the plan
     never materializes either side of the intersection separately."""
-    import numpy as np
 
     ds = read_table(sf_dir, "events", columns=["user_id", "event_type"])
 
     # mergeable fold: per-batch per-user presence bits, grouped Max —
     # bitwise-OR isn't a native grouped agg and Sum would double-count
-    def bits_partial(df: pd.DataFrame) -> pa.Table:
-        et = df["event_type"].to_numpy()
-        g = (
-            pd.DataFrame(
-                {
-                    "user_id": df["user_id"].to_numpy(),
-                    "b_click": (et == "click").astype(np.int64),
-                    "b_purchase": (et == "purchase").astype(np.int64),
-                }
-            )
-            .groupby("user_id", sort=False)
-            .agg(b_click=("b_click", "max"), b_purchase=("b_purchase", "max"))
-            .reset_index()
+    def bits(t: pa.Table) -> pa.Table:
+        et = t.column("event_type")
+        flag = lambda v: pc.cast(pc.fill_null(pc.equal(et, v), False), pa.int64())  # noqa: E731
+        return pa.table(
+            {"user_id": t.column("user_id"), "b_click": flag("click"), "b_purchase": flag("purchase")}
         )
-        return arrow_from_pandas(g)
 
-    folded = grouped_aggregate_hybrid(
-        ds.map_batches(bits_partial, batch_format="pandas"),
+    folded = as_dataset(fold(
+        ds.map_batches(bits, batch_format="pyarrow"),
         "user_id",
         [("b_click", "max", "b_click"), ("b_purchase", "max", "b_purchase")],
-    )
+        combine=True,
+    ))
 
     def both(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -2663,7 +2607,7 @@ SELECT DISTINCT user_id FROM events WHERE event_type = 'purchase'
 """
 
 
-def events_value_histogram(sf_dir: str, width_cents: int = 1000) -> rd.Dataset:
+def events_value_histogram(sf_dir: str, width_cents: int = 1000) -> "pa.Table | rd.Dataset":
     """Equi-width histogram of event value (bucket = cents // width,
     left-closed) — the fixed-bin reporting complement of the equi-depth
     docs_length_band. ONE pass: per-batch ``np.bincount``-style partial
@@ -2679,19 +2623,13 @@ def events_value_histogram(sf_dir: str, width_cents: int = 1000) -> rd.Dataset:
             t.column("value").to_numpy(zero_copy_only=False) * 100.0
         ).astype(np.int64)
         b = c // width_cents
-        uq, cnt = np.unique(b, return_counts=True)
-        return pa.table(
-            {
-                "bucket": pa.array(uq),
-                "lo_cents": pa.array(uq * width_cents),
-                "n": pa.array(cnt.astype(np.int64)),
-            }
-        )
+        return pa.table({"bucket": pa.array(b), "lo_cents": pa.array(b * width_cents)})
 
-    return grouped_aggregate_hybrid(
+    return fold(
         ds.map_batches(partial, batch_format="pyarrow"),
         "bucket",
-        [("lo_cents", "min", "lo_cents"), ("n", "sum", "n")],
+        [("lo_cents", "min", "lo_cents"), (None, "count", "n")],
+        combine=True,
     )
 
 
@@ -2761,37 +2699,32 @@ FROM r
 """
 
 
-def orders_monthly_rollup(sf_dir: str) -> rd.Dataset:
+def orders_monthly_rollup(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Calendar rollup on a DATE column: order count + total price cents
     per (year, month) — the time-bucketed reporting aggregate over the
     orders table (the events table's hourly windows, at date grain).
     ONE pass: per-batch Arrow year()/month() + pandas partial, then a
     (year, month)-vocabulary grouped Sum.
     """
-    import numpy as np
     import pyarrow.compute as pc
 
     ds = read_table(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
 
     def partial(t: pa.Table) -> pa.Table:
         d = t.column("o_orderdate")
-        y = pc.year(d).to_numpy(zero_copy_only=False).astype(np.int64)
-        m = pc.month(d).to_numpy(zero_copy_only=False).astype(np.int64)
-        cents = np.rint(
-            t.column("o_totalprice").to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        g = (
-            pd.DataFrame({"year": y, "month": m, "cents": cents})
-            .groupby(["year", "month"], sort=False)
-            .agg(n_orders=("cents", "size"), total_cents=("cents", "sum"))
-            .reset_index()
+        return pa.table(
+            {
+                "year": pc.cast(pc.year(d), pa.int64()),
+                "month": pc.cast(pc.month(d), pa.int64()),
+                "cents": _cents(t.column("o_totalprice")),
+            }
         )
-        return arrow_from_pandas(g)
 
-    return grouped_aggregate_hybrid(
+    return fold(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["year", "month"],
-        [("n_orders", "sum", "n_orders"), ("total_cents", "sum", "total_cents")],
+        [(None, "count", "n_orders"), ("cents", "sum", "total_cents")],
+        combine=True,
     )
 
 
@@ -2805,56 +2738,38 @@ FROM orders GROUP BY year(o_orderdate), month(o_orderdate)
 """
 
 
-def parts_by_type_stats(sf_dir: str) -> rd.Dataset:
+def parts_by_type_stats(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Dimension-table profile: per part type the count, size span and
     retail-price extremes/total in exact cents — the catalog summary a
     pricing pipeline reads before joining parts at fact scale. One
     combiner pass + a type-vocabulary grouped reduce (Min/Max/Sum all
     mergeable)."""
-    import numpy as np
 
     ds = read_table(
         sf_dir, "part", columns=["p_type", "p_size", "p_retailprice"]
     )
 
-    def partial(df: pd.DataFrame) -> pa.Table:
-        cents = np.rint(df["p_retailprice"].to_numpy() * 100.0).astype(np.int64)
-        g = (
-            pd.DataFrame(
-                {
-                    "p_type": df["p_type"].to_numpy(),
-                    "n_parts": 1,
-                    "min_size": df["p_size"].to_numpy().astype(np.int64),
-                    "max_size": df["p_size"].to_numpy().astype(np.int64),
-                    "min_price_cents": cents,
-                    "max_price_cents": cents,
-                    "total_price_cents": cents,
-                }
-            )
-            .groupby("p_type", sort=False)
-            .agg(
-                n_parts=("n_parts", "sum"),
-                min_size=("min_size", "min"),
-                max_size=("max_size", "max"),
-                min_price_cents=("min_price_cents", "min"),
-                max_price_cents=("max_price_cents", "max"),
-                total_price_cents=("total_price_cents", "sum"),
-            )
-            .reset_index()
+    def partial(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "p_type": t.column("p_type"),
+                "size": pc.cast(t.column("p_size"), pa.int64()),
+                "cents": _cents(t.column("p_retailprice")),
+            }
         )
-        return arrow_from_pandas(g)
 
-    return grouped_aggregate_hybrid(
-        ds.map_batches(partial, batch_format="pandas"),
+    return fold(
+        ds.map_batches(partial, batch_format="pyarrow"),
         "p_type",
         [
-            ("n_parts", "sum", "n_parts"),
-            ("min_size", "min", "min_size"),
-            ("max_size", "max", "max_size"),
-            ("min_price_cents", "min", "min_price_cents"),
-            ("max_price_cents", "max", "max_price_cents"),
-            ("total_price_cents", "sum", "total_price_cents"),
+            (None, "count", "n_parts"),
+            ("size", "min", "min_size"),
+            ("size", "max", "max_size"),
+            ("cents", "min", "min_price_cents"),
+            ("cents", "max", "max_price_cents"),
+            ("cents", "sum", "total_price_cents"),
         ],
+        combine=True,
     )
 
 
@@ -2873,12 +2788,11 @@ FROM part GROUP BY p_type
 """
 
 
-def customers_by_segment_nation(sf_dir: str) -> rd.Dataset:
+def customers_by_segment_nation(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Two-dimension dimension-table profile with a name join: customer
     count + exact account-balance cents per (market segment, nation
     NAME) — the broadcast-dimension pattern (nation is tiny → pandas
     merge inside the combiner, never a shuffle)."""
-    import numpy as np
 
     from kgw_ray.sources.readers import read_table_pandas
 
@@ -2890,25 +2804,24 @@ def customers_by_segment_nation(sf_dir: str) -> rd.Dataset:
         sf_dir, "customer", columns=["c_mktsegment", "c_nationkey", "c_acctbal"]
     )
 
-    def partial(df: pd.DataFrame) -> pa.Table:
-        cents = np.rint(df["c_acctbal"].to_numpy() * 100.0).astype(np.int64)
-        j = df.assign(bal_cents=cents).merge(
-            nat, left_on="c_nationkey", right_on="n_nationkey", how="left"
-        )
-        g = (
-            j.groupby(["c_mktsegment", "n_name"], sort=False)
-            .agg(n_customers=("bal_cents", "size"), total_bal_cents=("bal_cents", "sum"))
-            .reset_index()
-        )
-        return arrow_from_pandas(g)
+    nat_keys = pa.array(nat["n_nationkey"], pa.int64())
+    nat_names = pa.array(nat["n_name"], pa.string())
 
-    return grouped_aggregate_hybrid(
-        ds.map_batches(partial, batch_format="pandas"),
+    def partial(t: pa.Table) -> pa.Table:
+        at = pc.index_in(pc.cast(t.column("c_nationkey"), pa.int64()), value_set=nat_keys)
+        return pa.table(
+            {
+                "c_mktsegment": t.column("c_mktsegment"),
+                "n_name": pc.take(nat_names, at),
+                "cents": _cents(t.column("c_acctbal")),
+            }
+        )
+
+    return fold(
+        ds.map_batches(partial, batch_format="pyarrow"),
         ["c_mktsegment", "n_name"],
-        [
-            ("n_customers", "sum", "n_customers"),
-            ("total_bal_cents", "sum", "total_bal_cents"),
-        ],
+        [(None, "count", "n_customers"), ("cents", "sum", "total_bal_cents")],
+        combine=True,
     )
 
 
@@ -2963,11 +2876,11 @@ def q6_revenue_forecast(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return grouped_aggregate_hybrid(
+    return as_dataset(fold(
         ds.map_batches(partial, batch_format="pyarrow"),
         "one",
         [("n_items", "sum", "n_items"), ("revenue_e4", "sum", "revenue_e4")],
-    ).select_columns(["n_items", "revenue_e4"])
+    )).select_columns(["n_items", "revenue_e4"])
 
 
 Q6_FORECAST_SQL = """
@@ -2981,13 +2894,12 @@ WHERE l_shipdate >= DATE '1995-01-01' AND l_shipdate < DATE '1996-01-01'
 """
 
 
-def q4_priority_returned(sf_dir: str) -> rd.Dataset:
+def q4_priority_returned(sf_dir: str) -> "pa.Table | rd.Dataset":
     """TPC-H Q4 shape (EXISTS rewrite): orders with at least one returned
     lineitem, counted per order priority. The R-flag keys are distinct-ed
     by a per-block unique combiner + grouped reduce, then the orders scan
     is semi-joined size-hybrid (broadcast value-set under the limit,
     left_semi hash join beyond) — no fact-x-fact row expansion anywhere."""
-    import numpy as np
     import pyarrow.dataset as pads
 
     from kgw_ray.stages.joins import semi_join_dataset
@@ -2999,39 +2911,18 @@ def q4_priority_returned(sf_dir: str) -> rd.Dataset:
         filter=(pads.field("l_returnflag") == "R"),
     )
 
-    def uniq(t: pa.Table) -> pa.Table:
-        k = np.unique(t.column("l_orderkey").to_numpy(zero_copy_only=False))
-        return pa.table(
-            {
-                "l_orderkey": pa.array(k, pa.int64()),
-                "one": pa.array(np.ones(len(k), np.int64)),
-            }
-        )
-
-    rkeys = grouped_aggregate_hybrid(
-        rline.map_batches(uniq, batch_format="pyarrow"),
-        "l_orderkey",
-        [("one", "sum", "n")],
-    ).select_columns(["l_orderkey"])
+    rkeys = as_dataset(fold(
+        rline.select_columns(["l_orderkey"]), "l_orderkey", [(None, "count", "n")], combine=True
+    )).select_columns(["l_orderkey"])
 
     orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_orderpriority"])
     hit = semi_join_dataset(orders, rkeys, on="o_orderkey", key_col="l_orderkey")
 
-    def cnt(t: pa.Table) -> pa.Table:
-        import pandas as _pd
-
-        g = (
-            _pd.Series(t.column("o_orderpriority").to_pandas())
-            .value_counts()
-            .rename_axis("o_orderpriority")
-            .reset_index(name="n_orders")
-        )
-        return arrow_from_pandas(g)
-
-    return grouped_aggregate_hybrid(
-        hit.map_batches(cnt, batch_format="pyarrow"),
+    return fold(
+        hit.select_columns(["o_orderpriority"]),
         "o_orderpriority",
-        [("n_orders", "sum", "n_orders")],
+        [(None, "count", "n_orders")],
+        combine=True,
     )
 
 
@@ -3044,12 +2935,11 @@ GROUP BY o_orderpriority
 """
 
 
-def q12_priority_by_returnflag(sf_dir: str) -> rd.Dataset:
+def q12_priority_by_returnflag(sf_dir: str) -> "pa.Table | rd.Dataset":
     """TPC-H Q12 shape (shipmode → returnflag adaptation): per return
     flag, how many lineitems belong to critical (1-URGENT/2-HIGH) orders
     vs not. Size-hybrid fact join (orders side broadcasts under the
     limit, hash-partitioned beyond) + conditional-count combiner."""
-    import numpy as np
 
     from kgw_ray.stages.joins import large_join
 
@@ -3065,29 +2955,21 @@ def q12_priority_by_returnflag(sf_dir: str) -> rd.Dataset:
     else:
         j = large_join(line, orders_side, on=("l_orderkey",), right_on=("o_orderkey",))
 
-    def partial(df: pd.DataFrame) -> pa.Table:
-        crit = df["o_orderpriority"].isin(["1-URGENT", "2-HIGH"]).to_numpy()
-        g = (
-            pd.DataFrame(
-                {
-                    "l_returnflag": df["l_returnflag"].to_numpy(),
-                    "critical_items": crit.astype(np.int64),
-                    "normal_items": (~crit).astype(np.int64),
-                }
-            )
-            .groupby("l_returnflag", sort=False)
-            .sum()
-            .reset_index()
+    def partial(t: pa.Table) -> pa.Table:
+        crit = pc.fill_null(pc.is_in(t.column("o_orderpriority"), value_set=pa.array(["1-URGENT", "2-HIGH"])), False)
+        return pa.table(
+            {
+                "l_returnflag": t.column("l_returnflag"),
+                "critical_items": pc.cast(crit, pa.int64()),
+                "normal_items": pc.cast(pc.invert(crit), pa.int64()),
+            }
         )
-        return arrow_from_pandas(g)
 
-    return grouped_aggregate_hybrid(
-        j.map_batches(partial, batch_format="pandas"),
+    return fold(
+        j.map_batches(partial, batch_format="pyarrow"),
         "l_returnflag",
-        [
-            ("critical_items", "sum", "critical_items"),
-            ("normal_items", "sum", "normal_items"),
-        ],
+        [("critical_items", "sum", "critical_items"), ("normal_items", "sum", "normal_items")],
+        combine=True,
     )
 
 
@@ -3102,17 +2984,15 @@ GROUP BY l_returnflag
 """
 
 
-def q14_promo_revenue_monthly(sf_dir: str) -> rd.Dataset:
+def q14_promo_revenue_monthly(sf_dir: str) -> "pa.Table | rd.Dataset":
     """TPC-H Q14 shape: promo vs total revenue per ship month. The part
     dimension (p_partkey → is-promo bit) broadcasts once into a combiner
     that merges + aggregates in the same pass — the revenue share stays
     exact-integer (promo_cents / total_cents emitted separately, no float
     division under the hash gate)."""
-    import numpy as np
 
     part = read_table_pandas(sf_dir, "part", columns=["p_partkey", "p_type"])
-    part["is_promo"] = (part["p_type"] == "PROMO").to_numpy()
-    promo = part[["p_partkey", "is_promo"]]
+    promo_keys = pa.array(part.loc[part["p_type"] == "PROMO", "p_partkey"], pa.int64())
 
     line = read_table(
         sf_dir,
@@ -3120,38 +3000,28 @@ def q14_promo_revenue_monthly(sf_dir: str) -> rd.Dataset:
         columns=["l_partkey", "l_shipdate", "l_extendedprice", "l_discount"],
     )
 
-    def partial(df: pd.DataFrame) -> pa.Table:
+    def partial(t: pa.Table) -> pa.Table:
         # exact 1e-4-dollar integers: price cents x (100 - discount pct),
         # each factor quantized separately (see q6_revenue_forecast note)
-        e4 = np.rint(df["l_extendedprice"].to_numpy() * 100.0).astype(np.int64) * (
-            100 - np.rint(df["l_discount"].to_numpy() * 100.0).astype(np.int64)
+        e4 = pc.multiply(
+            _cents(t.column("l_extendedprice")), pc.subtract(100, _cents(t.column("l_discount")))
         )
-        j = df.assign(e4=e4).merge(
-            promo, left_on="l_partkey", right_on="p_partkey", how="left"
+        isp = pc.is_in(t.column("l_partkey"), value_set=promo_keys)
+        d = t.column("l_shipdate")
+        return pa.table(
+            {
+                "year": pc.cast(pc.year(d), pa.int64()),
+                "month": pc.cast(pc.month(d), pa.int64()),
+                "promo_e4": pc.if_else(isp, e4, 0),
+                "total_e4": e4,
+            }
         )
-        isp = j["is_promo"].fillna(False).to_numpy(dtype=bool)
-        g = (
-            pd.DataFrame(
-                {
-                    "year": j["l_shipdate"].dt.year.to_numpy().astype(np.int64),
-                    "month": j["l_shipdate"].dt.month.to_numpy().astype(np.int64),
-                    "promo_e4": np.where(isp, j["e4"].to_numpy(), 0),
-                    "total_e4": j["e4"].to_numpy(),
-                }
-            )
-            .groupby(["year", "month"], sort=False)
-            .sum()
-            .reset_index()
-        )
-        return arrow_from_pandas(g)
 
-    return grouped_aggregate_hybrid(
-        line.map_batches(partial, batch_format="pandas"),
+    return fold(
+        line.map_batches(partial, batch_format="pyarrow"),
         ["year", "month"],
-        [
-            ("promo_e4", "sum", "promo_e4"),
-            ("total_e4", "sum", "total_e4"),
-        ],
+        [("promo_e4", "sum", "promo_e4"), ("total_e4", "sum", "total_e4")],
+        combine=True,
     )
 
 
@@ -3170,34 +3040,26 @@ GROUP BY year(l_shipdate), month(l_shipdate)
 """
 
 
-def q18_large_orders_by_customer(sf_dir: str) -> rd.Dataset:
+def q18_large_orders_by_customer(sf_dir: str) -> "pa.Table | rd.Dataset":
     """TPC-H Q18 shape: orders whose total quantity exceeds a threshold,
     rolled up per customer. Per-orderkey quantity totals come from a
     combiner + grouped Sum (never a row shuffle of lineitem), the HAVING
     filter drops ~80% before the custkey attach (size-hybrid), and the
     final rollup is one more combiner pass."""
-    import numpy as np
 
     from kgw_ray.stages.joins import broadcast_join as _bj, large_join as _lj
 
     line = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
 
-    def qty_partial(t: pa.Table) -> pa.Table:
-        k = t.column("l_orderkey").to_numpy(zero_copy_only=False)
-        q = t.column("l_quantity").to_numpy(zero_copy_only=False)
-        df = (
-            pd.DataFrame({"l_orderkey": k, "qty": np.rint(q).astype(np.int64)})
-            .groupby("l_orderkey", sort=False)
-            .sum()
-            .reset_index()
-        )
-        return arrow_from_pandas(df)
-
-    totals = grouped_aggregate_hybrid(
-        line.map_batches(qty_partial, batch_format="pyarrow"),
+    totals = as_dataset(fold(
+        line.map_batches(
+            lambda t: pa.table({"l_orderkey": t.column("l_orderkey"), "qty": _rint(t.column("l_quantity"))}),
+            batch_format="pyarrow",
+        ),
         "l_orderkey",
         [("qty", "sum", "qty")],
-    )
+        combine=True,
+    ))
     big = totals.map_batches(
         lambda t: t.filter(pc.greater(t["qty"], pa.scalar(150))),
         batch_format="pyarrow",
@@ -3211,18 +3073,11 @@ def q18_large_orders_by_customer(sf_dir: str) -> rd.Dataset:
     else:
         j = _lj(big, orders_side, on=("l_orderkey",), right_on=("o_orderkey",))
 
-    def roll(df: pd.DataFrame) -> pa.Table:
-        g = (
-            df.groupby("o_custkey", sort=False)
-            .agg(n_big_orders=("qty", "size"), total_qty=("qty", "sum"))
-            .reset_index()
-        )
-        return arrow_from_pandas(g)
-
-    return grouped_aggregate_hybrid(
-        j.map_batches(roll, batch_format="pandas"),
+    return fold(
+        j.select_columns(["o_custkey", "qty"]),
         "o_custkey",
-        [("n_big_orders", "sum", "n_big_orders"), ("total_qty", "sum", "total_qty")],
+        [(None, "count", "n_big_orders"), ("qty", "sum", "total_qty")],
+        combine=True,
     )
 
 
@@ -3238,7 +3093,7 @@ GROUP BY o_custkey
 """
 
 
-def events_retention_cohorts(sf_dir: str) -> rd.Dataset:
+def events_retention_cohorts(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Cohort retention matrix: users grouped by their FIRST-signup week,
     counted distinct per week offset of later activity. Plan: per-user
     min-signup (combiner + grouped Min), size-hybrid attach onto the
@@ -3254,23 +3109,12 @@ def events_retention_cohorts(sf_dir: str) -> rd.Dataset:
 
     ds = read_table(sf_dir, "events", columns=["user_id", "event_type", "ts"])
 
-    def first_signup(df: pd.DataFrame) -> pa.Table:
-        s = df[df["event_type"] == "signup"]
-        g = s.groupby("user_id", sort=False)["ts"].min().reset_index()
-        return pa.table(
-            {
-                "user_id": pa.array(g["user_id"].to_numpy().astype(np.int64)),
-                "signup_us": pa.array(
-                    g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-                ),
-            }
-        )
-
-    cohorts = grouped_aggregate_hybrid(
-        ds.map_batches(first_signup, batch_format="pandas"),
+    cohorts = as_dataset(fold(
+        ds.map_batches(_first_us("signup", "signup_us"), batch_format="pyarrow"),
         "user_id",
         [("signup_us", "min", "signup_us")],
-    )
+        combine=True,
+    ))
 
     # event_type is consumed by the cohort combiner only — drop it before
     # the fact-side join so the attach moves two columns, not three
@@ -3278,45 +3122,27 @@ def events_retention_cohorts(sf_dir: str) -> rd.Dataset:
         ds.select_columns(["user_id", "ts"]), cohorts, on="user_id", right_on="user_id"
     )
 
-    def triple_partial(df: pd.DataFrame) -> pa.Table:
-        ev_us = df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        cohort_week = df["signup_us"].to_numpy() // WEEK_US
-        week_offset = ev_us // WEEK_US - cohort_week
-        keep = week_offset >= 0
-        g = pd.DataFrame(
+    def triple_partial(t: pa.Table) -> pa.Table:
+        # µs since the epoch are non-negative: truncating division floors
+        cohort_week = pc.divide(t.column("signup_us"), WEEK_US)
+        ev_week = pc.divide(pc.cast(t.column("ts"), pa.int64()), WEEK_US)
+        out = pa.table(
             {
-                "cohort_week": cohort_week[keep],
-                "week_offset": week_offset[keep],
-                "user_id": df["user_id"].to_numpy()[keep].astype(np.int64),
+                "cohort_week": cohort_week,
+                "week_offset": pc.subtract(ev_week, cohort_week),
+                "user_id": pc.cast(t.column("user_id"), pa.int64()),
             }
-        ).drop_duplicates()
-        g["one"] = np.int64(1)
-        return arrow_from_pandas(g)
-
-    triples = grouped_aggregate_hybrid(
-        joined.map_batches(triple_partial, batch_format="pandas"),
-        ["cohort_week", "week_offset", "user_id"],
-        [("one", "min", "n")],
-    )
-
-    def count_partial(t: pa.Table) -> pa.Table:
-        df = (
-            pd.DataFrame(
-                {
-                    "cohort_week": t.column("cohort_week").to_numpy(),
-                    "week_offset": t.column("week_offset").to_numpy(),
-                }
-            )
-            .groupby(["cohort_week", "week_offset"], sort=False)
-            .size()
-            .reset_index(name="n_users")
         )
-        return arrow_from_pandas(df)
+        return out.filter(pc.greater_equal(out.column("week_offset"), 0))
 
-    return grouped_aggregate_hybrid(
-        triples.map_batches(count_partial, batch_format="pyarrow"),
-        ["cohort_week", "week_offset"],
-        [("n_users", "sum", "n_users")],
+    triples = as_dataset(fold(
+        joined.map_batches(triple_partial, batch_format="pyarrow"),
+        ["cohort_week", "week_offset", "user_id"],
+        [(None, "count", "n")],
+        combine=True,
+    ))
+    return fold(
+        triples, ["cohort_week", "week_offset"], [(None, "count", "n_users")], combine=True
     )
 
 
@@ -3347,29 +3173,17 @@ def events_time_to_convert(sf_dir: str) -> rd.Dataset:
     attach; the conditional second Min never sees pre-click purchases
     (filtered in the combiner), and the delta stays integer microseconds
     end-to-end."""
-    import numpy as np
 
     from kgw_ray.stages.graph_metrics import _hybrid_attach
 
     ds = read_table(sf_dir, "events", columns=["user_id", "event_type", "ts"])
 
-    def first_click(df: pd.DataFrame) -> pa.Table:
-        s = df[df["event_type"] == "click"]
-        g = s.groupby("user_id", sort=False)["ts"].min().reset_index()
-        return pa.table(
-            {
-                "user_id": pa.array(g["user_id"].to_numpy().astype(np.int64)),
-                "click_us": pa.array(
-                    g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-                ),
-            }
-        )
-
-    clicks = grouped_aggregate_hybrid(
-        ds.map_batches(first_click, batch_format="pandas"),
+    clicks = as_dataset(fold(
+        ds.map_batches(_first_us("click", "click_us"), batch_format="pyarrow"),
         "user_id",
         [("click_us", "min", "click_us")],
-    )
+        combine=True,
+    ))
 
     purchases = ds.map_batches(
         lambda t: t.filter(pc.equal(t["event_type"], pa.scalar("purchase"))),
@@ -3377,28 +3191,23 @@ def events_time_to_convert(sf_dir: str) -> rd.Dataset:
     )
     j = _hybrid_attach(purchases, clicks, on="user_id", right_on="user_id")
 
-    def min_after(df: pd.DataFrame) -> pa.Table:
-        ev_us = df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        keep = ev_us >= df["click_us"].to_numpy()
-        g = (
-            pd.DataFrame(
-                {
-                    "user_id": df["user_id"].to_numpy()[keep].astype(np.int64),
-                    "purchase_us": ev_us[keep],
-                    "click_us": df["click_us"].to_numpy()[keep],
-                }
-            )
-            .groupby("user_id", sort=False)
-            .min()
-            .reset_index()
+    def after_click(t: pa.Table) -> pa.Table:
+        ev_us = pc.cast(t.column("ts"), pa.int64())
+        t = t.filter(pc.greater_equal(ev_us, t.column("click_us")))
+        return pa.table(
+            {
+                "user_id": pc.cast(t.column("user_id"), pa.int64()),
+                "purchase_us": pc.cast(t.column("ts"), pa.int64()),
+                "click_us": t.column("click_us"),
+            }
         )
-        return arrow_from_pandas(g)
 
-    merged = grouped_aggregate_hybrid(
-        j.map_batches(min_after, batch_format="pandas"),
+    merged = as_dataset(fold(
+        j.map_batches(after_click, batch_format="pyarrow"),
         "user_id",
         [("purchase_us", "min", "purchase_us"), ("click_us", "min", "click_us")],
-    )
+        combine=True,
+    ))
 
     def delta(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -3494,39 +3303,25 @@ def events_user_modal_type(sf_dir: str) -> rd.Dataset:
     grouped Max picks the modal count, an equality semi-filter keeps the
     tied types, a grouped Min breaks the tie — every exchange is native
     sum/min/max-mergeable, no per-user Python and no window sort."""
-    import numpy as np
 
     from kgw_ray.stages.graph_metrics import _hybrid_attach
 
     ds = read_table(sf_dir, "events", columns=["user_id", "event_type"])
 
-    def pair_partial(df: pd.DataFrame) -> pa.Table:
-        g = (
-            df.groupby(["user_id", "event_type"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        return pa.table(
-            {
-                "user_id": pa.array(g["user_id"].to_numpy().astype(np.int64)),
-                "event_type": pa.array(g["event_type"].to_numpy(), pa.string()),
-                "n": pa.array(g["n"].to_numpy().astype(np.int64)),
-            }
-        )
-
-    counts = grouped_aggregate_hybrid(
-        ds.map_batches(pair_partial, batch_format="pandas"),
+    counts = as_dataset(fold(
+        ds.select_columns(["user_id", "event_type"]),
         ["user_id", "event_type"],
-        [("n", "sum", "n")],
-    )
-    mx = grouped_aggregate_hybrid(counts, "user_id", [("n", "max", "mx")])
+        [(None, "count", "n")],
+        combine=True,
+    ))
+    mx = as_dataset(fold(counts, "user_id", [("n", "max", "mx")]))
     j = _hybrid_attach(counts, mx, on="user_id", right_on="user_id")
 
     def keep_modal(t: pa.Table) -> pa.Table:
         return t.filter(pc.equal(t["n"], t["mx"]))
 
     modal = j.map_batches(keep_modal, batch_format="pyarrow")
-    out = grouped_aggregate_hybrid(
+    out = as_dataset(fold(
         modal.map_batches(
             lambda t: pa.table(
                 {
@@ -3539,7 +3334,7 @@ def events_user_modal_type(sf_dir: str) -> rd.Dataset:
         ),
         "user_id",
         [("modal_type", "min", "modal_type"), ("n_events", "min", "n_events")],
-    )
+    ))
     return out
 
 
@@ -3658,23 +3453,9 @@ def events_cms_estimates(sf_dir: str) -> rd.Dataset:
 
     ds = read_table(sf_dir, "events", columns=["user_id"])
 
-    def count_partial(t: pa.Table) -> pa.Table:
-        uq, cnt = np.unique(
-            t.column("user_id").to_numpy(zero_copy_only=False),
-            return_counts=True,
-        )
-        return pa.table(
-            {
-                "user_id": pa.array(uq.astype(np.int64)),
-                "n_events": pa.array(cnt.astype(np.int64)),
-            }
-        )
-
-    counts = grouped_aggregate_hybrid(
-        ds.map_batches(count_partial, batch_format="pyarrow"),
-        "user_id",
-        [("n_events", "sum", "n_events")],
-    ).materialize()
+    counts = as_dataset(fold(
+        ds.select_columns(["user_id"]), "user_id", [(None, "count", "n_events")], combine=True
+    )).materialize()
 
     def sketch_partial(t: pa.Table) -> pa.Table:
         uids = t.column("user_id").to_numpy(zero_copy_only=False)
@@ -3696,11 +3477,11 @@ def events_cms_estimates(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    sketch = grouped_aggregate_hybrid(
+    sketch = as_dataset(fold(
         counts.map_batches(sketch_partial, batch_format="pyarrow"),
         ["row", "bucket"],
         [("cnt", "sum", "cnt")],
-    ).materialize()
+    )).materialize()
 
     # point queries: the (depth x width)-bounded grid broadcasts once
     import ray as _ray
@@ -3939,29 +3720,21 @@ def star_revenue_by_nation_parttype(sf_dir: str) -> rd.Dataset:
         pd.Series(part["p_type"].to_numpy(), index=part["p_partkey"].to_numpy())
     )
 
-    def partial(df: pd.DataFrame) -> pa.Table:
-        e4 = np.rint(df["l_extendedprice"].to_numpy() * 100.0).astype(
-            np.int64
-        ) * (100 - np.rint(df["l_discount"].to_numpy() * 100.0).astype(np.int64))
-        g = (
-            pd.DataFrame(
-                {
-                    "c_nationkey": df["c_nationkey"],
-                    "p_type": df["l_partkey"].map(_ray.get(ptype_ref)),
-                    "e4": e4,
-                }
-            )
-            .groupby(["c_nationkey", "p_type"], sort=False)
-            .agg(n_items=("e4", "size"), revenue_e4=("e4", "sum"))
-            .reset_index()
+    def partial(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "c_nationkey": t.column("c_nationkey"),
+                "p_type": _lookup(t.column("l_partkey"), _ray.get(ptype_ref)),
+                "e4": pa.array(_rev_e4(t.column("l_extendedprice"), t.column("l_discount"))),
+            }
         )
-        return arrow_from_pandas(g)
 
-    merged = grouped_aggregate_hybrid(
-        j.map_batches(partial, batch_format="pandas"),
+    merged = as_dataset(fold(
+        j.map_batches(partial, batch_format="pyarrow"),
         ["c_nationkey", "p_type"],
-        [("n_items", "sum", "n_items"), ("revenue_e4", "sum", "revenue_e4")],
-    )
+        [(None, "count", "n_items"), ("e4", "sum", "revenue_e4")],
+        combine=True,
+    ))
     nmap = dict(zip(nation["n_nationkey"], nation["n_name"]))
 
     def finalize(df: pd.DataFrame) -> pa.Table:
@@ -4062,7 +3835,7 @@ FROM d GROUP BY user_id
 """
 
 
-def events_markov_transitions(sf_dir: str) -> rd.Dataset:
+def events_markov_transitions(sf_dir: str) -> "pa.Table | rd.Dataset":
     """First-order behavior model: global event-type TRANSITION COUNTS
     over each user's time-ordered stream — (from_type, to_type, n), the
     sufficient statistic of the Markov chain session models train on.
@@ -4093,9 +3866,11 @@ def events_markov_transitions(sf_dir: str) -> rd.Dataset:
             return empty
         frm = np.concatenate(([""], t[:-1]))[same]
         to = t[same]
+        # LAG(...) IS NOT NULL drops NULL sources; a NULL target is a group
+        keep = pd.notna(frm)
         out = (
-            pd.DataFrame({"from_type": frm, "to_type": to})
-            .groupby(["from_type", "to_type"], sort=False)
+            pd.DataFrame({"from_type": frm[keep], "to_type": to[keep]})
+            .groupby(["from_type", "to_type"], sort=False, dropna=False)
             .size()
             .rename("n")
             .reset_index()
@@ -4107,7 +3882,7 @@ def events_markov_transitions(sf_dir: str) -> rd.Dataset:
         .groupby("_shard")
         .map_groups(per_shard, batch_format="pandas")
     )
-    return grouped_aggregate_hybrid(
+    return fold(
         shards, ["from_type", "to_type"], [("n", "sum", "n")]
     )
 
@@ -4160,23 +3935,21 @@ def orders_fill_rate(sf_dir: str) -> rd.Dataset:
 
     _30D_US = 30 * 86_400 * 1_000_000
 
-    def partial(df: pd.DataFrame) -> pa.Table:
-        ship_us = df["l_shipdate"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        ok = (ship_us - df["odate_us"].to_numpy()) <= _30D_US
-        g = (
-            pd.DataFrame({"o_orderpriority": df["o_orderpriority"], "ok": ok})
-            .groupby("o_orderpriority", sort=False)["ok"]
-            .agg(n_lines="size", n_shipped_30d="sum")
-            .reset_index()
+    def partial(t: pa.Table) -> pa.Table:
+        waited = pc.subtract(pc.cast(t.column("l_shipdate"), pa.int64()), t.column("odate_us"))
+        return pa.table(
+            {
+                "o_orderpriority": t.column("o_orderpriority"),
+                "ok": pc.cast(pc.less_equal(waited, _30D_US), pa.int64()),
+            }
         )
-        g["n_shipped_30d"] = g["n_shipped_30d"].astype("int64")
-        return arrow_from_pandas(g)
 
-    merged = grouped_aggregate_hybrid(
-        j.map_batches(partial, batch_format="pandas"),
+    merged = as_dataset(fold(
+        j.map_batches(partial, batch_format="pyarrow"),
         "o_orderpriority",
-        [("n_lines", "sum", "n_lines"), ("n_shipped_30d", "sum", "n_shipped_30d")],
-    )
+        [(None, "count", "n_lines"), ("ok", "sum", "n_shipped_30d")],
+        combine=True,
+    ))
 
     def finalize(t: pa.Table) -> pa.Table:
         nl = t.column("n_lines").to_numpy(zero_copy_only=False)
@@ -4202,7 +3975,7 @@ GROUP BY o_orderpriority
 """
 
 
-def basket_brand_pairs(sf_dir: str) -> rd.Dataset:
+def basket_brand_pairs(sf_dir: str) -> "pa.Table | rd.Dataset":
     """MARKET-BASKET co-occurrence mining: for every unordered brand pair,
     the number of orders containing parts of BOTH brands —
     (brand_a, brand_b, n_orders), the support statistic association-rule
@@ -4260,7 +4033,7 @@ def basket_brand_pairs(sf_dir: str) -> rd.Dataset:
         .groupby("_shard")
         .map_groups(per_shard, batch_format="pandas")
     )
-    return grouped_aggregate_hybrid(
+    return fold(
         shards, ["brand_a", "brand_b"], [("n_orders", "sum", "n_orders")]
     )
 
@@ -4372,24 +4145,19 @@ def orders_backlog_timeline(sf_dir: str) -> pa.Table:
     line = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
 
     def close_partial(t: pa.Table) -> pa.Table:
-        ok = t.column("l_orderkey").to_numpy(zero_copy_only=False)
-        sd = pc.cast(t.column("l_shipdate"), pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        df = pd.DataFrame({"o": ok, "s": sd})
-        g = df.groupby("o", sort=False)["s"].max().reset_index()
         return pa.table(
             {
-                "o_orderkey": pa.array(g["o"].to_numpy().astype(np.int64)),
-                "close_us": pa.array(g["s"].to_numpy().astype(np.int64)),
+                "o_orderkey": pc.cast(t.column("l_orderkey"), pa.int64()),
+                "close_us": pc.cast(t.column("l_shipdate"), pa.int64()),
             }
         )
 
-    closes = grouped_aggregate_hybrid(
+    closes = as_dataset(fold(
         line.map_batches(close_partial, batch_format="pyarrow"),
         "o_orderkey",
         [("close_us", "max", "close_us")],
-    ).materialize()
+        combine=True,
+    )).materialize()
 
     orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_orderdate"])
 
@@ -4432,9 +4200,9 @@ def orders_backlog_timeline(sf_dir: str) -> pa.Table:
     closed = closes.map_batches(close_day_partial, batch_format="pyarrow")
     daily = (
         typed_pandas(
-            grouped_aggregate_hybrid(
+            as_dataset(fold(
                 opened.union(closed), "day", [("net", "sum", "net")]
-            ),
+            )),
             ["day", "net"],
         )
         .sort_values("day")
@@ -4486,25 +4254,15 @@ def events_anomalous_hours(sf_dir: str) -> pa.Table:
     ds = read_table(sf_dir, "events", columns=["ts"])
 
     def partial(t: pa.Table) -> pa.Table:
-        us = pc.cast(t.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
-        hours = us // 3_600_000_000
-        uq, cnt = np.unique(hours, return_counts=True)
-        return pa.table(
-            {
-                "hour": pa.array(uq.astype(np.int64)),
-                "n": pa.array(cnt.astype(np.int64)),
-            }
-        )
+        return pa.table({"hour": pc.divide(pc.cast(t.column("ts"), pa.int64()), 3_600_000_000)})
 
     hourly = (
-        typed_pandas(
-            grouped_aggregate_hybrid(
-                ds.map_batches(partial, batch_format="pyarrow"),
-                "hour",
-                [("n", "sum", "n")],
-            ),
-            ["hour", "n"],
-        )
+        fold(
+            ds.map_batches(partial, batch_format="pyarrow"),
+            "hour",
+            [(None, "count", "n")],
+            combine=True,
+        ).to_pandas()
         .sort_values("hour")
         .reset_index(drop=True)
     )
@@ -4589,7 +4347,7 @@ def _orders_join(line: rd.Dataset, orders_side: rd.Dataset, cols=None) -> rd.Dat
     return large_join(line, orders_side, on=("l_orderkey",), right_on=("o_orderkey",))
 
 
-def q7_volume_shipping(sf_dir: str) -> rd.Dataset:
+def q7_volume_shipping(sf_dir: str) -> "pa.Table | rd.Dataset":
     """TPC-H Q7 shape: cross-nation shipping volume — revenue per
     (supplier nation, customer nation, ship year) for cross-border flows.
     Supplier/customer nation names resolve from broadcast dimension maps
@@ -4618,23 +4376,22 @@ def q7_volume_shipping(sf_dir: str) -> rd.Dataset:
     )
     j = _orders_join(line, orders_side)
 
-    def partial(df: pd.DataFrame) -> pa.Table:
-        g = pd.DataFrame(
+    def partial(t: pa.Table) -> pa.Table:
+        out = pa.table(
             {
-                "supp_nation": df["l_suppkey"].map(s_nat).to_numpy(),
-                "cust_nation": df["o_custkey"].map(c_nat).to_numpy(),
-                "year": df["l_shipdate"].dt.year.to_numpy().astype(np.int64),
-                "revenue_e4": _rev_e4(df["l_extendedprice"], df["l_discount"]),
+                "supp_nation": _lookup(t.column("l_suppkey"), s_nat),
+                "cust_nation": _lookup(t.column("o_custkey"), c_nat),
+                "year": pc.cast(pc.year(t.column("l_shipdate")), pa.int64()),
+                "revenue_e4": pa.array(_rev_e4(t.column("l_extendedprice"), t.column("l_discount"))),
             }
         )
-        g = g[g["supp_nation"] != g["cust_nation"]]
-        g = g.groupby(["supp_nation", "cust_nation", "year"], sort=False).sum().reset_index()
-        return arrow_from_pandas(g)
+        return out.filter(pc.not_equal(out.column("supp_nation"), out.column("cust_nation")))
 
-    return grouped_aggregate_hybrid(
-        j.map_batches(partial, batch_format="pandas"),
+    return fold(
+        j.map_batches(partial, batch_format="pyarrow"),
         ["supp_nation", "cust_nation", "year"],
         [("revenue_e4", "sum", "revenue_e4")],
+        combine=True,
     )
 
 
@@ -4656,7 +4413,7 @@ GROUP BY 1, 2, 3
 """
 
 
-def q8_market_share(sf_dir: str) -> rd.Dataset:
+def q8_market_share(sf_dir: str) -> "pa.Table | rd.Dataset":
     """TPC-H Q8 shape: NATION_7's share of STANDARD-part revenue sold to
     ASIA-region customers, per order year. The share stays exact-integer
     (focal_e4 / total_e4 emitted separately). Part/customer/supplier
@@ -4702,31 +4459,32 @@ def q8_market_share(sf_dir: str) -> rd.Dataset:
     )
     j = _orders_join(line, orders_side)
 
-    def partial(df: pd.DataFrame) -> pa.Table:
-        keep = df["l_partkey"].isin(std_parts).to_numpy() & df["o_custkey"].isin(
-            asia_cust
-        ).to_numpy()
-        df = df[keep]
-        e4 = _rev_e4(df["l_extendedprice"], df["l_discount"])
-        focal = df["l_suppkey"].isin(focal_supp).to_numpy()
-        g = (
-            pd.DataFrame(
-                {
-                    "year": df["o_orderdate"].dt.year.to_numpy().astype(np.int64),
-                    "focal_e4": np.where(focal, e4, 0),
-                    "total_e4": e4,
-                }
-            )
-            .groupby("year", sort=False)
-            .sum()
-            .reset_index()
-        )
-        return arrow_from_pandas(g)
+    std_keys = pa.array(sorted(std_parts), pa.int64())
+    cust_keys = pa.array(sorted(asia_cust), pa.int64())
+    focal_keys = pa.array(sorted(focal_supp), pa.int64())
 
-    return grouped_aggregate_hybrid(
-        j.map_batches(partial, batch_format="pandas"),
+    def partial(t: pa.Table) -> pa.Table:
+        t = t.filter(
+            pc.and_(
+                pc.is_in(t.column("l_partkey"), value_set=std_keys),
+                pc.is_in(t.column("o_custkey"), value_set=cust_keys),
+            )
+        )
+        e4 = pa.array(_rev_e4(t.column("l_extendedprice"), t.column("l_discount")), pa.int64())
+        focal = pc.is_in(t.column("l_suppkey"), value_set=focal_keys)
+        return pa.table(
+            {
+                "year": pc.cast(pc.year(t.column("o_orderdate")), pa.int64()),
+                "focal_e4": pc.if_else(focal, e4, 0),
+                "total_e4": e4,
+            }
+        )
+
+    return fold(
+        j.map_batches(partial, batch_format="pyarrow"),
         "year",
         [("focal_e4", "sum", "focal_e4"), ("total_e4", "sum", "total_e4")],
+        combine=True,
     )
 
 
@@ -4753,7 +4511,7 @@ GROUP BY 1
 """
 
 
-def q9_profit_by_nation_year(sf_dir: str) -> rd.Dataset:
+def q9_profit_by_nation_year(sf_dir: str) -> "pa.Table | rd.Dataset":
     """TPC-H Q9 shape (no partsupp in this schema: ``p_retailprice``
     stands in for supply cost): per supplier nation x order year, profit =
     discounted revenue minus retail cost of the ECONOMY parts shipped.
@@ -4788,31 +4546,26 @@ def q9_profit_by_nation_year(sf_dir: str) -> rd.Dataset:
     )
     j = _orders_join(line, orders_side)
 
-    def partial(df: pd.DataFrame) -> pa.Table:
-        cost_c = df["l_partkey"].map(retail_c)  # NaN for non-ECONOMY -> dropped
-        keep = cost_c.notna().to_numpy()
-        df, cost_c = df[keep], cost_c[keep]
-        rev = _rev_e4(df["l_extendedprice"], df["l_discount"])
-        qty = np.rint(df["l_quantity"].to_numpy()).astype(np.int64)
-        profit = rev - cost_c.to_numpy().astype(np.int64) * qty * 100
-        g = (
-            pd.DataFrame(
-                {
-                    "nation": df["l_suppkey"].map(s_nat).to_numpy(),
-                    "year": df["o_orderdate"].dt.year.to_numpy().astype(np.int64),
-                    "profit_e4": profit,
-                }
-            )
-            .groupby(["nation", "year"], sort=False)
-            .sum()
-            .reset_index()
+    def partial(t: pa.Table) -> pa.Table:
+        cost_c = _lookup(t.column("l_partkey"), retail_c)  # NULL for non-ECONOMY -> dropped
+        keep = pc.is_valid(cost_c)
+        t, cost_c = t.filter(keep), cost_c.filter(keep)
+        rev = _rev_e4(t.column("l_extendedprice"), t.column("l_discount"))
+        qty = np.rint(t.column("l_quantity").to_numpy()).astype(np.int64)
+        profit = rev - cost_c.to_numpy(zero_copy_only=False).astype(np.int64) * qty * 100
+        return pa.table(
+            {
+                "nation": _lookup(t.column("l_suppkey"), s_nat),
+                "year": pc.cast(pc.year(t.column("o_orderdate")), pa.int64()),
+                "profit_e4": pa.array(profit, pa.int64()),
+            }
         )
-        return arrow_from_pandas(g)
 
-    return grouped_aggregate_hybrid(
-        j.map_batches(partial, batch_format="pandas"),
+    return fold(
+        j.map_batches(partial, batch_format="pyarrow"),
         ["nation", "year"],
         [("profit_e4", "sum", "profit_e4")],
+        combine=True,
     )
 
 
@@ -4858,25 +4611,16 @@ def q10_returned_revenue_by_customer(sf_dir: str) -> rd.Dataset:
     )
     j = _orders_join(line, orders_side)
 
-    def partial(df: pd.DataFrame) -> pa.Table:
-        g = (
-            pd.DataFrame(
-                {
-                    "c_custkey": df["o_custkey"].to_numpy(),
-                    "revenue_e4": _rev_e4(df["l_extendedprice"], df["l_discount"]),
-                }
-            )
-            .groupby("c_custkey", sort=False)
-            .sum()
-            .reset_index()
-        )
-        return arrow_from_pandas(g)
+    def partial(t: pa.Table) -> pa.Table:
+        rev = _rev_e4(t.column("l_extendedprice"), t.column("l_discount"))
+        return pa.table({"c_custkey": t.column("o_custkey"), "revenue_e4": pa.array(rev, pa.int64())})
 
-    per_cust = grouped_aggregate_hybrid(
-        j.map_batches(partial, batch_format="pandas"),
+    per_cust = as_dataset(fold(
+        j.map_batches(partial, batch_format="pyarrow"),
         "c_custkey",
         [("revenue_e4", "sum", "revenue_e4")],
-    )
+        combine=True,
+    ))
 
     cust = read_table_pandas(sf_dir, "customer", columns=["c_custkey", "c_name", "c_nationkey"])
     nname = read_table_pandas(sf_dir, "nation", columns=["n_nationkey", "n_name"]).set_index("n_nationkey")["n_name"]
@@ -4920,16 +4664,14 @@ def q11_important_parts(sf_dir: str) -> rd.Dataset:
     line = read_table(sf_dir, "lineitem", columns=["l_partkey", "l_extendedprice"])
 
     def partial(t: pa.Table) -> pa.Table:
-        k = t.column("l_partkey").to_numpy(zero_copy_only=False)
-        c = np.rint(t.column("l_extendedprice").to_numpy(zero_copy_only=False) * 100.0).astype(np.int64)
-        df = pd.DataFrame({"p_partkey": k, "value_c": c}).groupby("p_partkey", sort=False).sum().reset_index()
-        return arrow_from_pandas(df)
+        return pa.table({"p_partkey": t.column("l_partkey"), "value_c": _cents(t.column("l_extendedprice"))})
 
-    per_part = grouped_aggregate_hybrid(
+    per_part = as_dataset(fold(
         line.map_batches(partial, batch_format="pyarrow"),
         "p_partkey",
         [("value_c", "sum", "value_c")],
-    ).materialize()
+        combine=True,
+    )).materialize()
     grand = int(per_part.sum("value_c") or 0)
     n_parts = int(per_part.count())
 
@@ -4967,36 +4709,22 @@ def q13_order_count_distribution(sf_dir: str) -> pa.Table:
 
     orders = read_table(sf_dir, "orders", columns=["o_custkey"])
 
-    def cnt(t: pa.Table) -> pa.Table:
-        k, n = np.unique(
-            t.column("o_custkey").to_numpy(zero_copy_only=False), return_counts=True
-        )
-        return pa.table(
-            {"c_custkey": pa.array(k, pa.int64()), "n": pa.array(n.astype(np.int64))}
-        )
-
-    per_cust = grouped_aggregate_hybrid(
-        orders.map_batches(cnt, batch_format="pyarrow"),
-        "c_custkey",
-        [("n", "sum", "n_orders")],
-    ).materialize()
-
-    def dist(t: pa.Table) -> pa.Table:
-        k, n = np.unique(
-            t.column("n_orders").to_numpy(zero_copy_only=False), return_counts=True
-        )
-        return pa.table(
-            {"n_orders": pa.array(k, pa.int64()), "m": pa.array(n.astype(np.int64))}
-        )
-
-    buckets = typed_pandas(
-        grouped_aggregate_hybrid(
-            per_cust.map_batches(dist, batch_format="pyarrow"),
-            "n_orders",
-            [("m", "sum", "n_customers")],
+    per_cust = as_dataset(fold(
+        orders.map_batches(
+            lambda t: pa.table({"c_custkey": pc.cast(t.column("o_custkey"), pa.int64())}),
+            batch_format="pyarrow",
         ),
-        ["n_orders", "n_customers"],
-    )  # bounded: one row per distinct order count
+        "c_custkey",
+        [(None, "count", "n_orders")],
+        combine=True,
+    )).materialize()
+
+    buckets = fold(
+        per_cust.select_columns(["n_orders"]),
+        "n_orders",
+        [(None, "count", "n_customers")],
+        combine=True,
+    ).to_pandas()  # bounded: one row per distinct order count
 
     n_total = read_table(sf_dir, "customer", columns=["c_custkey"]).count()
     zero = n_total - int(per_cust.count())
@@ -5035,25 +4763,16 @@ def q15_top_suppliers(sf_dir: str) -> rd.Dataset:
         filter=(pads.field("l_shipdate") >= lo) & (pads.field("l_shipdate") < hi),
     )
 
-    def partial(df: pd.DataFrame) -> pa.Table:
-        g = (
-            pd.DataFrame(
-                {
-                    "s_suppkey": df["l_suppkey"].to_numpy(),
-                    "total_revenue_e4": _rev_e4(df["l_extendedprice"], df["l_discount"]),
-                }
-            )
-            .groupby("s_suppkey", sort=False)
-            .sum()
-            .reset_index()
-        )
-        return arrow_from_pandas(g)
+    def partial(t: pa.Table) -> pa.Table:
+        rev = _rev_e4(t.column("l_extendedprice"), t.column("l_discount"))
+        return pa.table({"s_suppkey": t.column("l_suppkey"), "total_revenue_e4": pa.array(rev, pa.int64())})
 
-    totals = grouped_aggregate_hybrid(
-        line.map_batches(partial, batch_format="pandas"),
+    totals = as_dataset(fold(
+        line.map_batches(partial, batch_format="pyarrow"),
         "s_suppkey",
         [("total_revenue_e4", "sum", "total_revenue_e4")],
-    ).materialize()
+        combine=True,
+    )).materialize()
     mx = totals.max("total_revenue_e4")
     s_name = read_table_pandas(sf_dir, "supplier", columns=["s_suppkey", "s_name"]).set_index("s_suppkey")["s_name"]
 
@@ -5081,7 +4800,7 @@ WHERE total_revenue_e4 = (SELECT MAX(total_revenue_e4) FROM rev)
 """
 
 
-def q16_supplier_count_by_part_attrs(sf_dir: str) -> rd.Dataset:
+def q16_supplier_count_by_part_attrs(sf_dir: str) -> "pa.Table | rd.Dataset":
     """TPC-H Q16 shape: how many distinct suppliers ship parts of each
     (brand, type, size) combination, excluding one brand — the exact
     grouped COUNT DISTINCT. Plan: per-block unique (partkey, suppkey)
@@ -5093,48 +4812,41 @@ def q16_supplier_count_by_part_attrs(sf_dir: str) -> rd.Dataset:
 
     line = read_table(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"])
 
-    def uniq(df: pd.DataFrame) -> pa.Table:
-        df = df.drop_duplicates()
-        return arrow_from_pandas(df.assign(one=np.ones(len(df), np.int64)))
-
-    pairs = grouped_aggregate_hybrid(
-        line.map_batches(uniq, batch_format="pandas"),
+    pairs = as_dataset(fold(
+        line.select_columns(["l_partkey", "l_suppkey"]),
         ["l_partkey", "l_suppkey"],
-        [("one", "sum", "n")],
-    )
+        [(None, "count", "n")],
+        combine=True,
+    ))
 
     part = read_table_pandas(sf_dir, "part", columns=["p_partkey", "p_brand", "p_type", "p_size"])
     part = part[part["p_brand"] != "Brand#13"].set_index("p_partkey")
 
-    def attach(df: pd.DataFrame) -> pa.Table:
-        j = df[["l_partkey", "l_suppkey"]].join(part, on="l_partkey", how="inner")
-        j = j.drop_duplicates(["p_brand", "p_type", "p_size", "l_suppkey"])
-        return arrow_from_pandas(
-            j.assign(
-                p_size=j["p_size"].to_numpy().astype(np.int64),
-                one=np.ones(len(j), np.int64),
-            )[["p_brand", "p_type", "p_size", "l_suppkey", "one"]]
+    def attach(t: pa.Table) -> pa.Table:
+        # inner join with the filtered part dimension: parts absent from it drop
+        key = t.column("l_partkey")
+        t = t.filter(pc.is_in(key, value_set=pa.array(part.index.to_numpy())))
+        key = t.column("l_partkey")
+        return pa.table(
+            {
+                "p_brand": _lookup(key, part["p_brand"]),
+                "p_type": _lookup(key, part["p_type"]),
+                "p_size": pc.cast(_lookup(key, part["p_size"]), pa.int64()),
+                "l_suppkey": t.column("l_suppkey"),
+            }
         )
 
-    attr_supp = grouped_aggregate_hybrid(
-        pairs.map_batches(attach, batch_format="pandas"),
+    attr_supp = as_dataset(fold(
+        pairs.map_batches(attach, batch_format="pyarrow"),
         ["p_brand", "p_type", "p_size", "l_suppkey"],
-        [("one", "sum", "n")],
-    )
-
-    def cnt(df: pd.DataFrame) -> pa.Table:
-        g = (
-            df.groupby(["p_brand", "p_type", "p_size"], sort=False)
-            .size()
-            .rename("supplier_cnt")
-            .reset_index()
-        )
-        return arrow_from_pandas(g)
-
-    return grouped_aggregate_hybrid(
-        attr_supp.map_batches(cnt, batch_format="pandas"),
+        [(None, "count", "n")],
+        combine=True,
+    ))
+    return fold(
+        attr_supp,
         ["p_brand", "p_type", "p_size"],
-        [("supplier_cnt", "sum", "supplier_cnt")],
+        [(None, "count", "supplier_cnt")],
+        combine=True,
     )
 
 
@@ -5165,25 +4877,18 @@ def q17_small_quantity_revenue(sf_dir: str) -> pa.Table:
         sf_dir, "lineitem", columns=["l_partkey", "l_quantity", "l_extendedprice"]
     )
 
-    def qstats(df: pd.DataFrame) -> pa.Table:
-        df = df[df["l_partkey"].isin(brand_keys)]
-        q = np.rint(df["l_quantity"].to_numpy()).astype(np.int64)
-        g = (
-            pd.DataFrame({"l_partkey": df["l_partkey"].to_numpy(), "sq": q, "cq": 1})
-            .groupby("l_partkey", sort=False)
-            .sum()
-            .reset_index()
-        )
-        return arrow_from_pandas(g)
+    brand_arr = pa.array(sorted(brand_keys), pa.int64())
 
-    stats = typed_pandas(
-        grouped_aggregate_hybrid(
-            line.map_batches(qstats, batch_format="pandas"),
-            "l_partkey",
-            [("sq", "sum", "sq"), ("cq", "sum", "cq")],
-        ),
-        ["l_partkey", "sq", "cq"],
-    )
+    def qstats(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_in(t.column("l_partkey"), value_set=brand_arr))
+        return pa.table({"l_partkey": t.column("l_partkey"), "q": _rint(t.column("l_quantity"))})
+
+    stats = fold(
+        line.map_batches(qstats, batch_format="pyarrow"),
+        "l_partkey",
+        [("q", "sum", "sq"), (None, "count", "cq")],
+        combine=True,
+    ).to_pandas()
     sq = stats.set_index("l_partkey")["sq"]
     cq = stats.set_index("l_partkey")["cq"]
 
@@ -5202,12 +4907,12 @@ def q17_small_quantity_revenue(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = grouped_aggregate_hybrid(
+    out = fold(
         line.map_batches(small, batch_format="pandas"),
         "one",
         [("n_items", "sum", "n_items"), ("revenue_c", "sum", "revenue_c")],
     ).to_pandas()
-    if len(out) == 0 or "n_items" not in out.columns:
+    if len(out) == 0:
         out = pd.DataFrame({"n_items": [0], "revenue_c": [0]})
     return arrow_from_pandas(out[["n_items", "revenue_c"]])
 
@@ -5261,12 +4966,12 @@ def q19_bracketed_revenue(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = grouped_aggregate_hybrid(
+    out = fold(
         line.map_batches(partial, batch_format="pandas"),
         "one",
         [("n_items", "sum", "n_items"), ("revenue_e4", "sum", "revenue_e4")],
     ).to_pandas()
-    if len(out) == 0 or "n_items" not in out.columns:
+    if len(out) == 0:
         out = pd.DataFrame({"n_items": [0], "revenue_e4": [0]})
     return arrow_from_pandas(out[["n_items", "revenue_e4"]])
 
@@ -5286,7 +4991,7 @@ WHERE (p_brand = 'Brand#12' AND p_size BETWEEN 1 AND 15
 """
 
 
-def q22_idle_customer_balance(sf_dir: str) -> rd.Dataset:
+def q22_idle_customer_balance(sf_dir: str) -> "pa.Table | rd.Dataset":
     """TPC-H Q22 shape: lapsed customers — above-average positive balance
     and NO orders since 2000-01-01 (every customer in this corpus has at
     least one lifetime order, so the classic "never ordered" form is
@@ -5312,12 +5017,12 @@ def q22_idle_customer_balance(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    pos = grouped_aggregate_hybrid(
+    pos = fold(
         cust.map_batches(pos_partial, batch_format="pyarrow"),
         "one",
         [("s", "sum", "s"), ("n", "sum", "n")],
     ).to_pandas()
-    if len(pos) == 0 or "s" not in pos.columns:
+    if len(pos) == 0:
         sum_pos, n_pos = 0, 0
     else:
         sum_pos, n_pos = int(pos["s"].iloc[0]), int(pos["n"].iloc[0])
@@ -5344,40 +5049,23 @@ def q22_idle_customer_balance(sf_dir: str) -> rd.Dataset:
         filter=(pads.field("o_orderdate") >= pd.Timestamp("2000-01-01")),
     )
 
-    def uniq(t: pa.Table) -> pa.Table:
-        k = np.unique(t.column("o_custkey").to_numpy(zero_copy_only=False))
-        return pa.table(
-            {"o_custkey": pa.array(k, pa.int64()), "one": pa.array(np.ones(len(k), np.int64))}
-        )
-
-    ordered = grouped_aggregate_hybrid(
-        orders.map_batches(uniq, batch_format="pyarrow"),
-        "o_custkey",
-        [("one", "sum", "n")],
-    ).select_columns(["o_custkey"])
+    ordered = as_dataset(fold(
+        orders.select_columns(["o_custkey"]), "o_custkey", [(None, "count", "n")], combine=True
+    )).select_columns(["o_custkey"])
 
     idle = anti_join(rich_ds, ordered, on="c_custkey", key_col="o_custkey")
     nname = read_table_pandas(sf_dir, "nation", columns=["n_nationkey", "n_name"]).set_index("n_nationkey")["n_name"]
 
-    def roll(df: pd.DataFrame) -> pa.Table:
-        g = (
-            pd.DataFrame(
-                {
-                    "n_name": df["c_nationkey"].map(nname).to_numpy(),
-                    "n_customers": np.ones(len(df), np.int64),
-                    "total_acctbal_c": df["bal_c"].to_numpy(),
-                }
-            )
-            .groupby("n_name", sort=False)
-            .sum()
-            .reset_index()
+    def roll(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {"n_name": _lookup(t.column("c_nationkey"), nname), "bal_c": t.column("bal_c")}
         )
-        return arrow_from_pandas(g)
 
-    return grouped_aggregate_hybrid(
-        idle.map_batches(roll, batch_format="pandas"),
+    return fold(
+        idle.map_batches(roll, batch_format="pyarrow"),
         "n_name",
-        [("n_customers", "sum", "n_customers"), ("total_acctbal_c", "sum", "total_acctbal_c")],
+        [(None, "count", "n_customers"), ("bal_c", "sum", "total_acctbal_c")],
+        combine=True,
     )
 
 
@@ -5425,23 +5113,18 @@ def q2_min_balance_supplier_per_part(sf_dir: str) -> rd.Dataset:
 
     line = read_table(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"])
 
-    def packed(df: pd.DataFrame) -> pa.Table:
-        key = (df["l_suppkey"].map(bal_c).to_numpy(dtype=np.int64) + 2_000_000) * 10_000_000 + df[
-            "l_suppkey"
-        ].to_numpy()
-        g = (
-            pd.DataFrame({"p_partkey": df["l_partkey"].to_numpy(), "packed": key})
-            .groupby("p_partkey", sort=False)
-            .min()
-            .reset_index()
-        )
-        return arrow_from_pandas(g)
+    def packed(t: pa.Table) -> pa.Table:
+        supp_key = t.column("l_suppkey")
+        bal = pc.cast(_lookup(supp_key, bal_c), pa.int64())
+        key = pc.add(pc.multiply(pc.add(bal, 2_000_000), 10_000_000), pc.cast(supp_key, pa.int64()))
+        return pa.table({"p_partkey": t.column("l_partkey"), "packed": key})
 
-    mins = grouped_aggregate_hybrid(
-        line.map_batches(packed, batch_format="pandas"),
+    mins = as_dataset(fold(
+        line.map_batches(packed, batch_format="pyarrow"),
         "p_partkey",
         [("packed", "min", "packed")],
-    )
+        combine=True,
+    ))
 
     def unpack(t: pa.Table) -> pa.Table:
         p = t.column("packed").to_numpy(zero_copy_only=False)
@@ -5469,7 +5152,7 @@ WHERE rn = 1
 """
 
 
-def events_hourly_distinct_users(sf_dir: str) -> rd.Dataset:
+def events_hourly_distinct_users(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Exact distinct users per hour — the time-bucketed audience query
     (hourly-active-users). Same two-level exact COUNT DISTINCT plan as
     events_users_per_type, keyed on the integer hour bucket: per-batch
@@ -5481,35 +5164,19 @@ def events_hourly_distinct_users(sf_dir: str) -> rd.Dataset:
     ds = read_table(sf_dir, "events", columns=["ts", "user_id"])
 
     def pair_partial(t: pa.Table) -> pa.Table:
-        us = t.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        g = pd.DataFrame(
-            {"hour_us": (us // _HOUR_US) * _HOUR_US, "user_id": t.column("user_id").to_numpy(zero_copy_only=False)}
-        ).drop_duplicates()
+        us = pc.cast(t.column("ts"), pa.int64())
         return pa.table(
-            {
-                "hour_us": pa.array(g["hour_us"].to_numpy(), pa.int64()),
-                "user_id": pa.array(g["user_id"].to_numpy(), pa.int64()),
-                "one": pa.array(np.ones(len(g), dtype=np.int64)),
-            }
+            {"hour_us": pc.multiply(pc.divide(us, _HOUR_US), _HOUR_US),
+             "user_id": pc.cast(t.column("user_id"), pa.int64())}
         )
 
-    pairs = grouped_aggregate_hybrid(
+    pairs = as_dataset(fold(
         ds.map_batches(pair_partial, batch_format="pyarrow"),
         ["hour_us", "user_id"],
-        [("one", "sum", "n")],
-    )
-
-    def count_partial(df: pd.DataFrame) -> pa.Table:
-        g = df.groupby("hour_us", sort=False).size().rename("n_users").reset_index()
-        return arrow_from_pandas(
-            g.astype({"hour_us": np.int64, "n_users": np.int64})
-        )
-
-    return grouped_aggregate_hybrid(
-        pairs.map_batches(count_partial, batch_format="pandas"),
-        "hour_us",
-        [("n_users", "sum", "n_users")],
-    )
+        [(None, "count", "n")],
+        combine=True,
+    ))
+    return fold(pairs, "hour_us", [(None, "count", "n_users")], combine=True)
 
 
 EVENTS_HOURLY_DISTINCT_SQL = """
@@ -5532,14 +5199,8 @@ def dq_orphan_lineitems(sf_dir: str) -> pa.Table:
     def distinct_keys(table: str, col: str) -> rd.Dataset:
         ds = read_table(sf_dir, table, columns=[col])
 
-        def uniq(t: pa.Table) -> pa.Table:
-            k = np.unique(t.column(col).to_numpy(zero_copy_only=False))
-            return pa.table(
-                {col: pa.array(k, pa.int64()), "one": pa.array(np.ones(len(k), np.int64))}
-            )
-
-        return grouped_aggregate_hybrid(
-            ds.map_batches(uniq, batch_format="pyarrow"), col, [("one", "sum", "n")]
+        return as_dataset(
+            fold(ds, col, [(None, "count", "n")], combine=True)
         ).select_columns([col])
 
     lkeys = distinct_keys("lineitem", "l_orderkey").materialize()
@@ -5565,7 +5226,7 @@ SELECT (SELECT CAST(COUNT(*) AS BIGINT) FROM
 """
 
 
-def users_by_type_signature(sf_dir: str) -> rd.Dataset:
+def users_by_type_signature(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Behavioral cohorts: users grouped by their exact SET of event types
     within the day-one analysis window (the sorted distinct-type
     signature) — the set-valued-key aggregation a segmentation pipeline
@@ -5586,20 +5247,21 @@ def users_by_type_signature(sf_dir: str) -> rd.Dataset:
         filter=(pads.field("ts") < pd.Timestamp("2024-01-02")),
     )
 
-    def pair_partial(df: pd.DataFrame) -> pa.Table:
-        g = df.drop_duplicates()
-        return arrow_from_pandas(g.assign(one=np.ones(len(g), np.int64)))
-
-    pairs = grouped_aggregate_hybrid(
-        ds.map_batches(pair_partial, batch_format="pandas"),
+    pairs = as_dataset(fold(
+        ds.select_columns(["user_id", "event_type"]),
         ["user_id", "event_type"],
-        [("one", "sum", "n")],
-    )
+        [(None, "count", "n")],
+        combine=True,
+    ))
 
     def shard_sig(df: pd.DataFrame) -> pa.Table:
         df = df.sort_values(["user_id", "event_type"])
-        sig = df.groupby("user_id", sort=False)["event_type"].agg(",".join)
-        g = sig.value_counts()
+        # string_agg skips NULL types; a user with only NULL types has a
+        # NULL signature, and NULL is a GROUP BY group
+        sig = df.groupby("user_id", sort=False)["event_type"].agg(
+            lambda s: ",".join(s.dropna()) if s.notna().any() else None
+        )
+        g = sig.value_counts(dropna=False)
         return pa.table(
             {
                 "signature": pa.array(g.index.to_numpy(), pa.string()),
@@ -5616,7 +5278,7 @@ def users_by_type_signature(sf_dir: str) -> rd.Dataset:
         .groupby("shard")
         .map_groups(shard_sig, batch_format="pandas")
     )
-    return grouped_aggregate_hybrid(
+    return fold(
         sigs, "signature", [("n_users", "sum", "n_users")]
     )
 
@@ -5633,7 +5295,7 @@ GROUP BY signature
 """
 
 
-def events_value_var_parts(sf_dir: str) -> rd.Dataset:
+def events_value_var_parts(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Exact second-moment parts per event type: (n, sum_c, sumsq_c) over
     cent-quantized values — variance/stddev derive on the consumer side
     while the engine ships only three int64 monoids (the Welford
@@ -5645,28 +5307,14 @@ def events_value_var_parts(sf_dir: str) -> rd.Dataset:
     ds = read_table(sf_dir, "events", columns=["event_type", "value"])
 
     def partial(t: pa.Table) -> pa.Table:
-        c = np.rint(t.column("value").to_numpy(zero_copy_only=False) * 100.0).astype(
-            np.int64
-        )
-        g = (
-            pd.DataFrame(
-                {
-                    "event_type": t.column("event_type").to_numpy(zero_copy_only=False),
-                    "n": np.ones(len(c), np.int64),
-                    "sum_c": c,
-                    "sumsq_c": c * c,
-                }
-            )
-            .groupby("event_type", sort=False)
-            .sum()
-            .reset_index()
-        )
-        return arrow_from_pandas(g)
+        c = _cents(t.column("value"))
+        return pa.table({"event_type": t.column("event_type"), "c": c, "c2": pc.multiply(c, c)})
 
-    return grouped_aggregate_hybrid(
+    return fold(
         ds.map_batches(partial, batch_format="pyarrow"),
         "event_type",
-        [("n", "sum", "n"), ("sum_c", "sum", "sum_c"), ("sumsq_c", "sum", "sumsq_c")],
+        [(None, "count", "n"), ("c", "sum", "sum_c"), ("c2", "sum", "sumsq_c")],
+        combine=True,
     )
 
 
@@ -5714,39 +5362,32 @@ def q20_promotion_suppliers(sf_dir: str) -> rd.Dataset:
         ).astype(np.int64)
         ship = t.column("l_shipdate").to_numpy(zero_copy_only=False)[m]
         in95 = (ship >= lo) & (ship < hi)
-        g = (
-            pd.DataFrame(
-                {
-                    "l_partkey": pk[m],
-                    "l_suppkey": t.column("l_suppkey").to_numpy(zero_copy_only=False)[m],
-                    "qty_c": qty_c,
-                    "qty95_c": np.where(in95, qty_c, 0),
-                }
-            )
-            .groupby(["l_partkey", "l_suppkey"], sort=False)
-            .sum()
-            .reset_index()
+        return pa.table(
+            {
+                "l_partkey": pa.array(pk[m], pa.int64()),
+                "l_suppkey": t.column("l_suppkey").filter(pa.array(m)),
+                "qty_c": pa.array(qty_c),
+                "qty95_c": pa.array(np.where(in95, qty_c, 0)),
+            }
         )
-        return arrow_from_pandas(g)
 
-    pairs = grouped_aggregate_hybrid(
+    pairs = as_dataset(fold(
         line.map_batches(pair_partial, batch_format="pyarrow"),
         ["l_partkey", "l_suppkey"],
         [("qty_c", "sum", "qty_c"), ("qty95_c", "sum", "qty95_c")],
-    )
+        combine=True,
+    ))
 
-    def qual_partial(df: pd.DataFrame) -> pa.Table:
-        q = df[2 * df["qty95_c"] > df["qty_c"]]
-        g = q.groupby("l_suppkey", sort=False).size().rename("n_qual_parts").reset_index()
-        return arrow_from_pandas(g.astype({"l_suppkey": np.int64, "n_qual_parts": np.int64}))
+    def qualifying(t: pa.Table) -> pa.Table:
+        q = t.filter(pc.greater(pc.multiply(t.column("qty95_c"), 2), t.column("qty_c")))
+        return pa.table({"l_suppkey": pc.cast(q.column("l_suppkey"), pa.int64())})
 
-    per_supp = grouped_aggregate_hybrid(
-        pairs.map_batches(qual_partial, batch_format="pandas"),
+    per_supp = fold(
+        pairs.map_batches(qualifying, batch_format="pyarrow"),
         "l_suppkey",
-        [("n_qual_parts", "sum", "n_qual_parts")],
+        [(None, "count", "n_qual_parts")],
+        combine=True,
     ).to_pandas()
-    if "l_suppkey" not in per_supp.columns:  # empty pull drops its schema
-        per_supp = pd.DataFrame({"l_suppkey": [], "n_qual_parts": []})
 
     supp = read_table_pandas(
         sf_dir, "supplier", columns=["s_suppkey", "s_name", "s_nationkey"]
@@ -5821,77 +5462,55 @@ def q21_waiting_suppliers(sf_dir: str) -> rd.Dataset:
     def flag_partial(t: pa.Table) -> pa.Table:
         ship = t.column("l_shipdate").to_numpy(zero_copy_only=False)
         od = t.column("o_orderdate").to_numpy(zero_copy_only=False)
-        g = (
-            pd.DataFrame(
-                {
-                    "l_orderkey": t.column("l_orderkey").to_numpy(zero_copy_only=False),
-                    "l_suppkey": t.column("l_suppkey").to_numpy(zero_copy_only=False),
-                    "late": (ship > od + _D90).astype(np.int64),
-                }
-            )
-            .groupby(["l_orderkey", "l_suppkey"], sort=False)
-            .max()
-            .reset_index()
+        return pa.table(
+            {
+                "l_orderkey": t.column("l_orderkey"),
+                "l_suppkey": t.column("l_suppkey"),
+                "late": pa.array((ship > od + _D90).astype(np.int64)),
+            }
         )
-        return arrow_from_pandas(g)
 
-    flags = grouped_aggregate_hybrid(
+    flags = as_dataset(fold(
         j.map_batches(flag_partial, batch_format="pyarrow"),
         ["l_orderkey", "l_suppkey"],
         [("late", "max", "late")],
-    )
+        combine=True,
+    ))
 
-    def order_partial(df: pd.DataFrame) -> pa.Table:
-        # rows here are globally unique (order, supplier) pairs, so the
-        # per-block sums/maxes combine exactly across blocks
-        g = (
-            pd.DataFrame(
-                {
-                    "l_orderkey": df["l_orderkey"].to_numpy(),
-                    "n_supp": np.ones(len(df), np.int64),
-                    "n_late": df["late"].to_numpy(dtype=np.int64),
-                    "late_packed": df["late"].to_numpy(dtype=np.int64)
-                    * (df["l_suppkey"].to_numpy(dtype=np.int64) + 1),
-                }
-            )
-            .groupby("l_orderkey", sort=False)
-            .agg(
-                n_supp=("n_supp", "sum"),
-                n_late=("n_late", "sum"),
-                late_packed=("late_packed", "max"),
-            )
-            .reset_index()
+    def order_partial(t: pa.Table) -> pa.Table:
+        late = pc.cast(t.column("late"), pa.int64())
+        supp = pc.cast(t.column("l_suppkey"), pa.int64())
+        return pa.table(
+            {
+                "l_orderkey": t.column("l_orderkey"),
+                "late": late,
+                "late_packed": pc.multiply(late, pc.add(supp, 1)),
+            }
         )
-        return arrow_from_pandas(g)
 
-    per_order = grouped_aggregate_hybrid(
-        flags.map_batches(order_partial, batch_format="pandas"),
+    per_order = as_dataset(fold(
+        flags.map_batches(order_partial, batch_format="pyarrow"),
         "l_orderkey",
         [
-            ("n_supp", "sum", "n_supp"),
-            ("n_late", "sum", "n_late"),
+            (None, "count", "n_supp"),
+            ("late", "sum", "n_late"),
             ("late_packed", "max", "late_packed"),
         ],
-    )
+        combine=True,
+    ))
 
-    def wait_partial(df: pd.DataFrame) -> pa.Table:
-        q = df[(df["n_supp"] >= 2) & (df["n_late"] == 1)]
-        g = (
-            pd.Series(q["late_packed"].to_numpy(dtype=np.int64) - 1)
-            .value_counts()
-            .rename_axis("s_suppkey")
-            .rename("numwait")
-            .reset_index()
+    def waiting(t: pa.Table) -> pa.Table:
+        q = t.filter(
+            pc.and_(pc.greater_equal(t.column("n_supp"), 2), pc.equal(t.column("n_late"), 1))
         )
-        return arrow_from_pandas(g.astype({"s_suppkey": np.int64, "numwait": np.int64}))
+        return pa.table({"s_suppkey": pc.subtract(pc.cast(q.column("late_packed"), pa.int64()), 1)})
 
-    waits = grouped_aggregate_hybrid(
-        per_order.map_batches(wait_partial, batch_format="pandas"),
+    waits = fold(
+        per_order.map_batches(waiting, batch_format="pyarrow"),
         "s_suppkey",
-        [("numwait", "sum", "numwait")],
+        [(None, "count", "numwait")],
+        combine=True,
     ).to_pandas()
-    if "s_suppkey" not in waits.columns:  # empty pull drops its schema
-        waits = pd.DataFrame({"s_suppkey": [], "numwait": []})
 
     supp = read_table_pandas(sf_dir, "supplier", columns=["s_suppkey", "s_name"])
     out = waits.merge(supp, on="s_suppkey")
@@ -5940,15 +5559,12 @@ def events_type_lift(sf_dir: str) -> pa.Table:
 
     ds = read_table(sf_dir, "events", columns=["user_id", "event_type"])
 
-    def pair_partial(df: pd.DataFrame) -> pa.Table:
-        g = df.drop_duplicates()
-        return arrow_from_pandas(g.assign(one=np.ones(len(g), np.int64)))
-
-    du = grouped_aggregate_hybrid(
-        ds.map_batches(pair_partial, batch_format="pandas"),
+    du = as_dataset(fold(
+        ds.select_columns(["user_id", "event_type"]),
         ["user_id", "event_type"],
-        [("one", "sum", "n")],
-    ).materialize()
+        [(None, "count", "n")],
+        combine=True,
+    )).materialize()
 
     def add_shard(t: pa.Table) -> pa.Table:
         u = t.column("user_id").to_numpy(zero_copy_only=False)
@@ -5977,7 +5593,7 @@ def events_type_lift(sf_dir: str) -> pa.Table:
             }
         )
 
-    ab = grouped_aggregate_hybrid(
+    ab = fold(
         du.map_batches(add_shard, batch_format="pyarrow")
         .groupby("shard")
         .map_groups(shard_pairs, batch_format="pandas"),
@@ -5985,36 +5601,15 @@ def events_type_lift(sf_dir: str) -> pa.Table:
         [("n_ab", "sum", "n_ab")],
     ).to_pandas()
 
-    def _uniq_users(t: pa.Table) -> pa.Table:
-        u = np.unique(t.column("user_id").to_numpy(zero_copy_only=False))
-        return pa.table(
-            {"user_id": pa.array(u, pa.int64()), "one": pa.array(np.ones(len(u), np.int64))}
-        )
-
     n_users = int(
-        grouped_aggregate_hybrid(
-            du.map_batches(_uniq_users, batch_format="pyarrow"),
-            "user_id",
-            [("one", "sum", "n")],
-        ).count()
+        as_dataset(fold(
+            du.select_columns(["user_id"]), "user_id", [(None, "count", "n")], combine=True
+        )).count()
     )
 
-    def _type_counts(df: pd.DataFrame) -> pa.Table:
-        g = df.groupby("event_type", sort=False).size().rename("n").reset_index()
-        return arrow_from_pandas(g.astype({"n": np.int64}))
-
     per = (
-        grouped_aggregate_hybrid(
-            du.map_batches(_type_counts, batch_format="pandas"),
-            "event_type",
-            [("n", "sum", "n")],
-        )
+        fold(du.select_columns(["event_type"]), "event_type", [(None, "count", "n")], combine=True)
         .to_pandas()
-        .pipe(
-            lambda df: df
-            if "event_type" in df.columns
-            else pd.DataFrame({"event_type": [], "n": []})
-        )
         .set_index("event_type")["n"]
     )
 
@@ -6075,29 +5670,31 @@ def events_user_sketch_by_type(sf_dir: str, k: int = 64) -> pa.Table:
 
     ds = read_table(sf_dir, "events", columns=["event_type", "user_id"])
 
-    def partial(df: pd.DataFrame) -> pa.Table:
-        gs, hs = [], []
-        for g, sub in df.groupby("event_type", sort=False):
-            vals = sorted({str(x) for x in sub["user_id"] if x is not None})
-            h = np.unique(_portable_token_hashes(vals))[:k]
-            gs.extend([g] * len(h))
-            hs.append(h)
-        hv = np.concatenate(hs) if hs else np.array([], np.uint64)
-        return pa.table(
-            {
-                "event_type": pa.array(gs, pa.string()),
-                "h": pa.array(hv, pa.uint64()),
-                "one": pa.array(np.ones(len(gs), np.int64)),
-            }
+    def partial(t: pa.Table) -> pa.Table:
+        # each type's k smallest distinct user hashes in this block (NULL
+        # types are a group; NULL users hash to nothing)
+        t = t.filter(pc.is_valid(t.column("user_id")))
+        users = pc.cast(t.column("user_id"), pa.string()).to_pylist()
+        h = pa.array(_portable_token_hashes(users), pa.uint64())
+        pairs = (
+            pa.table({"event_type": t.column("event_type"), "h": h})
+            .group_by(["event_type", "h"], use_threads=False)
+            .aggregate([])
+            .sort_by([("event_type", "ascending"), ("h", "ascending")])
         )
+        et = pairs.column("event_type").to_numpy(zero_copy_only=False)
+        new = np.ones(len(et), dtype=bool)
+        new[1:] = et[1:] != et[:-1]
+        start = np.flatnonzero(new)[np.cumsum(new) - 1]
+        return pairs.filter(pa.array(np.arange(len(et)) - start < k))
 
-    pairs = grouped_aggregate_hybrid(
-        ds.map_batches(partial, batch_format="pandas"),
+    pairs = fold(
+        ds.map_batches(partial, batch_format="pyarrow"),
         ["event_type", "h"],
-        [("one", "sum", "n")],
+        [(None, "count", "n")],
     ).to_pandas()
 
-    if len(pairs) == 0 or "event_type" not in pairs.columns:
+    if len(pairs) == 0:
         return pa.table(
             {
                 "event_type": pa.array([], pa.string()),
@@ -6109,12 +5706,12 @@ def events_user_sketch_by_type(sf_dir: str, k: int = 64) -> pa.Table:
         )
 
     out_t, out_n, out_kth, out_est = [], [], [], []
-    for g, sub in pairs.groupby("event_type", sort=False):
+    for g, sub in pairs.groupby("event_type", sort=False, dropna=False):
         h = np.sort(sub["h"].to_numpy().astype(np.uint64))[:k]
         n = int(len(h))
         kth = int(h[-1])
         est = n if n < k else ((n - 1) * (1 << 64)) // kth
-        out_t.append(g)
+        out_t.append(None if pd.isna(g) else g)
         out_n.append(n)
         out_kth.append(str(kth))
         out_est.append(int(est))
@@ -6183,7 +5780,7 @@ def customers_rfm(sf_dir: str) -> rd.Dataset:
     import pyarrow.compute as pc
 
     from kgw_ray.sources.readers import read_table
-    from kgw_ray.stages.agg import global_row_number, grouped_aggregate_hybrid
+    from kgw_ray.stages.agg import as_dataset, fold, global_row_number
     from kgw_ray.stages.joins import large_join
 
     orders = read_table(
@@ -6191,44 +5788,20 @@ def customers_rfm(sf_dir: str) -> rd.Dataset:
     )
 
     def partials(t: pa.Table) -> pa.Table:
-        ts = (
-            t.column("o_orderdate")
-            .to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]")
-            .astype(np.int64)
-        )
-        cents = np.round(
-            t.column("o_totalprice").to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        df = pd.DataFrame(
-            {
-                "custkey": t.column("o_custkey").to_numpy(zero_copy_only=False),
-                "r": ts,
-                "f": np.ones(len(ts), dtype=np.int64),
-                "m": cents,
-            }
-        )
-        g = df.groupby("custkey", sort=False).agg(
-            recency_us=("r", "max"), frequency=("f", "sum"), monetary_cents=("m", "sum")
-        )
         return pa.table(
             {
-                "custkey": pa.array(g.index.to_numpy().astype(np.int64)),
-                "recency_us": pa.array(g["recency_us"].to_numpy()),
-                "frequency": pa.array(g["frequency"].to_numpy()),
-                "monetary_cents": pa.array(g["monetary_cents"].to_numpy()),
+                "custkey": pc.cast(t.column("o_custkey"), pa.int64()),
+                "r": pc.cast(t.column("o_orderdate"), pa.int64()),
+                "m": _cents(t.column("o_totalprice")),
             }
         )
 
-    per_cust = grouped_aggregate_hybrid(
+    per_cust = as_dataset(fold(
         orders.map_batches(partials, batch_format="pyarrow"),
         "custkey",
-        [
-            ("recency_us", "max", "recency_us"),
-            ("frequency", "sum", "frequency"),
-            ("monetary_cents", "sum", "monetary_cents"),
-        ],
-    ).materialize()
+        [("r", "max", "recency_us"), (None, "count", "frequency"), ("m", "sum", "monetary_cents")],
+        combine=True,
+    )).materialize()
     n = per_cust.count()
     if n == 0:
         return per_cust
@@ -6301,8 +5874,7 @@ def orders_cohort_ltv(sf_dir: str) -> rd.Dataset:
     month_offset) — the retention/LTV triangle every subscription or
     marketplace analytics stack maintains.
 
-    Physical plan: per-batch (custkey, month) pandas combiner → ONE
-    grouped exchange to exact (custkey, month) partials → grouped Min
+    Physical plan: a (custkey, month) cents-sum fold → grouped Min
     derives each customer's cohort → one hash join back (customer-
     vocabulary-bounded) → the (cohort, offset) census. After the
     (custkey, month) grouping each (custkey, offset) pair is unique, so
@@ -6323,36 +5895,29 @@ def orders_cohort_ltv(sf_dir: str) -> rd.Dataset:
         cents = np.round(
             t.column("o_totalprice").to_numpy(zero_copy_only=False) * 100.0
         ).astype(np.int64)
-        df = pd.DataFrame(
-            {
-                "custkey": t.column("o_custkey").to_numpy(zero_copy_only=False),
-                "midx": midx,
-                "cents": cents,
-            }
-        )
-        g = df.groupby(["custkey", "midx"], sort=False)["cents"].sum().reset_index()
         return pa.table(
             {
-                "custkey": pa.array(g["custkey"].to_numpy().astype(np.int64)),
-                "midx": pa.array(g["midx"].to_numpy().astype(np.int64)),
-                "cents": pa.array(g["cents"].to_numpy().astype(np.int64)),
+                "custkey": pc.cast(t.column("o_custkey"), pa.int64()),
+                "midx": pa.array(midx),
+                "cents": pa.array(cents),
             }
         )
 
-    cm = grouped_aggregate_hybrid(
+    cm = as_dataset(fold(
         orders.map_batches(partials, batch_format="pyarrow"),
         ["custkey", "midx"],
         [("cents", "sum", "cents")],
-    ).materialize()
+        combine=True,
+    )).materialize()
 
     def cohort_partial(t: pa.Table) -> pa.Table:
         return pa.table({"custkey": t.column("custkey"), "cohort": t.column("midx")})
 
-    fc = grouped_aggregate_hybrid(
+    fc = as_dataset(fold(
         cm.map_batches(cohort_partial, batch_format="pyarrow"),
         "custkey",
         [("cohort", "min", "cohort")],
-    )
+    ))
 
     j = large_join(cm, fc, on=["custkey"])
 
@@ -6360,31 +5925,20 @@ def orders_cohort_ltv(sf_dir: str) -> rd.Dataset:
         midx = t.column("midx").to_numpy(zero_copy_only=False).astype(np.int64)
         cohort = t.column("cohort").to_numpy(zero_copy_only=False).astype(np.int64)
         cents = t.column("cents").to_numpy(zero_copy_only=False).astype(np.int64)
-        df = pd.DataFrame(
+        return pa.table(
             {
-                "cohort": cohort,
-                "month_offset": midx - cohort,
-                "revenue_cents": cents,
-                "n_active": np.ones(len(midx), dtype=np.int64),
+                "cohort": pa.array(cohort),
+                "month_offset": pa.array(midx - cohort),
+                "revenue_cents": pa.array(cents),
             }
         )
-        g = (
-            df.groupby(["cohort", "month_offset"], sort=False)[
-                ["revenue_cents", "n_active"]
-            ]
-            .sum()
-            .reset_index()
-        )
-        return arrow_from_pandas(g)
 
-    agg = grouped_aggregate_hybrid(
+    agg = as_dataset(fold(
         j.map_batches(census_partial, batch_format="pyarrow"),
         ["cohort", "month_offset"],
-        [
-            ("revenue_cents", "sum", "revenue_cents"),
-            ("n_active", "sum", "n_active"),
-        ],
-    )
+        [("revenue_cents", "sum", "revenue_cents"), (None, "count", "n_active")],
+        combine=True,
+    ))
 
     def finish(t: pa.Table) -> pa.Table:
         cohort = t.column("cohort").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -6466,7 +6020,7 @@ FROM r GROUP BY l_returnflag
 """
 
 
-def lineitem_benford_digits(sf_dir: str) -> rd.Dataset:
+def lineitem_benford_digits(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Benford first-significant-digit audit over l_extendedprice — the
     classic financial-data-quality screen (a fabricated or truncated price
     feed shows a flat digit histogram instead of log10(1+1/d)).
@@ -6498,14 +6052,14 @@ def lineitem_benford_digits(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return grouped_aggregate_hybrid(
+    return fold(
         ds.map_batches(partials, batch_format="pyarrow"),
         "digit",
         [("n", "sum", "n")],
     )
 
 
-def events_dow_hour_heatmap(sf_dir: str) -> rd.Dataset:
+def events_dow_hour_heatmap(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Traffic heatmap: event counts by (day-of-week, hour-of-day) — the
     ops-dashboard grid behind load shaping and anomaly baselines.
 
@@ -6535,7 +6089,7 @@ def events_dow_hour_heatmap(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return grouped_aggregate_hybrid(
+    return fold(
         ds.map_batches(partials, batch_format="pyarrow"),
         ["dow", "hour"],
         [("n", "sum", "n")],
@@ -6561,7 +6115,7 @@ GROUP BY 1
 """
 
 
-def events_session_stats(sf_dir: str, gap_minutes: int = 30) -> rd.Dataset:
+def events_session_stats(sf_dir: str, gap_minutes: int = 30) -> "pa.Table | rd.Dataset":
     """Session-length distribution across the whole event log: sessionize
     (same 30-minute-gap rule and sharded-coarse plan as
     events_sessionize), then census sessions by their event count —
@@ -6624,7 +6178,7 @@ def events_session_stats(sf_dir: str, gap_minutes: int = 30) -> rd.Dataset:
         .groupby("_shard")
         .map_groups(per_shard, batch_format="pandas")
     )
-    return grouped_aggregate_hybrid(
+    return fold(
         per_user_len,
         "events_per_session",
         [("n_sessions", "sum", "n_sessions"), ("n_users", "sum", "n_users")],
@@ -6663,53 +6217,28 @@ def events_hourly_modal_type(sf_dir: str) -> rd.Dataset:
     (grouped Max picks the modal count, an equality semi-filter keeps the
     tied types, a grouped Min breaks the tie) over the (hour, type)
     vocabulary — every exchange is native-mergeable, no window sort."""
-    import numpy as np
 
     from kgw_ray.stages.graph_metrics import _hybrid_attach
 
     ds = read_table(sf_dir, "events", columns=["ts", "event_type"])
 
     def pair_partial(t: pa.Table) -> pa.Table:
-        ts = (
-            t.column("ts")
-            .to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]")
-            .astype(np.int64)
-        )
-        hour = ts // 3_600_000_000
-        g = (
-            pd.DataFrame(
-                {
-                    "hour": hour,
-                    "event_type": t.column("event_type").to_numpy(
-                        zero_copy_only=False
-                    ),
-                }
-            )
-            .groupby(["hour", "event_type"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        return pa.table(
-            {
-                "hour": pa.array(g["hour"].to_numpy().astype(np.int64)),
-                "event_type": pa.array(g["event_type"].to_numpy(), pa.string()),
-                "n": pa.array(g["n"].to_numpy().astype(np.int64)),
-            }
-        )
+        hour = pc.divide(pc.cast(t.column("ts"), pa.int64()), 3_600_000_000)
+        return pa.table({"hour": hour, "event_type": t.column("event_type")})
 
-    counts = grouped_aggregate_hybrid(
+    counts = as_dataset(fold(
         ds.map_batches(pair_partial, batch_format="pyarrow"),
         ["hour", "event_type"],
-        [("n", "sum", "n")],
-    )
-    mx = grouped_aggregate_hybrid(counts, "hour", [("n", "max", "mx")])
+        [(None, "count", "n")],
+        combine=True,
+    ))
+    mx = as_dataset(fold(counts, "hour", [("n", "max", "mx")]))
     j = _hybrid_attach(counts, mx, on="hour", right_on="hour")
 
     modal = j.map_batches(
         lambda t: t.filter(pc.equal(t["n"], t["mx"])), batch_format="pyarrow"
     )
-    winner = grouped_aggregate_hybrid(
+    winner = as_dataset(fold(
         modal.map_batches(
             lambda t: pa.table(
                 {
@@ -6721,7 +6250,7 @@ def events_hourly_modal_type(sf_dir: str) -> rd.Dataset:
         ),
         "hour",
         [("modal_type", "min", "modal_type")],
-    )
+    ))
     out = _hybrid_attach(winner, mx, on="hour", right_on="hour")
     return out.map_batches(
         lambda t: pa.table(
@@ -6837,12 +6366,13 @@ def events_path_trigrams(sf_dir: str, k: int = 20) -> pa.Table:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         u = g["user_id"].to_numpy()
         t = g["event_type"].to_numpy()
-        ok = (u[2:] == u[1:-1]) & (u[1:-1] == u[:-2])
+        # LAG(event_type, 2) IS NOT NULL; NULL t2/t3 are groups
+        ok = (u[2:] == u[1:-1]) & (u[1:-1] == u[:-2]) & pd.notna(t[:-2])
         if not ok.any():
             return empty
         out = (
             pd.DataFrame({"t1": t[:-2][ok], "t2": t[1:-1][ok], "t3": t[2:][ok]})
-            .groupby(["t1", "t2", "t3"], sort=False)
+            .groupby(["t1", "t2", "t3"], sort=False, dropna=False)
             .size()
             .rename("n")
             .reset_index()
@@ -6854,9 +6384,9 @@ def events_path_trigrams(sf_dir: str, k: int = 20) -> pa.Table:
         .groupby("_shard")
         .map_groups(per_shard, batch_format="pandas")
     )
-    counts = grouped_aggregate_hybrid(
+    counts = as_dataset(fold(
         shards, ["t1", "t2", "t3"], [("n", "sum", "n")]
-    )
+    ))
     return distributed_topk(
         counts, ["n", "t1", "t2", "t3"], [True, False, False, False], k
     )
@@ -6893,20 +6423,12 @@ def events_user_simpson(sf_dir: str) -> rd.Dataset:
 
     ds = read_table(sf_dir, "events", columns=["user_id", "event_type"])
 
-    def partial(df: pd.DataFrame) -> pa.Table:
-        out = (
-            df.groupby(["user_id", "event_type"], sort=False)
-            .size()
-            .rename("cnt")
-            .reset_index()
-        )
-        return arrow_from_pandas(out)
-
-    per_type = grouped_aggregate_hybrid(
-        ds.map_batches(partial, batch_format="pandas"),
+    per_type = as_dataset(fold(
+        ds.select_columns(["user_id", "event_type"]),
         ["user_id", "event_type"],
-        [("cnt", "sum", "cnt")],
-    )
+        [(None, "count", "cnt")],
+        combine=True,
+    ))
 
     def square(t: pa.Table) -> pa.Table:
         c = pc.cast(t.column("cnt"), pa.int64())
@@ -6918,11 +6440,11 @@ def events_user_simpson(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    per_user = grouped_aggregate_hybrid(
+    per_user = as_dataset(fold(
         per_type.map_batches(square, batch_format="pyarrow"),
         "user_id",
         [("n_events", "sum", "n_events"), ("ss", "sum", "ss")],
-    )
+    ))
 
     def finalize(t: pa.Table) -> pa.Table:
         n = pc.cast(t.column("n_events"), pa.int64())
@@ -6957,7 +6479,7 @@ FROM c GROUP BY user_id
 _WEEK_US = 7 * 86_400_000_000
 
 
-def events_weekly_retention(sf_dir: str) -> rd.Dataset:
+def events_weekly_retention(sf_dir: str) -> "pa.Table | rd.Dataset":
     """COHORT RETENTION matrix over the event stream — (cohort_week,
     week_offset, n_users): users grouped by first-seen epoch-week, and
     for each later week the count still active — the engagement triangle
@@ -6986,12 +6508,12 @@ def events_weekly_retention(sf_dir: str) -> rd.Dataset:
         )
 
     weekly = ds.map_batches(to_week, batch_format="pyarrow")
-    user_week = grouped_aggregate_hybrid(
+    user_week = as_dataset(fold(
         weekly, ["user_id", "week"], [("one", "sum", "n")]
-    ).materialize()
-    first = grouped_aggregate_hybrid(
+    )).materialize()
+    first = as_dataset(fold(
         user_week, "user_id", [("week", "min", "cohort_week")]
-    ).materialize()
+    )).materialize()
 
     if first.count() <= _BROADCAST_SIDE_LIMIT:
         joined = broadcast_join(user_week, first, on=["user_id"])
@@ -7010,7 +6532,7 @@ def events_weekly_retention(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return grouped_aggregate_hybrid(
+    return fold(
         joined.map_batches(offsets, batch_format="pyarrow"),
         ["cohort_week", "week_offset"],
         [("n_users", "sum", "n_users")],
@@ -7096,11 +6618,11 @@ def orders_basket_triples(sf_dir: str, min_support: int = 2) -> rd.Dataset:
         .groupby("_shard")
         .map_groups(per_shard, batch_format="pandas")
     )
-    counts = grouped_aggregate_hybrid(
+    counts = as_dataset(fold(
         shards,
         ["brand_a", "brand_b", "brand_c"],
         [("n_orders", "sum", "n_orders")],
-    )
+    ))
     return counts.filter(
         expr=f"n_orders >= {int(min_support)}"
     )
@@ -7152,11 +6674,11 @@ def events_dau_wau_stickiness(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    act = grouped_aggregate_hybrid(
+    act = as_dataset(fold(
         ds.map_batches(to_day, batch_format="pyarrow"),
         ["user_id", "day"],
         [("one", "sum", "n")],
-    ).materialize()
+    )).materialize()
 
     # corpus day bounds: a 2-value aggregate, driver-scalar by design
     bounds = act.aggregate(Min("day"), Max("day"))
@@ -7187,11 +6709,11 @@ def events_dau_wau_stickiness(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    windowed = grouped_aggregate_hybrid(
+    windowed = as_dataset(fold(
         act.map_batches(explode, batch_format="pyarrow"),
         ["user_id", "day"],
         [("one", "sum", "n")],
-    )
+    ))
 
     def ones(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -7201,16 +6723,16 @@ def events_dau_wau_stickiness(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    wau = grouped_aggregate_hybrid(
+    wau = as_dataset(fold(
         windowed.map_batches(ones, batch_format="pyarrow"),
         "day",
         [("cnt", "sum", "wau")],
-    ).materialize()
-    dau = grouped_aggregate_hybrid(
+    )).materialize()
+    dau = as_dataset(fold(
         act.map_batches(ones, batch_format="pyarrow"),
         "day",
         [("cnt", "sum", "dau")],
-    ).materialize()
+    )).materialize()
 
     # the day spine is calendar-bounded (≤ 36.5k rows/century) — broadcast
     joined = broadcast_join(wau, dau, on=["day"], how="left")
@@ -7266,7 +6788,7 @@ _HLL_WBITS = 64 - _HLL_P
 _HLL_WMASK = np.uint64((1 << _HLL_WBITS) - 1)
 
 
-def events_hll_registers(sf_dir: str) -> rd.Dataset:
+def events_hll_registers(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Per-event-type HyperLogLog register table over user_id — the third
     mergeable-sketch primitive next to CMS (events_cms_estimates) and KMV
     (events_user_distinct_sketch): register = top-10 bits of
@@ -7296,32 +6818,15 @@ def events_hll_registers(sf_dir: str) -> rd.Dataset:
         reg = (h >> np.uint64(_HLL_WBITS)).astype(np.int64)
         w = h & _HLL_WMASK
         rho = np.where(w == 0, _HLL_WBITS + 1, _HLL_WBITS - _bitlen_u64(w) + 1)
-        g = (
-            pd.DataFrame(
-                {
-                    "event_type": t.column("event_type").to_numpy(
-                        zero_copy_only=False
-                    ),
-                    "reg": reg,
-                    "rho": rho.astype(np.int64),
-                }
-            )
-            .groupby(["event_type", "reg"], sort=False)["rho"]
-            .max()
-            .reset_index()
-        )
         return pa.table(
-            {
-                "event_type": pa.array(g["event_type"].to_numpy(), pa.string()),
-                "reg": pa.array(g["reg"].to_numpy()),
-                "rho": pa.array(g["rho"].to_numpy()),
-            }
+            {"event_type": t.column("event_type"), "reg": pa.array(reg), "rho": pa.array(rho.astype(np.int64))}
         )
 
-    return grouped_aggregate_hybrid(
+    return fold(
         ds.map_batches(_partial, batch_format="pyarrow"),
         ["event_type", "reg"],
         [("rho", "max", "max_rho")],
+        combine=True,
     )
 
 
@@ -7386,7 +6891,7 @@ def _events_ref_day(ds: rd.Dataset) -> int:
     return ts_us // _US_PER_DAY
 
 
-def users_decayed_engagement(sf_dir: str) -> rd.Dataset:
+def users_decayed_engagement(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Per-user exponentially time-decayed engagement value with a 1-week
     half-life, EXACT: each event contributes ``cents >> age_weeks``
     (integer floor per event, order-independent, identical to the oracle's
@@ -7415,32 +6920,13 @@ def users_decayed_engagement(sf_dir: str) -> rd.Dataset:
         )
         wk = np.minimum((ref_day - day) // 7, 62)
         dec = cents // (np.int64(1) << wk)
-        g = (
-            pd.DataFrame(
-                {
-                    "user_id": t.column("user_id").to_numpy(
-                        zero_copy_only=False
-                    ),
-                    "dc": dec,
-                    "n": np.ones(len(dec), dtype=np.int64),
-                }
-            )
-            .groupby("user_id", sort=False)
-            .sum()
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "user_id": pa.array(g["user_id"].to_numpy()),
-                "dc": pa.array(g["dc"].to_numpy()),
-                "n": pa.array(g["n"].to_numpy()),
-            }
-        )
+        return pa.table({"user_id": t.column("user_id"), "dc": pa.array(dec)})
 
-    return grouped_aggregate_hybrid(
+    return fold(
         ds.map_batches(_partial, batch_format="pyarrow"),
         "user_id",
-        [("dc", "sum", "decayed_cents"), ("n", "sum", "n_events")],
+        [("dc", "sum", "decayed_cents"), (None, "count", "n_events")],
+        combine=True,
     )
 
 
@@ -7464,7 +6950,7 @@ FROM e, ref GROUP BY user_id
 """
 
 
-def users_activity_bitmap(sf_dir: str) -> rd.Dataset:
+def users_activity_bitmap(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Per-user L28 daily-activity bitmap: bit k set iff the user was
     active k days before the corpus max day (k < 28) — the fixed-width
     engagement feature a training pipeline joins onto every example, plus
@@ -7489,24 +6975,17 @@ def users_activity_bitmap(sf_dir: str) -> rd.Dataset:
             // _US_PER_DAY
         )
         k = ref_day - day
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        keep = k < 28
-        pairs = np.unique(
-            np.stack([uid[keep], k[keep]], axis=1), axis=0
-        )
+        keep = pa.array(k < 28)
         return pa.table(
-            {
-                "user_id": pa.array(pairs[:, 0]),
-                "k": pa.array(pairs[:, 1]),
-                "one": pa.array(np.ones(len(pairs), dtype=np.int64)),
-            }
+            {"user_id": t.column("user_id").filter(keep), "k": pa.array(k).filter(keep)}
         )
 
-    distinct = grouped_aggregate_hybrid(
+    distinct = as_dataset(fold(
         ds.map_batches(_pairs, batch_format="pyarrow"),
         ["user_id", "k"],
-        [("one", "max", "one")],
-    )
+        [(None, "count", "n")],
+        combine=True,
+    ))
 
     def _bits(t: pa.Table) -> pa.Table:
         k = t.column("k").to_numpy(zero_copy_only=False)
@@ -7518,7 +6997,7 @@ def users_activity_bitmap(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return grouped_aggregate_hybrid(
+    return fold(
         distinct.map_batches(_bits, batch_format="pyarrow"),
         "user_id",
         [("bit", "sum", "l28_bitmap"), ("one", "sum", "n_active_days")],
@@ -7673,43 +7152,23 @@ def events_hourly_dispersion(sf_dir: str) -> pa.Table:
             t.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
             // 3_600_000_000
         )
-        g = (
-            pd.DataFrame(
-                {
-                    "event_type": t.column("event_type").to_numpy(
-                        zero_copy_only=False
-                    ),
-                    "hour": hour,
-                }
-            )
-            .groupby(["event_type", "hour"], sort=False)
-            .size()
-            .reset_index(name="c")
-        )
-        return pa.table(
-            {
-                "event_type": pa.array(g["event_type"].to_numpy(), pa.string()),
-                "hour": pa.array(g["hour"].to_numpy()),
-                "c": pa.array(g["c"].to_numpy().astype(np.int64)),
-            }
-        )
+        return pa.table({"event_type": t.column("event_type"), "hour": pa.array(hour)})
 
-    counts = grouped_aggregate_hybrid(
+    counts = fold(
         ds.map_batches(_partial, batch_format="pyarrow"),
         ["event_type", "hour"],
-        [("c", "sum", "c")],
+        [(None, "count", "c")],
+        combine=True,
     ).to_pandas()  # |types| × |hours| rows
     rows = []
-    if len(counts) == 0 or "event_type" not in counts.columns:
-        counts = pd.DataFrame({"event_type": [], "hour": [], "c": []})
-    for et, g in counts.groupby("event_type"):
+    for et, g in counts.groupby("event_type", dropna=False):
         c = [int(x) for x in g["c"]]
         n = len(c)
         if n < 2:
             continue
         s, s2 = sum(c), sum(x * x for x in c)
-        rows.append((et, n, 1000 * (n * s2 - s * s) // ((n - 1) * s)))
-    rows.sort()
+        rows.append((None if pd.isna(et) else et, n, 1000 * (n * s2 - s * s) // ((n - 1) * s)))
+    rows.sort(key=lambda r: (r[0] is None, r[0] or ""))
     return pa.table(
         {
             "event_type": pa.array([r[0] for r in rows], pa.string()),
@@ -7737,7 +7196,7 @@ FROM agg WHERE n >= 2
 """
 
 
-def events_daily_hll_trailing(sf_dir: str) -> rd.Dataset:
+def events_daily_hll_trailing(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Trailing-7-day sliding-window HLL registers over user_id — HOW a
     100 TB pipeline serves sliding COUNT DISTINCT when the exact ×7
     explode (events_dau_wau_stickiness) stops being affordable: per-day
@@ -7770,25 +7229,16 @@ def events_daily_hll_trailing(sf_dir: str) -> rd.Dataset:
         reg = (h >> np.uint64(_HLL_WBITS)).astype(np.int64)
         w = h & _HLL_WMASK
         rho = np.where(w == 0, _HLL_WBITS + 1, _HLL_WBITS - _bitlen_u64(w) + 1)
-        g = (
-            pd.DataFrame({"d": day, "reg": reg, "rho": rho.astype(np.int64)})
-            .groupby(["d", "reg"], sort=False)["rho"]
-            .max()
-            .reset_index()
-        )
         return pa.table(
-            {
-                "d": pa.array(g["d"].to_numpy()),
-                "reg": pa.array(g["reg"].to_numpy()),
-                "rho": pa.array(g["rho"].to_numpy()),
-            }
+            {"d": pa.array(day), "reg": pa.array(reg), "rho": pa.array(rho.astype(np.int64))}
         )
 
-    daily = grouped_aggregate_hybrid(
+    daily = as_dataset(fold(
         ds.map_batches(_partial, batch_format="pyarrow"),
         ["d", "reg"],
         [("rho", "max", "rho")],
-    )
+        combine=True,
+    ))
 
     def _explode(t: pa.Table) -> pa.Table:
         d = t.column("d").to_numpy(zero_copy_only=False)
@@ -7803,7 +7253,7 @@ def events_daily_hll_trailing(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return grouped_aggregate_hybrid(
+    return fold(
         daily.map_batches(_explode, batch_format="pyarrow"),
         ["day", "reg"],
         [("rho", "max", "max_rho")],
@@ -7855,38 +7305,20 @@ def events_top3_users_per_type(sf_dir: str) -> rd.Dataset:
     ds = read_table(sf_dir, "events", columns=["event_type", "user_id", "value"])
 
     def _partial(t: pa.Table) -> pa.Table:
-        cents = np.rint(
-            t.column("value").to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        g = (
-            pd.DataFrame(
-                {
-                    "event_type": t.column("event_type").to_numpy(
-                        zero_copy_only=False
-                    ),
-                    "user_id": t.column("user_id").to_numpy(
-                        zero_copy_only=False
-                    ),
-                    "c": cents,
-                }
-            )
-            .groupby(["event_type", "user_id"], sort=False)["c"]
-            .sum()
-            .reset_index()
-        )
         return pa.table(
             {
-                "event_type": pa.array(g["event_type"].to_numpy(), pa.string()),
-                "user_id": pa.array(g["user_id"].to_numpy()),
-                "c": pa.array(g["c"].to_numpy()),
+                "event_type": t.column("event_type"),
+                "user_id": t.column("user_id"),
+                "c": _cents(t.column("value")),
             }
         )
 
-    sums = grouped_aggregate_hybrid(
+    sums = as_dataset(fold(
         ds.map_batches(_partial, batch_format="pyarrow"),
         ["event_type", "user_id"],
         [("c", "sum", "total_cents")],
-    )
+        combine=True,
+    ))
 
     def _top3(df: pd.DataFrame) -> pa.Table:
         df = df.sort_values(
@@ -7933,11 +7365,10 @@ def events_markov_stationary(sf_dir: str) -> pa.Table:
     Python-int exact; the oracle unrolls the identical floor arithmetic
     into CTE rounds."""
     counts = events_markov_transitions(sf_dir).to_pandas()  # ≤ |types|² rows
-    if len(counts) == 0 or "from_type" not in counts.columns:
-        counts = pd.DataFrame({"from_type": [], "to_type": [], "n": []})
-    types = sorted(
-        set(counts["from_type"]) | set(counts["to_type"])
-    )
+    seen = set(counts["from_type"]) | set(counts["to_type"])
+    # a NULL target type is a state no transition ever enters (SQL's
+    # join on to_type never matches NULL), so its mass stays 0
+    types = sorted(t for t in seen if t is not None) + [None] * (None in seen)
     k = len(types)
     if k == 0:
         return pa.table(
@@ -7957,7 +7388,8 @@ def events_markov_stationary(sf_dir: str) -> pa.Table:
     for _ in range(_MARKOV_PI_ROUNDS):
         nxt = {t: 0 for t in types}
         for (a, b), n in c.items():
-            nxt[b] += pi[a] * n // row[a]
+            if b is not None:
+                nxt[b] += pi[a] * n // row[a]
         pi = nxt
     return pa.table(
         {
@@ -8014,23 +7446,9 @@ def events_selfjoin_size_estimate(sf_dir: str) -> pa.Table:
 
     ds = read_table(sf_dir, "events", columns=["user_id"])
 
-    def count_partial(t: pa.Table) -> pa.Table:
-        uq, cnt = np.unique(
-            t.column("user_id").to_numpy(zero_copy_only=False),
-            return_counts=True,
-        )
-        return pa.table(
-            {
-                "user_id": pa.array(uq.astype(np.int64)),
-                "n": pa.array(cnt.astype(np.int64)),
-            }
-        )
-
-    counts = grouped_aggregate_hybrid(
-        ds.map_batches(count_partial, batch_format="pyarrow"),
-        "user_id",
-        [("n", "sum", "n")],
-    ).materialize()
+    counts = as_dataset(fold(
+        ds.select_columns(["user_id"]), "user_id", [(None, "count", "n")], combine=True
+    )).materialize()
     if counts.count() == 0:
         return pa.table(
             {
@@ -8056,29 +7474,21 @@ def events_selfjoin_size_estimate(sf_dir: str) -> pa.Table:
         uids = t.column("user_id").to_numpy(zero_copy_only=False)
         n = t.column("n").to_numpy(zero_copy_only=False)
         b = _cms_buckets(uids)
-        rows, buckets, cnts = [], [], []
-        for j in range(_CMS_DEPTH):
-            g = (
-                pd.DataFrame({"bucket": b[:, j], "cnt": n})
-                .groupby("bucket", sort=False)["cnt"]
-                .sum()
-            )
-            rows.append(np.full(len(g), j, dtype=np.int64))
-            buckets.append(g.index.to_numpy().astype(np.int64))
-            cnts.append(g.to_numpy().astype(np.int64))
+        depth = b.shape[1]
         return pa.table(
             {
-                "row": pa.array(np.concatenate(rows)),
-                "bucket": pa.array(np.concatenate(buckets)),
-                "cnt": pa.array(np.concatenate(cnts)),
+                "row": pa.array(np.tile(np.arange(depth, dtype=np.int64), len(n))),
+                "bucket": pa.array(b.astype(np.int64).ravel()),
+                "cnt": pa.array(np.repeat(np.asarray(n, np.int64), depth)),
             }
         )
 
     sk = (
-        grouped_aggregate_hybrid(
+        fold(
             counts.map_batches(grid_partial, batch_format="pyarrow"),
             ["row", "bucket"],
             [("cnt", "sum", "cnt")],
+            combine=True,
         ).to_pandas()  # ≤ depth × width rows
     )
     est = min(

@@ -13,16 +13,34 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
 
 from kgw_ray.functions.arrow_utils import typed_pandas
 from kgw_ray.functions.tokenize import split_tokens
 from kgw_ray.sources.readers import read_table
-from kgw_ray.stages.agg import fold, grouped_aggregate_hybrid
+from kgw_ray.stages.agg import as_dataset, fold
+from kgw_ray.stages.corpus import flat_tokens
 
 
 def _docs(sf_dir: str, cols=("doc_id", "text")) -> rd.Dataset:
     return read_table(sf_dir, "documents", columns=list(cols))
+
+
+def _token_rows(batch: pa.Table) -> pa.Table:
+    """One row per non-empty token of ``batch.text`` (the pinned tokenizer)."""
+    flat = pc.list_flatten(split_tokens(batch.column("text")))
+    return pa.table({"tok": pc.filter(flat, pc.greater(pc.utf8_length(flat), 0))})
+
+
+def _distinct_doc_tokens(batch: pa.Table, doc) -> pa.Table:
+    """Distinct (tok, doc) rows of a (text) batch with the token's count in
+    the doc as ``tf``. Each document is one row, so a block's distinct
+    pairs are globally distinct: counting them per token counts documents."""
+    idx, toks = flat_tokens(batch)
+    t = pa.table({"tok": pa.array(toks, pa.string()), "doc": pc.take(doc, pa.array(idx))})
+    g = t.group_by(["tok", "doc"], use_threads=False).aggregate([([], "count_all")])
+    return g.select(["tok", "doc", "count_all"]).rename_columns(["tok", "doc", "tf"])
 
 
 # --- portable-hash SQL fragments (shared by the simhash + fingerprint
@@ -117,9 +135,8 @@ def text_rare_token_stats(sf_dir: str, rare_divisor: int = 1000) -> rd.Dataset:
     """Corpus-frequency broadcast scoring: the classic two-pass web-pipeline
     op (C4-style rare-token filters, TF-IDF family).
 
-    Pass 1 — global token frequencies: per-batch ``np.unique`` combiner →
-    tiny ``groupby(tok).Sum`` (the only shuffle, over the VOCABULARY, not
-    the corpus). Pass 2 — the rare-token set (freq < total/rare_divisor)
+    Pass 1 — global token frequencies: a token-count ``fold(combine=True)``
+    (the only shuffle, over the VOCABULARY, not the corpus). Pass 2 — the rare-token set (freq < total/rare_divisor)
     is ``ray.put`` once and read zero-copy per task; each doc's rare-token
     occurrences are segment-summed. Broadcast assumption: the rare
     vocabulary fits one object (fine to ~10^8 tokens); beyond that the
@@ -134,21 +151,12 @@ def text_rare_token_stats(sf_dir: str, rare_divisor: int = 1000) -> rd.Dataset:
 
     docs = _docs(sf_dir)
 
-    def tok_partials(batch: pa.Table) -> pa.Table:
-        text = pc.fill_null(batch.column("text"), "")
-        flat = pc.list_flatten(split_tokens(text))
-        flat = pc.filter(flat, pc.greater(pc.utf8_length(flat), 0))
-        arr = flat.to_numpy(zero_copy_only=False)
-        uq, cnt = np.unique(arr, return_counts=True)
-        return pa.table(
-            {"tok": pa.array(uq, pa.string()), "c": pa.array(cnt.astype(np.int64))}
-        )
-
-    freq = grouped_aggregate_hybrid(
-        docs.map_batches(tok_partials, batch_format="pyarrow"),
+    freq = as_dataset(fold(
+        docs.map_batches(_token_rows, batch_format="pyarrow"),
         "tok",
-        [("c", "sum", "c")],
-    ).materialize()
+        [(None, "count", "c")],
+        combine=True,
+    )).materialize()
     total = freq.sum("c") or 0
     thr = total / rare_divisor
     rare_tbl = freq.map_batches(
@@ -212,52 +220,37 @@ FROM t LEFT JOIN r ON t.doc_id = r.doc_id
 """
 
 
-def web_domain_stats(sf_dir: str) -> rd.Dataset:
+def web_domain_stats(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Per-source-domain corpus rollup (domain blocklist / quality-by-domain
-    shape): per-batch per-source partials via one ``np.unique`` combiner,
-    then a tiny groupby over the DOMAIN key — the shuffle moves one row per
-    (batch, domain), never the corpus."""
+    shape): one ``fold(combine=True)`` over the DOMAIN key — the shuffle
+    moves one row per (block, domain), never the corpus."""
     import pyarrow.compute as pc
     from ray.data.aggregate import Max, Sum
-
 
     docs = read_table(
         sf_dir, "documents", columns=["doc_id", "text", "source", "n_chars"]
     )
 
-    def partials(batch: pa.Table) -> pa.Table:
-        src = batch.column("source").to_numpy(zero_copy_only=False)
-        n_chars = batch.column("n_chars").to_numpy(zero_copy_only=False)
+    def rows(batch: pa.Table) -> pa.Table:
         text = pc.fill_null(batch.column("text"), "")
-        ws = pc.cast(
-            pc.count_substring_regex(text, pattern=r"\S+"), pa.int64()
-        ).to_numpy(zero_copy_only=False)
-        uq, inv = np.unique(src, return_inverse=True)
-        max_chars = np.zeros(len(uq), dtype=np.int64)
-        np.maximum.at(max_chars, inv, n_chars)
         return pa.table(
             {
-                "source": pa.array(uq, pa.string()),
-                "n_docs": pa.array(np.bincount(inv).astype(np.int64)),
-                "total_chars": pa.array(
-                    np.bincount(inv, weights=n_chars).astype(np.int64)
-                ),
-                "total_tokens": pa.array(
-                    np.bincount(inv, weights=ws).astype(np.int64)
-                ),
-                "max_doc_chars": pa.array(max_chars),
+                "source": batch.column("source"),
+                "n_chars": pc.cast(batch.column("n_chars"), pa.int64()),
+                "n_tokens": pc.cast(pc.count_substring_regex(text, pattern=r"\S+"), pa.int64()),
             }
         )
 
-    return grouped_aggregate_hybrid(
-        docs.map_batches(partials, batch_format="pyarrow"),
+    return fold(
+        docs.map_batches(rows, batch_format="pyarrow"),
         "source",
         [
-            ("n_docs", "sum", "n_docs"),
-            ("total_chars", "sum", "total_chars"),
-            ("total_tokens", "sum", "total_tokens"),
-            ("max_doc_chars", "max", "max_doc_chars"),
+            (None, "count", "n_docs"),
+            ("n_chars", "sum", "total_chars"),
+            ("n_tokens", "sum", "total_tokens"),
+            ("n_chars", "max", "max_doc_chars"),
         ],
+        combine=True,
     )
 
 
@@ -280,9 +273,8 @@ def pareto_concentration(sf_dir: str) -> "pa.Table":
     MINIMAL number of top sources (by total chars, ties by source name)
     whose cumulative char mass reaches that fraction of the corpus.
 
-    Physical plan: per-batch ``np.unique`` char-sum combiner (one row per
-    (block, domain) crosses the wire) → ``grouped_aggregate_hybrid`` over
-    the DOMAIN vocabulary → the cumulative scan runs on the driver over
+    Physical plan: a char-sum ``fold(combine=True)`` (one row per
+    (block, domain) crosses the wire) over the DOMAIN vocabulary → the cumulative scan runs on the driver over
     the vocabulary-sized table (hosts, not docs — bounded by design; at
     100 TB the host vocabulary is ~10⁷ rows, still a driver-safe fold).
     Threshold test is exact integer math (``cum*100 >= pct*total``), so
@@ -292,23 +284,9 @@ def pareto_concentration(sf_dir: str) -> "pa.Table":
 
     docs = read_table(sf_dir, "documents", columns=["source", "n_chars"])
 
-    def partials(batch: pa.Table) -> pa.Table:
-        src = batch.column("source").to_numpy(zero_copy_only=False)
-        n_chars = batch.column("n_chars").to_numpy(zero_copy_only=False)
-        uq, inv = np.unique(src, return_inverse=True)
-        return pa.table(
-            {
-                "source": pa.array(uq, pa.string()),
-                "c": pa.array(np.bincount(inv, weights=n_chars).astype(np.int64)),
-            }
-        )
-
-    per_src = grouped_aggregate_hybrid(
-        docs.map_batches(partials, batch_format="pyarrow"),
-        "source",
-        [("c", "sum", "c")],
-    )
-    pdf = per_src.to_pandas()
+    pdf = fold(
+        docs.select_columns(["source", "n_chars"]), "source", [("n_chars", "sum", "c")], combine=True
+    ).to_pandas()
     if len(pdf) == 0:
         empty = pa.array([], pa.int64())
         return pa.table(
@@ -368,23 +346,9 @@ def source_gini(sf_dir: str) -> "pa.Table":
 
     docs = read_table(sf_dir, "documents", columns=["source", "n_chars"])
 
-    def partials(batch: pa.Table) -> pa.Table:
-        src = batch.column("source").to_numpy(zero_copy_only=False)
-        n_chars = batch.column("n_chars").to_numpy(zero_copy_only=False)
-        uq, inv = np.unique(src, return_inverse=True)
-        return pa.table(
-            {
-                "source": pa.array(uq, pa.string()),
-                "c": pa.array(np.bincount(inv, weights=n_chars).astype(np.int64)),
-            }
-        )
-
-    per_src = grouped_aggregate_hybrid(
-        docs.map_batches(partials, batch_format="pyarrow"),
-        "source",
-        [("c", "sum", "c")],
-    )
-    pdf = per_src.to_pandas()
+    pdf = fold(
+        docs.select_columns(["source", "n_chars"]), "source", [("n_chars", "sum", "c")], combine=True
+    ).to_pandas()
     one = pa.array([0], pa.int64())
     if len(pdf) == 0:
         return pa.table({"n_sources": one, "gini_num": one, "gini_den": one})
@@ -1416,7 +1380,7 @@ def _dup_window_hash_set(docs: rd.Dataset, k: int, min_count: int) -> rd.Dataset
     partials = docs.map_batches(
         lambda b: window_count_partial(b, k), batch_format="pyarrow"
     )
-    counts = grouped_aggregate_hybrid(partials, "wh", [("n", "sum", "n")])
+    counts = as_dataset(fold(partials, "wh", [("n", "sum", "n")]))
     return counts.map_batches(
         lambda t: t.filter(pc.greater_equal(t["n"], min_count)).select(["wh"]),
         batch_format="pyarrow",
@@ -1455,7 +1419,7 @@ def text_dup_spans(
     n_windows), token positions 1-based inclusive.
 
     Plan: (1) corpus pass → per-batch window-hash combiner, then a
-    vocabulary-sized Sum (``grouped_aggregate_hybrid``) and an ``n ≥
+    vocabulary-sized Sum (``fold``) and an ``n ≥
     min_count`` filter; (2) under ``broadcast_limit`` the duplicated-hash
     vocabulary broadcasts once (``ray.put`` of ONE sorted uint64 array)
     and the mark pass is a zero-shuffle task map — a document's tokens
@@ -1686,14 +1650,15 @@ def ngram_topk(sf_dir: str, k: int = _NGRAM_TOPK_K) -> pa.Table:
     with the deterministic (n desc, gram asc) total order."""
     from ray.data.aggregate import Sum
 
-    from kgw_ray.stages.corpus import bigram_count_partial
+    from kgw_ray.stages.corpus import bigram_rows
     from kgw_ray.pipelines.relational import distributed_topk
 
-    counts = grouped_aggregate_hybrid(
-        _docs(sf_dir).map_batches(bigram_count_partial, batch_format="pyarrow"),
+    counts = as_dataset(fold(
+        _docs(sf_dir).map_batches(bigram_rows, batch_format="pyarrow"),
         "gram",
-        [("n", "sum", "n")],
-    )
+        [(None, "count", "n")],
+        combine=True,
+    ))
     return distributed_topk(counts, ["n", "gram"], [True, False], k)
 
 
@@ -1712,7 +1677,7 @@ SELECT gram, n FROM c ORDER BY n DESC, gram LIMIT {_NGRAM_TOPK_K}
 """
 
 
-def docs_inverted_index(sf_dir: str) -> rd.Dataset:
+def docs_inverted_index(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Inverted-index posting statistics: per token, document frequency
     (df), total term frequency (tf) and the first posting (min doc_id) —
     the skeleton every sharded index build / BM25 scorer starts from.
@@ -1724,42 +1689,14 @@ def docs_inverted_index(sf_dir: str) -> rd.Dataset:
     vocabulary, never the token stream. Output is vocabulary-bounded."""
     import pyarrow.compute as pc
 
-    from kgw_ray.stages.corpus import flat_tokens
+    def doc_tokens(batch: pa.Table) -> pa.Table:
+        return _distinct_doc_tokens(batch, batch.column("doc_id"))
 
-    def partials(batch: pa.Table) -> pa.Table:
-        idx, toks = flat_tokens(batch)
-        doc_ids = (
-            batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        )
-        d = doc_ids[idx]
-        if len(toks) == 0:
-            return pa.table(
-                {
-                    "tok": pa.array([], pa.string()),
-                    "df": pa.array([], pa.int64()),
-                    "tf": pa.array([], pa.int64()),
-                    "first_doc": pa.array([], pa.int64()),
-                }
-            )
-        g = pd.DataFrame({"tok": toks, "doc": d}).groupby("tok", sort=False)["doc"]
-        agg = g.agg(["nunique", "size", "min"])
-        return pa.table(
-            {
-                "tok": pa.array(agg.index.to_numpy(), pa.string()),
-                "df": pa.array(agg["nunique"].to_numpy().astype(np.int64)),
-                "tf": pa.array(agg["size"].to_numpy().astype(np.int64)),
-                "first_doc": pa.array(agg["min"].to_numpy().astype(np.int64)),
-            }
-        )
-
-    return grouped_aggregate_hybrid(
-        _docs(sf_dir).map_batches(partials, batch_format="pyarrow"),
+    return fold(
+        _docs(sf_dir).map_batches(doc_tokens, batch_format="pyarrow"),
         "tok",
-        [
-            ("df", "sum", "df"),
-            ("tf", "sum", "tf"),
-            ("first_doc", "min", "first_doc"),
-        ],
+        [(None, "count", "df"), ("tf", "sum", "tf"), ("doc", "min", "first_doc")],
+        combine=True,
     )
 
 
@@ -1785,8 +1722,8 @@ def text_commonness(sf_dir: str) -> rd.Dataset:
     low mean = rare-token noise). Complements text_rare_token_stats (which
     thresholds) by carrying the full magnitude.
 
-    Physical plan: pass 1 builds the global frequency table with the
-    per-batch np.unique combiner (the shuffle moves the VOCABULARY); the
+    Physical plan: pass 1 builds the global frequency table with a
+    token-count fold (the shuffle moves the VOCABULARY); the
     vocabulary ships ONCE via ray.put as two parallel Arrow arrays and
     pass 2 scores each doc with one vectorized index_in + take + segment
     sum. Broadcast assumption: vocabulary fits one object (~10^8 tokens);
@@ -1799,21 +1736,12 @@ def text_commonness(sf_dir: str) -> rd.Dataset:
 
     docs = _docs(sf_dir)
 
-    def tok_partials(batch: pa.Table) -> pa.Table:
-        text = pc.fill_null(batch.column("text"), "")
-        flat = pc.list_flatten(split_tokens(text))
-        flat = pc.filter(flat, pc.greater(pc.utf8_length(flat), 0))
-        arr = flat.to_numpy(zero_copy_only=False)
-        uq, cnt = np.unique(arr, return_counts=True)
-        return pa.table(
-            {"tok": pa.array(uq, pa.string()), "c": pa.array(cnt.astype(np.int64))}
-        )
-
-    freq = grouped_aggregate_hybrid(
-        docs.map_batches(tok_partials, batch_format="pyarrow"),
+    freq = as_dataset(fold(
+        docs.map_batches(_token_rows, batch_format="pyarrow"),
         "tok",
-        [("c", "sum", "c")],
-    )
+        [(None, "count", "c")],
+        combine=True,
+    ))
     vocab_toks: list[pa.Array] = []
     vocab_counts: list[np.ndarray] = []
     for part in freq.iter_batches(batch_format="pyarrow"):
@@ -1913,26 +1841,15 @@ def text_keyword_extraction(sf_dir: str, topn: int = _KEYWORD_TOPN) -> rd.Datase
 
     docs = _docs(sf_dir)
 
-    def df_partials(batch: pa.Table) -> pa.Table:
-        idx, toks = flat_tokens(batch)
-        if len(toks) == 0:
-            return pa.table(
-                {"tok": pa.array([], pa.string()), "df": pa.array([], pa.int64())}
-            )
-        pairs = pd.DataFrame({"tok": toks, "d": idx}).drop_duplicates()
-        g = pairs.groupby("tok", sort=False).size()
-        return pa.table(
-            {
-                "tok": pa.array(g.index.to_numpy(), pa.string()),
-                "df": pa.array(g.to_numpy().astype(np.int64)),
-            }
-        )
+    def doc_tokens(batch: pa.Table) -> pa.Table:
+        return _distinct_doc_tokens(batch, pa.array(np.arange(batch.num_rows)))
 
-    dfreq = grouped_aggregate_hybrid(
-        docs.map_batches(df_partials, batch_format="pyarrow"),
+    dfreq = as_dataset(fold(
+        docs.map_batches(doc_tokens, batch_format="pyarrow"),
         "tok",
-        [("df", "sum", "df")],
-    )
+        [(None, "count", "df")],
+        combine=True,
+    ))
     tok_parts: list[pa.Array] = []
     df_parts: list[np.ndarray] = []
     for part in dfreq.iter_batches(batch_format="pyarrow"):
@@ -2052,32 +1969,24 @@ def text_bigram_lift(
     """
     import pyarrow.compute as pc
 
-    from kgw_ray.stages.corpus import bigram_count_partial
+    from kgw_ray.stages.corpus import bigram_rows
     from kgw_ray.pipelines.relational import distributed_topk
 
     docs = _docs(sf_dir)
 
-    bcounts = grouped_aggregate_hybrid(
-        docs.map_batches(bigram_count_partial, batch_format="pyarrow"),
+    bcounts = as_dataset(fold(
+        docs.map_batches(bigram_rows, batch_format="pyarrow"),
         "gram",
-        [("n", "sum", "n")],
-    ).materialize()
+        [(None, "count", "n")],
+        combine=True,
+    )).materialize()
 
-    def tok_partials(batch: pa.Table) -> pa.Table:
-        text = pc.fill_null(batch.column("text"), "")
-        flat = pc.list_flatten(split_tokens(text))
-        flat = pc.filter(flat, pc.greater(pc.utf8_length(flat), 0))
-        arr = flat.to_numpy(zero_copy_only=False)
-        uq, cnt = np.unique(arr, return_counts=True)
-        return pa.table(
-            {"tok": pa.array(uq, pa.string()), "c": pa.array(cnt.astype(np.int64))}
-        )
-
-    ucounts = grouped_aggregate_hybrid(
-        docs.map_batches(tok_partials, batch_format="pyarrow"),
+    ucounts = as_dataset(fold(
+        docs.map_batches(_token_rows, batch_format="pyarrow"),
         "tok",
-        [("c", "sum", "c")],
-    ).materialize()
+        [(None, "count", "c")],
+        combine=True,
+    )).materialize()
 
     n_tokens = int(ucounts.sum("c") or 0)
     m_bigrams = int(bcounts.sum("n") or 0)
@@ -2223,7 +2132,7 @@ def tfidf_top_terms(sf_dir: str) -> rd.Dataset:
 
     docs = _docs(sf_dir)
 
-    df_tbl = grouped_aggregate_hybrid(
+    df_tbl = fold(
         docs.map_batches(df_partial, batch_format="pyarrow"),
         "tok",
         [("df", "sum", "df")],
@@ -2587,38 +2496,27 @@ def web_host_stats(sf_dir: str) -> rd.Dataset:
         )
         host = pc.struct_field(
             pc.extract_regex(urls, pattern=r"^https://(?P<host>[^/]+)/"), "host"
-        ).to_numpy(zero_copy_only=False)
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        chars = pc.cast(
-            pc.utf8_length(pc.fill_null(batch.column("text"), "")), pa.int64()
-        ).to_numpy(zero_copy_only=False)
-        uq, inv = np.unique(host, return_inverse=True)
-        first = np.full(len(uq), np.iinfo(np.int64).max, dtype=np.int64)
-        last = np.full(len(uq), np.iinfo(np.int64).min, dtype=np.int64)
-        np.minimum.at(first, inv, ids)
-        np.maximum.at(last, inv, ids)
+        )
+        chars = pc.utf8_length(pc.fill_null(batch.column("text"), ""))
         return pa.table(
             {
-                "host": pa.array(uq, pa.string()),
-                "n_pages": pa.array(np.bincount(inv).astype(np.int64)),
-                "first_id": pa.array(first),
-                "last_id": pa.array(last),
-                "total_text_chars": pa.array(
-                    np.bincount(inv, weights=chars).astype(np.int64)
-                ),
+                "host": host,
+                "doc_id": pc.cast(batch.column("doc_id"), pa.int64()),
+                "chars": pc.cast(chars, pa.int64()),
             }
         )
 
-    merged = grouped_aggregate_hybrid(
+    merged = as_dataset(fold(
         docs.map_batches(partial, batch_format="pyarrow"),
         "host",
         [
-            ("n_pages", "sum", "n_pages"),
-            ("first_id", "min", "first_id"),
-            ("last_id", "max", "last_id"),
-            ("total_text_chars", "sum", "total_text_chars"),
+            (None, "count", "n_pages"),
+            ("doc_id", "min", "first_id"),
+            ("doc_id", "max", "last_id"),
+            ("chars", "sum", "total_text_chars"),
         ],
-    )
+        combine=True,
+    ))
 
     _EPOCH_US = 1_704_067_200_000_000  # 2024-01-01T00:00:00 in µs since Unix epoch
 
@@ -2653,7 +2551,7 @@ GROUP BY source
 """
 
 
-def web_url_canonicalize(sf_dir: str) -> rd.Dataset:
+def web_url_canonicalize(sf_dir: str) -> "pa.Table | rd.Dataset":
     """URL canonicalization + grouped variant fold — the crawl-dedup
     normalizer every CC-scale pipeline runs before url-level dedup
     (scheme/host case-folding, www-stripping, https upgrade, trailing-slash
@@ -2664,8 +2562,8 @@ def web_url_canonicalize(sf_dir: str) -> rd.Dataset:
     uppercased + ?utm tracking twin for all) stands in for the
     heterogeneous spellings a real frontier sees; the canonicalizer itself
     is generic — ONE RE2 ``extract_regex`` per batch over arbitrary urls,
-    all Arrow kernels, no Python per row. Counts fold per batch
-    (np.unique) then one url-vocabulary exchange.
+    all Arrow kernels, no Python per row. One ``fold(combine=True)``
+    count over the url vocabulary.
     Output: (canon_url, n_variants)."""
     import pyarrow.compute as pc
 
@@ -2707,23 +2605,12 @@ def web_url_canonicalize(sf_dir: str) -> rd.Dataset:
         path = pc.replace_substring_regex(
             pc.struct_field(parts, "path"), r"/+$", ""
         )
-        canon = pc.binary_join_element_wise("https://", host, path, "")
-        uq, counts = np.unique(
-            canon.to_numpy(zero_copy_only=False), return_counts=True
-        )
-        return pa.table(
-            {
-                "canon_url": pa.array(uq, pa.string()),
-                "n_variants": pa.array(counts.astype(np.int64)),
-            }
-        )
+        return pa.table({"canon_url": pc.binary_join_element_wise("https://", host, path, "")})
 
-    partials = docs.map_batches(variants, batch_format="pyarrow").map_batches(
+    canon = docs.map_batches(variants, batch_format="pyarrow").map_batches(
         canonicalize, batch_format="pyarrow"
     )
-    return grouped_aggregate_hybrid(
-        partials, "canon_url", [("n_variants", "sum", "n_variants")]
-    )
+    return fold(canon, "canon_url", [(None, "count", "n_variants")], combine=True)
 
 
 WEB_URL_CANON_SQL = """
@@ -2966,7 +2853,7 @@ FROM t
 """
 
 
-def dedup_cross_source_overlap(sf_dir: str, *, prefix_tokens: int = 16) -> rd.Dataset:
+def dedup_cross_source_overlap(sf_dir: str, *, prefix_tokens: int = 16) -> "pa.Table | rd.Dataset":
     """Cross-source syndication matrix: for every source pair, how many
     distinct 16-token document PREFIXES they share — the "same article on
     two domains" detector that exact whole-text dedup misses. Plan: one
@@ -2975,11 +2862,9 @@ def dedup_cross_source_overlap(sf_dir: str, *, prefix_tokens: int = 16) -> rd.Da
     combiner + ONE (hash, source) exchange, then a size-hybrid self-join
     keyed on the 32-char hash and a vocabulary-sized pair count. Nothing
     wider than the distinct (hash, source) set ever shuffles."""
-    from kgw_ray.functions.arrow_utils import arrow_from_pandas
     from kgw_ray.functions.tokenize import py_tokens
     from kgw_ray.stages.graph_metrics import _hybrid_attach
     import hashlib as _hashlib
-    import pandas as _pd
 
     ds = read_table(sf_dir, "documents", columns=["text", "source"])
 
@@ -2991,23 +2876,14 @@ def dedup_cross_source_overlap(sf_dir: str, *, prefix_tokens: int = 16) -> rd.Da
             ).hexdigest()
             for x in texts
         ]
-        g = _pd.DataFrame(
-            {"h": hs, "source": t.column("source").to_pylist()}
-        ).drop_duplicates()
-        g["one"] = 1
-        return pa.table(
-            {
-                "h": pa.array(g["h"].to_numpy(), pa.string()),
-                "source": pa.array(g["source"].to_numpy(), pa.string()),
-                "one": pa.array(g["one"].to_numpy().astype(np.int64)),
-            }
-        )
+        return pa.table({"h": pa.array(hs, pa.string()), "source": t.column("source")})
 
-    distinct = grouped_aggregate_hybrid(
+    distinct = as_dataset(fold(
         ds.map_batches(prefix_hash, batch_format="pyarrow"),
         ["h", "source"],
-        [("one", "min", "n")],
-    ).select_columns(["h", "source"])
+        [(None, "count", "n")],
+        combine=True,
+    )).select_columns(["h", "source"])
 
     right = distinct.map_batches(
         lambda t: pa.table({"h2": t.column("h"), "source_b": t.column("source")}),
@@ -3015,23 +2891,15 @@ def dedup_cross_source_overlap(sf_dir: str, *, prefix_tokens: int = 16) -> rd.Da
     )
     joined = _hybrid_attach(distinct, right, on="h", right_on="h2")
 
-    def pair_count(t: pa.Table) -> pa.Table:
-        df = _pd.DataFrame(
-            {
-                "source_a": t.column("source").to_pylist(),
-                "source_b": t.column("source_b").to_pylist(),
-            }
-        )
-        df = df[df["source_a"] < df["source_b"]]
-        g = df.groupby(["source_a", "source_b"], sort=False).size().reset_index(
-            name="n_shared"
-        )
-        return arrow_from_pandas(g)
+    def ordered_pairs(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.less(t.column("source"), t.column("source_b")))
+        return pa.table({"source_a": t.column("source"), "source_b": t.column("source_b")})
 
-    return grouped_aggregate_hybrid(
-        joined.map_batches(pair_count, batch_format="pyarrow"),
+    return fold(
+        joined.map_batches(ordered_pairs, batch_format="pyarrow"),
         ["source_a", "source_b"],
-        [("n_shared", "sum", "n_shared")],
+        [(None, "count", "n_shared")],
+        combine=True,
     )
 
 
@@ -3136,7 +3004,7 @@ FROM s
 """
 
 
-def embeddings_gram_quantized(sf_dir: str, *, scale: int = 1000) -> rd.Dataset:
+def embeddings_gram_quantized(sf_dir: str, *, scale: int = 1000) -> "pa.Table | rd.Dataset":
     """Distributed Gram matrix (the PCA / whitening sufficient statistic):
     the upper triangle of Σ xᵀx over the quantized embedding column,
     exact BIGINTs. Each block contributes ONE dim x dim int64 matmul
@@ -3162,7 +3030,7 @@ def embeddings_gram_quantized(sf_dir: str, *, scale: int = 1000) -> rd.Dataset:
             }
         )
 
-    return grouped_aggregate_hybrid(
+    return fold(
         ds.map_batches(gram_partial, batch_format="pyarrow"),
         ["i", "j"],
         [("gram", "sum", "gram")],
@@ -3205,8 +3073,6 @@ def embeddings_top_component(sf_dir: str) -> pa.Table:
     magnitudes the two agree. Output: (pos, component), the direction
     scaled to max|component| = 10^6."""
     gram = embeddings_gram_quantized(sf_dir).to_pandas()
-    if len(gram) == 0 or "i" not in gram.columns:
-        gram = pd.DataFrame({"i": [], "j": [], "gram": []})
     d = int(gram["i"].max()) + 1 if len(gram) else 0
     G = [[0] * d for _ in range(d)]
     for i, j, g in zip(gram["i"], gram["j"], gram["gram"]):
@@ -3366,12 +3232,12 @@ def embeddings_scatter_quantized(sf_dir: str, *, scale: int = 1000) -> pa.Table:
             }
         )
 
-    merged = grouped_aggregate_hybrid(
+    merged = fold(
         ds.map_batches(partials, batch_format="pyarrow"),
         ["i", "j"],
         [("v", "sum", "v")],
     ).to_pandas()
-    if len(merged) == 0 or "i" not in merged.columns:
+    if len(merged) == 0:
         return pa.table(
             {
                 "i": pa.array([], pa.int64()),
@@ -3626,29 +3492,16 @@ def webkg_crawl_budget(sf_dir: str, budget: int = _CRAWL_BUDGET) -> pa.Table:
 
     docs = read_table(sf_dir, "documents", columns=["source"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        uq, cnt = np.unique(
-            t.column("source").to_numpy(zero_copy_only=False),
-            return_counts=True,
-        )
-        return pa.table(
-            {
-                "host": pa.array(
-                    [f"{s}.example.org" for s in uq], pa.string()
-                ),
-                "n_pages": pa.array(cnt.astype(np.int64)),
-            }
-        )
+    def hosts(t: pa.Table) -> pa.Table:
+        return pa.table({"host": pc.binary_join_element_wise(t.column("source"), ".example.org", "")})
 
     counts = (
-        typed_pandas(
-            grouped_aggregate_hybrid(
-                docs.map_batches(partial, batch_format="pyarrow"),
-                "host",
-                [("n_pages", "sum", "n_pages")],
-            ),
-            ["host", "n_pages"],
-        )
+        fold(
+            docs.map_batches(hosts, batch_format="pyarrow"),
+            "host",
+            [(None, "count", "n_pages")],
+            combine=True,
+        ).to_pandas()
         .sort_values("host")
         .reset_index(drop=True)
     )
@@ -3718,26 +3571,9 @@ def docs_interleave_roundrobin(sf_dir: str) -> rd.Dataset:
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "source"])
 
-    def count_partial(t: pa.Table) -> pa.Table:
-        uq, cnt = np.unique(
-            t.column("source").to_numpy(zero_copy_only=False), return_counts=True
-        )
-        return pa.table(
-            {
-                "source": pa.array(uq, pa.string()),
-                "n": pa.array(cnt.astype(np.int64)),
-            }
-        )
-
     counts = (
-        typed_pandas(
-            grouped_aggregate_hybrid(
-                docs.map_batches(count_partial, batch_format="pyarrow"),
-                "source",
-                [("n", "sum", "n")],
-            ),
-            ["source", "n"],
-        )
+        fold(docs.select_columns(["source"]), "source", [(None, "count", "n")], combine=True)
+        .to_pandas()
         .sort_values("source")
         .reset_index(drop=True)
     )
@@ -3808,8 +3644,6 @@ def text_template_groups(sf_dir: str, k: int = _TEMPLATE_PREFIX_LEN) -> rd.Datas
     trivial n>=2 filter."""
     import hashlib
 
-    from kgw_ray.functions.arrow_utils import arrow_from_pandas
-
     docs = _docs(sf_dir)
 
     def partial(t: pa.Table) -> pa.Table:
@@ -3819,19 +3653,14 @@ def text_template_groups(sf_dir: str, k: int = _TEMPLATE_PREFIX_LEN) -> rd.Datas
             hashlib.md5(" ".join(tx.split()[:k]).encode("utf-8")).hexdigest()
             for tx in texts
         ]
-        df = pd.DataFrame({"prefix_md5": hashes, "doc_id": ids})
-        g = (
-            df.groupby("prefix_md5", sort=False)["doc_id"]
-            .agg(n_docs="size", min_doc="min")
-            .reset_index()
-        )
-        return arrow_from_pandas(g)
+        return pa.table({"prefix_md5": pa.array(hashes, pa.string()), "doc_id": t.column("doc_id")})
 
-    merged = grouped_aggregate_hybrid(
+    merged = as_dataset(fold(
         docs.map_batches(partial, batch_format="pyarrow"),
         "prefix_md5",
-        [("n_docs", "sum", "n_docs"), ("min_doc", "min", "min_doc")],
-    )
+        [(None, "count", "n_docs"), ("doc_id", "min", "min_doc")],
+        combine=True,
+    ))
 
     def finalize(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -3994,11 +3823,11 @@ def docs_vocab_growth(sf_dir: str) -> pa.Table:
             }
         )
 
-    firsts = grouped_aggregate_hybrid(
+    firsts = as_dataset(fold(
         docs.map_batches(tok_partial, batch_format="pyarrow"),
         "tok",
         [("first_doc", "min", "first_doc")],
-    )
+    ))
 
     def hist_partial(t: pa.Table) -> pa.Table:
         fd = t.column("first_doc").to_numpy(zero_copy_only=False)
@@ -4130,7 +3959,7 @@ WHERE y.cluster = x.cluster AND a.vec_id < b.vec_id
 SEMDEDUP_SQL = _semdedup_sql()
 
 
-def dedup_cluster_sizes(sf_dir: str) -> rd.Dataset:
+def dedup_cluster_sizes(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Near-dup observability: the duplicate-CLUSTER size histogram
     (cluster_size >= 2 -> how many clusters) — the report a curation run
     publishes before deciding drop policy. Exact end to end: the pair
@@ -4159,36 +3988,17 @@ def dedup_cluster_sizes(sf_dir: str) -> rd.Dataset:
         )
     )
 
-    def size_partial(df: pd.DataFrame) -> pa.Table:
-        g = df.groupby("component", sort=False).size().rename("n").reset_index()
-        return pa.table(
-            {
-                "component": pa.array(g["component"].to_numpy(), pa.string()),
-                "n": pa.array(g["n"].to_numpy().astype(np.int64)),
-            }
-        )
-
-    sizes = grouped_aggregate_hybrid(
-        comps.map_batches(size_partial, batch_format="pandas"),
+    sizes = as_dataset(fold(
+        comps.select_columns(["component"]),
         "component",
-        [("n", "sum", "cluster_size")],
-    )
-
-    def hist_partial(t: pa.Table) -> pa.Table:
-        k, n = np.unique(
-            t.column("cluster_size").to_numpy(zero_copy_only=False), return_counts=True
-        )
-        return pa.table(
-            {
-                "cluster_size": pa.array(k, pa.int64()),
-                "m": pa.array(n.astype(np.int64)),
-            }
-        )
-
-    return grouped_aggregate_hybrid(
-        sizes.map_batches(hist_partial, batch_format="pyarrow"),
+        [(None, "count", "cluster_size")],
+        combine=True,
+    ))
+    return fold(
+        sizes.select_columns(["cluster_size"]),
         "cluster_size",
-        [("m", "sum", "n_clusters")],
+        [(None, "count", "n_clusters")],
+        combine=True,
     )
 
 
@@ -4240,18 +4050,12 @@ def docs_lang_source_contingency(sf_dir: str) -> rd.Dataset:
 
     ds = _docs(sf_dir, cols=("lang", "source"))
 
-    def partial(df: pd.DataFrame) -> pa.Table:
-        g = df.groupby(["lang", "source"], sort=False).size().rename("n").reset_index()
-        return arrow_from_pandas(g)
-
-    cells = typed_pandas(
-        grouped_aggregate_hybrid(
-            ds.map_batches(partial, batch_format="pandas"),
-            ["lang", "source"],
-            [("n", "sum", "n_docs")],
-        ),
-        ["lang", "source", "n_docs"],
-    )  # bounded: |langs| x |sources| rows
+    cells = fold(
+        ds.select_columns(["lang", "source"]),
+        ["lang", "source"],
+        [(None, "count", "n_docs")],
+        combine=True,
+    ).to_pandas()  # bounded: |langs| x |sources| rows
     row_tot = cells.groupby("lang")["n_docs"].sum()
     col_tot = cells.groupby("source")["n_docs"].sum()
     total = int(cells["n_docs"].sum())
@@ -4303,7 +4107,7 @@ FROM o JOIN r ON o.lang = r.lang JOIN c ON o.source = c.source, t
 _NULL_SENTINEL = "\x00__null__"
 
 
-def profile_documents(sf_dir: str) -> rd.Dataset:
+def profile_documents(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Table profiler (SUMMARIZE / reference statistics-sink analog,
     kgw/_shared/tasks.py stats outputs): per column of ``documents`` —
     row count, null count, and EXACT distinct count, in ONE pass + ONE
@@ -4319,70 +4123,48 @@ def profile_documents(sf_dir: str) -> rd.Dataset:
     cols = ["doc_id", "text", "lang", "source", "n_chars"]
     ds = read_table(sf_dir, "documents", columns=cols)
 
-    def partial(t: pa.Table) -> pa.Table:
-        out_col, out_key, out_cnt = [], [], []
+    def keys(t: pa.Table) -> pa.Table:
+        parts = []
         for c in cols:
             arr = t.column(c)
-            n_null = arr.null_count
-            vals = arr.drop_null()
             if c == "text":
-                keys = np.asarray(
-                    [
-                        hashlib.md5(v.encode("utf-8")).hexdigest()
-                        for v in vals.to_pylist()
-                    ]
+                k = pa.array(
+                    [None if v is None else hashlib.md5(v.encode("utf-8")).hexdigest()
+                     for v in arr.to_pylist()],
+                    pa.string(),
                 )
             else:
-                keys = vals.cast(pa.string()).to_numpy(zero_copy_only=False)
-            uk, cnts = np.unique(keys, return_counts=True)
-            out_col.extend([c] * len(uk))
-            out_key.extend(uk.tolist())
-            out_cnt.extend(cnts.tolist())
-            if n_null:
-                out_col.append(c)
-                out_key.append(_NULL_SENTINEL)
-                out_cnt.append(n_null)
-        return pa.table(
-            {
-                "col_name": pa.array(out_col, pa.string()),
-                "key": pa.array(out_key, pa.string()),
-                "cnt": pa.array(np.asarray(out_cnt, dtype=np.int64)),
-            }
-        )
+                k = pc.cast(arr, pa.string())
+            parts.append(
+                pa.table({"col_name": pa.array([c] * t.num_rows, pa.string()),
+                          "key": pc.fill_null(k, _NULL_SENTINEL)})
+            )
+        return pa.concat_tables(parts)
 
-    keyed = grouped_aggregate_hybrid(
-        ds.map_batches(partial, batch_format="pyarrow"),
+    keyed = as_dataset(fold(
+        ds.map_batches(keys, batch_format="pyarrow"),
         ["col_name", "key"],
-        [("cnt", "sum", "cnt")],
-    )
+        [(None, "count", "cnt")],
+        combine=True,
+    ))
 
-    def fold(df: pd.DataFrame) -> pa.Table:
-        is_null = df["key"].to_numpy() == _NULL_SENTINEL
-        g = pd.DataFrame(
-            {
-                "col_name": df["col_name"].to_numpy(),
-                "n": df["cnt"].to_numpy(dtype=np.int64),
-                "n_null": np.where(is_null, df["cnt"].to_numpy(dtype=np.int64), 0),
-                "n_distinct": (~is_null).astype(np.int64),
-            }
-        ).groupby("col_name", sort=False).sum().reset_index()
+    def per_col(t: pa.Table) -> pa.Table:
+        is_null = pc.equal(t.column("key"), _NULL_SENTINEL)
+        cnt = pc.cast(t.column("cnt"), pa.int64())
         return pa.table(
             {
-                "col_name": pa.array(g["col_name"].to_numpy(), pa.string()),
-                "n": pa.array(g["n"].to_numpy(dtype=np.int64)),
-                "n_null": pa.array(g["n_null"].to_numpy(dtype=np.int64)),
-                "n_distinct": pa.array(g["n_distinct"].to_numpy(dtype=np.int64)),
+                "col_name": t.column("col_name"),
+                "n": cnt,
+                "n_null": pc.if_else(is_null, cnt, 0),
+                "n_distinct": pc.cast(pc.invert(is_null), pa.int64()),
             }
         )
 
-    return grouped_aggregate_hybrid(
-        keyed.map_batches(fold, batch_format="pandas"),
+    return fold(
+        keyed.map_batches(per_col, batch_format="pyarrow"),
         "col_name",
-        [
-            ("n", "sum", "n"),
-            ("n_null", "sum", "n_null"),
-            ("n_distinct", "sum", "n_distinct"),
-        ],
+        [("n", "sum", "n"), ("n_null", "sum", "n_null"), ("n_distinct", "sum", "n_distinct")],
+        combine=True,
     )
 
 
@@ -4409,7 +4191,7 @@ SELECT 'n_chars', CAST(COUNT(*) AS BIGINT),
 """
 
 
-def embeddings_label_centroid_parts(sf_dir: str) -> rd.Dataset:
+def embeddings_label_centroid_parts(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Per-label centroid PARTS over the embedding table — (label, dim,
     n, sum_q): the mergeable form of class centroids (supervised
     prototype / class-balance audit; consumers derive means, the engine
@@ -4425,24 +4207,20 @@ def embeddings_label_centroid_parts(sf_dir: str) -> rd.Dataset:
     def partial(t: pa.Table) -> pa.Table:
         M = _quantize_matrix(t, "embedding")
         labels = t.column("label").to_numpy(zero_copy_only=False).astype(np.int64)
-        uq, inv = np.unique(labels, return_inverse=True)
         dim = M.shape[1]
-        sums = np.zeros((len(uq), dim), np.int64)
-        np.add.at(sums, inv, M)
-        cnt = np.bincount(inv, minlength=len(uq)).astype(np.int64)
         return pa.table(
             {
-                "label": pa.array(np.repeat(uq, dim)),
-                "dim": pa.array(np.tile(np.arange(dim, dtype=np.int64), len(uq))),
-                "n": pa.array(np.repeat(cnt, dim)),
-                "sum_q": pa.array(sums.ravel()),
+                "label": pa.array(np.repeat(labels, dim)),
+                "dim": pa.array(np.tile(np.arange(dim, dtype=np.int64), len(labels))),
+                "q": pa.array(M.astype(np.int64).ravel()),
             }
         )
 
-    return grouped_aggregate_hybrid(
+    return fold(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["label", "dim"],
-        [("n", "sum", "n"), ("sum_q", "sum", "sum_q")],
+        [(None, "count", "n"), ("q", "sum", "sum_q")],
+        combine=True,
     )
 
 
@@ -4459,7 +4237,7 @@ GROUP BY label, i
 _VAL_PCT = 10  # deterministic 10% validation split
 
 
-def docs_train_val_split(sf_dir: str) -> rd.Dataset:
+def docs_train_val_split(sf_dir: str) -> "pa.Table | rd.Dataset":
     """DETERMINISTIC train/val split with per-host stratification audit:
     every doc lands in 'val' iff splitmix64(doc_id) % 100 < 10 — a pure
     function of the KEY (functions/porthash), so the split is identical
@@ -4480,34 +4258,19 @@ def docs_train_val_split(sf_dir: str) -> rd.Dataset:
             "val",
             "train",
         )
-        df = (
-            pd.DataFrame(
-                {
-                    "source": t.column("source").to_numpy(zero_copy_only=False),
-                    "split": split,
-                    "n_docs": 1,
-                    "n_chars": t.column("n_chars")
-                    .to_numpy(zero_copy_only=False)
-                    .astype(np.int64),
-                }
-            )
-            .groupby(["source", "split"], sort=False)
-            .sum()
-            .reset_index()
-        )
         return pa.table(
             {
-                "source": pa.array(df["source"], pa.string()),
-                "split": pa.array(df["split"], pa.string()),
-                "n_docs": pa.array(df["n_docs"].to_numpy().astype(np.int64)),
-                "n_chars": pa.array(df["n_chars"].to_numpy().astype(np.int64)),
+                "source": t.column("source"),
+                "split": pa.array(split, pa.string()),
+                "n_chars": pc.cast(t.column("n_chars"), pa.int64()),
             }
         )
 
-    return grouped_aggregate_hybrid(
+    return fold(
         docs.map_batches(partial, batch_format="pyarrow"),
         ["source", "split"],
-        [("n_docs", "sum", "n_docs"), ("n_chars", "sum", "n_chars")],
+        [(None, "count", "n_docs"), ("n_chars", "sum", "n_chars")],
+        combine=True,
     )
 
 
@@ -4532,7 +4295,7 @@ FROM s GROUP BY source, split
 TRAIN_VAL_SPLIT_SQL = _train_val_split_sql()
 
 
-def docs_partitioned_export(sf_dir: str) -> rd.Dataset:
+def docs_partitioned_export(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Hive-partitioned export with a gated read-back: write the documents
     table as ``lang=<value>/`` Parquet partitions (the resumable-output
     layout — a re-run skips finished partition directories), then read the
@@ -4551,29 +4314,14 @@ def docs_partitioned_export(sf_dir: str) -> rd.Dataset:
 
     back = rd.read_parquet(out_dir)
 
-    def _count_partial(t: pa.Table) -> pa.Table:
-        import pandas as _pd
-
-        g = (
-            _pd.DataFrame(
-                {"lang": t.column("lang").to_numpy(zero_copy_only=False)}
-            )
-            .groupby("lang", sort=False)
-            .size()
-            .rename("n_docs")
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "lang": pa.array(g["lang"].astype(str).to_numpy(), pa.string()),
-                "n_docs": pa.array(g["n_docs"].to_numpy().astype(np.int64)),
-            }
-        )
-
-    return grouped_aggregate_hybrid(
-        back.map_batches(_count_partial, batch_format="pyarrow"),
+    return fold(
+        back.map_batches(
+            lambda t: pa.table({"lang": pc.cast(t.column("lang"), pa.string())}),
+            batch_format="pyarrow",
+        ),
         "lang",
-        [("n_docs", "sum", "n_docs")],
+        [(None, "count", "n_docs")],
+        combine=True,
     )
 
 
@@ -4608,11 +4356,11 @@ def docs_lang_source_chi2(sf_dir: str) -> pa.Table:
         )
 
     counts = (
-        grouped_aggregate_hybrid(
+        as_dataset(fold(
             docs.map_batches(ones, batch_format="pyarrow"),
             ["lang", "source"],
             [("one", "sum", "o")],
-        )
+        ))
         .to_pandas()  # vocabulary-bounded: |langs| × |sources| rows
     )
     obs = {
@@ -4829,15 +4577,13 @@ def text_cooccurrence_lift(sf_dir: str) -> pa.Table:
     from kgw_ray.stages.corpus import df_partial, distinct_doc_grams, flat_tokens
 
     docs = _docs(sf_dir)
-    dfs = grouped_aggregate_hybrid(
+    dfs = fold(
         docs.map_batches(df_partial, batch_format="pyarrow"),
         "tok",
         [("df", "sum", "df")],
     ).to_pandas()  # vocabulary-sized pull
     n_docs = docs.count()
-    if len(dfs) == 0 or "df" not in dfs.columns:
-        # empty corpus: a zero-row pull drops its columns (repo-wide
-        # empty-pull hazard) — return the typed empty result
+    if len(dfs) == 0:  # empty corpus: the typed empty result
         return pa.table(
             {
                 "x": pa.array([], pa.string()),
@@ -4856,7 +4602,7 @@ def text_cooccurrence_lift(sf_dir: str) -> pa.Table:
     V = len(vocab_sorted)
     ref = ray.put(vocab_sorted)
 
-    def _pair_partial(batch: pa.Table) -> pa.Table:
+    def _pair_keys(batch: pa.Table) -> pa.Table:
         vs = ray.get(ref)
         d, toks = flat_tokens(batch)
         dd, tt = distinct_doc_grams(d, toks)
@@ -4880,18 +4626,14 @@ def text_cooccurrence_lift(sf_dir: str) -> pa.Table:
                 i, j = np.triu_indices(m, 1)
                 keys.append(idx[s:e][i] * np.int64(V) + idx[s:e][j])
         if not keys:
-            return pa.table(
-                {"k": pa.array([], pa.int64()), "n": pa.array([], pa.int64())}
-            )
-        uq, cnt = np.unique(np.concatenate(keys), return_counts=True)
-        return pa.table(
-            {"k": pa.array(uq.astype(np.int64)), "n": pa.array(cnt.astype(np.int64))}
-        )
+            return pa.table({"k": pa.array([], pa.int64())})
+        return pa.table({"k": pa.array(np.concatenate(keys).astype(np.int64))})
 
-    co = grouped_aggregate_hybrid(
-        docs.map_batches(_pair_partial, batch_format="pyarrow"),
+    co = fold(
+        docs.map_batches(_pair_keys, batch_format="pyarrow"),
         "k",
-        [("n", "sum", "co_df")],
+        [(None, "count", "co_df")],
+        combine=True,
     ).to_pandas()  # ≤ V² rows
     rows = []
     for k, co_df in zip(co["k"].astype(int), co["co_df"].astype(int)):
@@ -5157,7 +4899,7 @@ FROM w WHERE nxt IS NOT NULL AND starts_with(nxt, text)
 # ---------------------------------------------------------------------------
 
 
-def docs_model_heuristic_confusion(sf_dir: str) -> rd.Dataset:
+def docs_model_heuristic_confusion(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Filter-agreement confusion matrix — the table a curation pipeline
     reads before swapping a heuristic for a learned filter: warm-model
     label (keep/drop, the gated QualityModelScorer) × the p10–p90
@@ -5166,7 +4908,7 @@ def docs_model_heuristic_confusion(sf_dir: str) -> rd.Dataset:
     composed; the only exchange is the 4-cell count Sum."""
     import pyarrow.compute as pc
 
-    from kgw_ray.stages.agg import exact_quantiles, grouped_aggregate_hybrid
+    from kgw_ray.stages.agg import exact_quantiles, fold
     from kgw_ray.stages.scoring import QualityModelScorer
 
     qs = exact_quantiles(
@@ -5187,29 +4929,9 @@ def docs_model_heuristic_confusion(sf_dir: str) -> rd.Dataset:
     def _with_band(t: pa.Table) -> pa.Table:
         nc = t.column("n_chars").to_numpy(zero_copy_only=False)
         band = np.where((nc >= lo) & (nc <= hi), "in_band", "outlier")
-        g = (
-            pd.DataFrame(
-                {
-                    "model_label": t.column("label").to_numpy(
-                        zero_copy_only=False
-                    ),
-                    "length_band": band,
-                }
-            )
-            .groupby(["model_label", "length_band"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
         return pa.table(
-            {
-                "model_label": pa.array(
-                    g["model_label"].to_numpy(), pa.string()
-                ),
-                "length_band": pa.array(
-                    g["length_band"].to_numpy(), pa.string()
-                ),
-                "n": pa.array(g["n"].to_numpy().astype(np.int64)),
-            }
+            {"model_label": pc.cast(t.column("label"), pa.string()),
+             "length_band": pa.array(band, pa.string())}
         )
 
     # the scorer drops n_chars from its output — subclass to carry it
@@ -5225,10 +4947,11 @@ def docs_model_heuristic_confusion(sf_dir: str) -> rd.Dataset:
         batch_size=256,
         concurrency=(1, 4),
     )
-    return grouped_aggregate_hybrid(
+    return fold(
         scored.map_batches(_with_band, batch_format="pyarrow"),
         ["model_label", "length_band"],
-        [("n", "sum", "n")],
+        [(None, "count", "n")],
+        combine=True,
     )
 
 

@@ -25,12 +25,12 @@ import os
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
 
-from kgw_ray.functions.arrow_utils import arrow_from_pandas
 from kgw_ray.functions.scalars import json_dumps, json_loads
 from kgw_ray.sources.pages import pages_dataset, url_for, warc_ts_for
-from kgw_ray.stages.agg import as_dataset, fold, grouped_aggregate_hybrid
+from kgw_ray.stages.agg import as_dataset, fold
 from kgw_ray.stages.extract import HtmlExtract
 from kgw_ray.stages.linking import link_triples_batch
 from kgw_ray.stages.triples import ENTITY_TYPE, extract_triples_batch
@@ -198,7 +198,7 @@ _STATE_TO_IR = {"subj_id": "source_id", "obj_id": "target_id", "pred": "type"}
 
 # combined partials at or under this row count merge on the driver (ONE
 # pandas groupby) instead of paying two all-to-all operators; see
-# stages/agg.py:grouped_aggregate_hybrid for the rule's rationale
+# stages/agg.py:fold for the rule's rationale
 _DRIVER_MERGE_LIMIT = 2_000_000
 
 
@@ -819,20 +819,14 @@ def latest_pages(sf_dir: str) -> rd.Dataset:
             pc.utf8_lpad(pc.cast(n_chars, pa.string()), 12, "0"),
             "",
         )
-        df = pd.DataFrame(
-            {
-                "url": batch.column("url").to_numpy(zero_copy_only=False),
-                "key": key.to_numpy(zero_copy_only=False),
-            }
-        )
-        top = df.groupby("url", sort=False)["key"].max().reset_index()
-        return arrow_from_pandas(top)
+        return pa.table({"url": batch.column("url"), "key": key})
 
-    merged = grouped_aggregate_hybrid(
+    merged = as_dataset(fold(
         pages.map_batches(pack, batch_format="pyarrow"),
         "url",
         [("key", "max", "key")],
-    )
+        combine=True,
+    ))
 
     def unpack(batch: pa.Table) -> pa.Table:
         key = batch.column("key")
@@ -980,28 +974,12 @@ def host_graph(sf_dir: str) -> rd.Dataset:
 
     links = link_graph(sf_dir)
 
-    def partial(df: "pd.DataFrame") -> pa.Table:
-        import numpy as np
-
-        g = (
-            df.groupby(["src_host", "dst_host"], sort=False)
-            .size()
-            .rename("n_links")
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "src_host": pa.array(g["src_host"].to_numpy(), pa.string()),
-                "dst_host": pa.array(g["dst_host"].to_numpy(), pa.string()),
-                "n_links": pa.array(g["n_links"].to_numpy().astype(np.int64)),
-            }
-        )
-
-    return grouped_aggregate_hybrid(
-        links.map_batches(partial, batch_format="pandas"),
+    return as_dataset(fold(
+        links.select_columns(["src_host", "dst_host"]),
         ["src_host", "dst_host"],
-        [("n_links", "sum", "n_links")],
-    )
+        [(None, "count", "n_links")],
+        combine=True,
+    ))
 
 
 HOST_GRAPH_SQL = f"""
@@ -1058,7 +1036,7 @@ def _extract_anchors_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def anchor_stats(sf_dir: str) -> rd.Dataset:
+def anchor_stats(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Anchor-text aggregation per link target — the surface-form/alias
     table of KG construction (how the web refers to each entity, weighted
     by mention count; the fixture corpus has a 3-word anchor vocabulary,
@@ -1070,27 +1048,11 @@ def anchor_stats(sf_dir: str) -> rd.Dataset:
         _extract_anchors_batch, batch_format="pyarrow"
     )
 
-    def partial(df: "pd.DataFrame") -> pa.Table:
-        import numpy as np
-
-        g = (
-            df.groupby(["dst_doc_id", "anchor"], sort=False)
-            .size()
-            .rename("n_mentions")
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "dst_doc_id": pa.array(g["dst_doc_id"].to_numpy(), pa.int64()),
-                "anchor": pa.array(g["anchor"].to_numpy(), pa.string()),
-                "n_mentions": pa.array(g["n_mentions"].to_numpy().astype(np.int64)),
-            }
-        )
-
-    return grouped_aggregate_hybrid(
-        anchors.map_batches(partial, batch_format="pandas"),
+    return fold(
+        anchors.select_columns(["dst_doc_id", "anchor"]),
         ["dst_doc_id", "anchor"],
-        [("n_mentions", "sum", "n_mentions")],
+        [(None, "count", "n_mentions")],
+        combine=True,
     )
 
 
@@ -1117,23 +1079,12 @@ def frontier_targets(sf_dir: str) -> rd.Dataset:
         _extract_anchors_batch, batch_format="pyarrow"
     )
 
-    def target_partial(df: "pd.DataFrame") -> pa.Table:
-        import numpy as np
-
-        g = df[["dst_host", "dst_doc_id"]].drop_duplicates()
-        return pa.table(
-            {
-                "dst_host": pa.array(g["dst_host"].to_numpy(), pa.string()),
-                "dst_doc_id": pa.array(g["dst_doc_id"].to_numpy(), pa.int64()),
-                "one": pa.array(np.ones(len(g), np.int64)),
-            }
-        )
-
-    targets = grouped_aggregate_hybrid(
-        anchors.map_batches(target_partial, batch_format="pandas"),
+    targets = as_dataset(fold(
+        anchors.select_columns(["dst_host", "dst_doc_id"]),
         ["dst_host", "dst_doc_id"],
-        [("one", "sum", "n")],
-    )
+        [(None, "count", "n")],
+        combine=True,
+    ))
 
     def pack_t(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -1173,34 +1124,23 @@ def frontier_targets(sf_dir: str) -> rd.Dataset:
     )
 
 
-def _count_by_host(frontier: rd.Dataset) -> rd.Dataset:
-
-    def host_count(df: "pd.DataFrame") -> pa.Table:
-        import numpy as np
-
-        g = df.groupby("dst_host", sort=False).size().rename("n_frontier").reset_index()
-        return pa.table(
-            {
-                "dst_host": pa.array(g["dst_host"].to_numpy(), pa.string()),
-                "n_frontier": pa.array(g["n_frontier"].to_numpy().astype(np.int64)),
-            }
-        )
-
-    return grouped_aggregate_hybrid(
-        frontier.map_batches(host_count, batch_format="pandas"),
+def _count_by_host(frontier: rd.Dataset) -> "pa.Table | rd.Dataset":
+    return fold(
+        frontier.select_columns(["dst_host"]),
         "dst_host",
-        [("n_frontier", "sum", "n_frontier")],
+        [(None, "count", "n_frontier")],
+        combine=True,
     )
 
 
-def frontier_by_host(sf_dir: str) -> rd.Dataset:
+def frontier_by_host(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Crawl-frontier discovery: link targets whose exact URL was never
     crawled, counted per destination host — the seed list (and its
     per-host politeness budget) for the NEXT crawl round."""
     return _count_by_host(frontier_targets(sf_dir))
 
 
-def frontier_polite_by_host(sf_dir: str) -> rd.Dataset:
+def frontier_polite_by_host(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Politeness-filtered frontier: the uncrawled targets a compliant
     crawler may actually fetch, per host — each destination host's
     robots.txt rules (sources/robots.py, RFC 9309-lite longest-match
@@ -1223,20 +1163,10 @@ def frontier_polite_by_host(sf_dir: str) -> rd.Dataset:
 
     targets = frontier_targets(sf_dir).materialize()
 
-    def _uniq_host(t: pa.Table) -> pa.Table:
-        import numpy as np
-
-        u = np.unique(t.column("dst_host").to_numpy(zero_copy_only=False))
-        return pa.table(
-            {"h": pa.array(u, pa.string()), "one": pa.array(np.ones(len(u), np.int64))}
-        )
-
-    hdf = grouped_aggregate_hybrid(
-        targets.map_batches(_uniq_host, batch_format="pyarrow"),
-        "h",
-        [("one", "sum", "n")],
-    ).to_pandas()
-    hosts = list(hdf["h"]) if "h" in hdf.columns else []
+    hdf = fold(
+        targets.select_columns(["dst_host"]), "dst_host", [(None, "count", "n")], combine=True
+    )
+    hosts = hdf.column("dst_host").to_pylist() if hdf.num_rows else []
     rules_ref = ray.put(rules_for_hosts(hosts))
 
     def polite(t: pa.Table) -> pa.Table:
@@ -1368,27 +1298,12 @@ def link_spam_scores(sf_dir: str) -> rd.Dataset:
 
     hg = host_graph(sf_dir)
 
-    def partial(df: "pd.DataFrame") -> pa.Table:
-        import numpy as np
-
-        g = (
-            df.groupby("src_host", sort=False)
-            .agg(total_links=("n_links", "sum"), top_links=("n_links", "max"))
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "src_host": pa.array(g["src_host"].to_numpy(), pa.string()),
-                "total_links": pa.array(g["total_links"].to_numpy(dtype=np.int64)),
-                "top_links": pa.array(g["top_links"].to_numpy(dtype=np.int64)),
-            }
-        )
-
-    folded = grouped_aggregate_hybrid(
-        hg.map_batches(partial, batch_format="pandas"),
+    folded = as_dataset(fold(
+        hg.select_columns(["src_host", "n_links"]),
         "src_host",
-        [("total_links", "sum", "total_links"), ("top_links", "max", "top_links")],
-    )
+        [("n_links", "sum", "total_links"), ("n_links", "max", "top_links")],
+        combine=True,
+    ))
 
     def score(t: pa.Table) -> pa.Table:
         import numpy as np
@@ -1608,7 +1523,7 @@ def line_dedup(
     )
 
     partials = docs.map_batches(line_df_partial, batch_format="pyarrow")
-    counts = grouped_aggregate_hybrid(partials, "lh", [("n", "sum", "n")])
+    counts = as_dataset(fold(partials, "lh", [("n", "sum", "n")]))
     drop = counts.map_batches(
         lambda t: t.filter(pc.greater_equal(t["n"], max_df)).select(["lh"]),
         batch_format="pyarrow",
@@ -1741,11 +1656,11 @@ def mirror_host_pairs(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    sizes = grouped_aggregate_hybrid(
+    sizes = as_dataset(fold(
         hg.map_batches(_ones, batch_format="pyarrow"),
         "src_host",
         [("one", "sum", "n")],
-    )
+    ))
     from kgw_ray.functions.arrow_utils import typed_pandas as _tp
 
     sizes = _tp(sizes, ["src_host", "n"])
@@ -1788,13 +1703,13 @@ def mirror_host_pairs(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    pairs = grouped_aggregate_hybrid(
+    pairs = as_dataset(fold(
         hg.map_batches(_shard, batch_format="pyarrow")
         .groupby("shard")
         .map_groups(_pairs, batch_format="pandas"),
         ["h1", "h2"],
         [("n", "sum", "n_common")],
-    )
+    ))
 
     def _score(t: pa.Table) -> pa.Table:
         import ray

@@ -299,8 +299,9 @@ def _json_values(name: str, col: pa.Array) -> pa.Array:
     if not pa.types.is_string(col.type):
         return _strings([json_dumps(v) for v in col.to_pylist()])
     if name == "properties":  # nested: re-serialized as its JSON object
+        # "" is "no properties", as in GraphML, MeTTa and SQL: null like NULL
         return _strings(
-            ["null" if p is None else json_dumps(json_loads(p)) for p in col.to_pylist()]
+            [json_dumps(json_loads(p)) if p else "null" for p in col.to_pylist()]
         )
     return _clean(col, "null")  # clean() of a str is its JSON string
 
@@ -460,9 +461,11 @@ def _block_types(tbl: pa.Table, _start: int) -> list:
 
 def _type_decls(blocks: _Blocks, kind: str) -> list[str]:
     """One ``(: "t" NodeType)`` line per distinct type, sorted (the
-    reference emits SQLite's DISTINCT order, which is storage-dependent)."""
-    types = sorted({t for ts in _per_block(_block_types, blocks) for t in ts})
-    return [f"(: {clean(t)} {kind})\n" for t in types]
+    reference emits SQLite's DISTINCT order, which is storage-dependent);
+    a NULL type sorts last and is declared ``"null"``, as repr1 renders it."""
+    types = {t for ts in _per_block(_block_types, blocks) for t in ts}
+    names = [clean(t) for t in sorted(types - {None})] + ['"null"'] * (None in types)
+    return [f"(: {n} {kind})\n" for n in names]
 
 
 def _repr1_nodes(tbl: pa.Table, _start: int) -> str:

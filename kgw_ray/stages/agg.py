@@ -2,17 +2,24 @@
 
 Every grouped aggregate in the repo runs through :func:`fold`:
 
-- **partials.** Callers hand in per-batch combiner output (≤ |groups| rows
-  per block), or raw rows with ``combine=True``, in which case each block
-  is first collapsed by an Arrow ``group_by`` with the same specs. The
-  partials are materialized once (not again when they already are), and
-  the row count is read from the block metadata — no extra execution.
+- **partials.** ``combine=True`` is how a per-block combiner is written:
+  callers hand in raw rows (at most a derive-only ``map_batches`` that
+  computes the key and value columns, in ``pyarrow.compute``) and each
+  block is collapsed by an Arrow ``group_by`` with the real specs — a
+  histogram is a ``count``, a distinct is a ``count`` whose column is
+  dropped. No call site writes its own per-block group-by
+  (``tests/test_fold.py::test_grouped_aggregates_use_fold``); partials
+  that are not a group-by (packed arg-max keys, k-smallest samples,
+  windowed shifts) come in with ``combine=False``. The partials are
+  materialized once (not again when they already are), and the row
+  count is read from the block metadata — no extra execution.
 - **driver branch.** At or under ``driver_limit`` partial rows the merge
   is one pandas group-by on the driver and ``finalize`` runs there too;
   the result is a ``pa.Table``. A result this small is pulled or
   broadcast by its consumer anyway, so an all-to-all exchange to reduce
   it is pure fixed latency (120–290 ms per ``Aggregate``/``Sort`` at
-  1 CPU, for a few hundred rows).
+  1 CPU, for a few hundred rows). A consumer on the driver uses the
+  table; ``as_dataset`` wraps it only where Dataset ops are chained.
 - **exchange branch.** Above the limit the partials are reduced by one
   hash-shard exchange (each row hashes to an int shard, ``map_groups``
   merges each shard with the same pandas group-by) and ``finalize`` runs
@@ -38,6 +45,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data as rd
 from ray.data.dataset import MaterializedDataset
@@ -181,6 +189,10 @@ def _merge_frame(pdf: pd.DataFrame, key_list, specs, types: dict) -> pa.Table:
         alias: (key_list[0], "size") if op == "count" else (col, op)
         for col, op, alias in specs
     }
+    # SQL MIN/MAX skip NULLs; pandas cannot order None against str
+    for col, op, _ in specs:
+        if op in ("min", "max") and pdf[col].dtype == object and pdf[col].isna().any():
+            pdf = pdf.assign(**{col: pdf[col].astype("string")})
     g = pdf.groupby(key_list, sort=False, dropna=False).agg(**agg).reset_index()
     return _to_arrow(g, types)
 
@@ -620,22 +632,18 @@ def grouped_exact_quantiles(
     import pandas as pd
     import pyarrow as pa
 
-    from kgw_ray.functions.arrow_utils import arrow_from_pandas
-
     ds = ds.materialize()
 
-    def stats_partial(t: pa.Table) -> pa.Table:
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        v = t.column(col).to_numpy(zero_copy_only=False).astype(np.float64)
-        df = pd.DataFrame({key: k, "_v": v})
-        g = df.groupby(key, sort=False, dropna=False)["_v"]
-        out = g.agg(n="count", lo="min", hi="max").reset_index()
-        return arrow_from_pandas(out)
+    def values(t: pa.Table) -> pa.Table:
+        v = pc.cast(t.column(col), pa.float64())
+        v = pc.if_else(pc.is_nan(v), pa.scalar(None, pa.float64()), v)
+        return pa.table({key: t.column(key), "_v": v, "_ok": pc.cast(pc.is_valid(v), pa.int64())})
 
-    st = grouped_aggregate_hybrid(
-        ds.map_batches(stats_partial, batch_format="pyarrow"),
+    st = fold(
+        ds.map_batches(values, batch_format="pyarrow"),
         key,
-        [("n", "sum", "n"), ("lo", "min", "lo"), ("hi", "max", "hi")],
+        [("_ok", "sum", "n"), ("_v", "min", "lo"), ("_v", "max", "hi")],
+        combine=True,
     ).to_pandas()
     qcols = {f"q{q}": q for q in qs}
     if len(st) == 0 or key not in st.columns:
@@ -744,7 +752,7 @@ def grouped_exact_quantiles(
                  "c": pa.array(np.concatenate(out_c))}
             )
 
-        hp = grouped_aggregate_hybrid(
+        hp = fold(
             ds.map_batches(hist_partial, batch_format="pyarrow"),
             ["tid", "b"],
             [("c", "sum", "c")],
@@ -847,26 +855,15 @@ def grouped_exact_median(
     import pyarrow as pa
     from ray.data.aggregate import Sum
 
-    from kgw_ray.functions.arrow_utils import arrow_from_pandas
+    def values(t: pa.Table) -> pa.Table:
+        v = pc.cast(t.column(col), pa.float64())
+        return pa.table({key: t.column(key), col: v}).filter(pc.invert(pc.is_nan(v)))
 
-    def vc_partial(t: pa.Table) -> pa.Table:
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        v = t.column(col).to_numpy(zero_copy_only=False).astype(np.float64)
-        ok = ~np.isnan(v)
-        df = pd.DataFrame({key: k[ok], col: v[ok]})
-        # dropna=False: a NULL group key is a group too (SQL GROUP BY
-        # keeps it — the sharded_count convention)
-        g = (
-            df.groupby([key, col], sort=False, dropna=False)
-            .size()
-            .reset_index(name="c")
-        )
-        return arrow_from_pandas(g)
-
-    counts = grouped_aggregate_hybrid(
-        ds.map_batches(vc_partial, batch_format="pyarrow"),
+    counts = fold(
+        ds.map_batches(values, batch_format="pyarrow"),
         [key, col],
-        [("c", "sum", "c")],
+        [(None, "count", "c")],
+        combine=True,
     ).to_pandas()
     if len(counts) == 0 or key not in counts.columns:
         # type the empty key column from the INPUT schema — hard-coding
@@ -927,18 +924,6 @@ def kmv_distinct(ds: rd.Dataset, col: str, k: int = 1024) -> dict:
     kth = int(h[-1])
     est = n if n < k else ((n - 1) * (1 << 64)) // kth
     return {"k": k, "n": n, "kth_min": kth, "est_distinct": int(est)}
-
-
-def grouped_aggregate_hybrid(
-    partials: rd.Dataset,
-    keys: Union[str, Sequence[str]],
-    specs: Sequence[tuple],
-    *,
-    driver_limit: Optional[int] = None,
-) -> rd.Dataset:
-    """:func:`fold` for consumers that chain Dataset operations: the driver
-    branch's table comes back wrapped (``rd.from_arrow``, no execution)."""
-    return as_dataset(fold(partials, keys, specs, driver_limit=driver_limit))
 
 
 def table_checksum(ds: rd.Dataset, cols: "Sequence[str]") -> dict:

@@ -65,26 +65,15 @@ def distinct_doc_grams(
     return d[new], g[new]
 
 
-def bigram_count_partial(batch: pa.Table) -> pa.Table:
-    """Per-batch word-bigram combiner: (gram, n) with within-batch counts
-    collapsed (the downstream shuffle moves the batch VOCABULARY, not the
-    token stream)."""
+def bigram_rows(batch: pa.Table) -> pa.Table:
+    """One ``gram`` row per word bigram within a document (a fold with
+    ``combine=True`` collapses them per block, so the shuffle moves each
+    block's bigram VOCABULARY, not the token stream)."""
     d, toks = flat_tokens(batch)
     same = d[1:] == d[:-1]
     left = pd.Series(toks[:-1][same], dtype=object)
     right = pd.Series(toks[1:][same], dtype=object)
-    if len(left) == 0:
-        return pa.table(
-            {"gram": pa.array([], pa.string()), "n": pa.array([], pa.int64())}
-        )
-    grams = left.str.cat(right, sep=" ").to_numpy()
-    uq, cnt = np.unique(grams, return_counts=True)
-    return pa.table(
-        {
-            "gram": pa.array(uq, pa.string()),
-            "n": pa.array(cnt.astype(np.int64)),
-        }
-    )
+    return pa.table({"gram": pa.array(left.str.cat(right, sep=" ").to_numpy(), pa.string())})
 
 
 def normalize_batch(batch: pa.Table) -> pa.Table:
@@ -451,7 +440,7 @@ def token_heavy_hitters(docs, *, k: int = 64):
     import ray
     import ray.data as rd
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
+    from kgw_ray.stages.agg import as_dataset, fold
 
     def _cand_partial(batch: pa.Table) -> pa.Table:
         _, toks = flat_tokens(batch)
@@ -490,23 +479,17 @@ def token_heavy_hitters(docs, *, k: int = 64):
     cand = np.unique(parts.loc[parts["c"] > 0, "token"].to_numpy())
     cand_ref = ray.put(cand)
 
-    def _verify_partial(batch: pa.Table) -> pa.Table:
+    def _candidates(batch: pa.Table) -> pa.Table:
         cset = ray.get(cand_ref)
         _, toks = flat_tokens(batch)
-        toks = toks[np.isin(toks, cset)]
-        uq, cnt = np.unique(toks, return_counts=True)
-        return pa.table(
-            {
-                "token": pa.array(uq, pa.string()),
-                "n": pa.array(cnt.astype(np.int64)),
-            }
-        )
+        return pa.table({"token": pa.array(toks[np.isin(toks, cset)], pa.string())})
 
-    counts = grouped_aggregate_hybrid(
-        docs.map_batches(_verify_partial, batch_format="pyarrow"),
+    counts = as_dataset(fold(
+        docs.map_batches(_candidates, batch_format="pyarrow"),
         "token",
-        [("n", "sum", "n")],
-    )
+        [(None, "count", "n")],
+        combine=True,
+    ))
 
     def _thresh(batch: pa.Table) -> pa.Table:
         n = batch.column("n").to_numpy(zero_copy_only=False)

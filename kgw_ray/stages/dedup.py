@@ -30,11 +30,12 @@ from typing import Optional, Sequence
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
 
 from kgw_ray.functions.arrow_utils import arrow_from_pandas
 from kgw_ray.functions.tokenize import py_tokens
-from kgw_ray.stages.agg import grouped_aggregate_hybrid, pull
+from kgw_ray.stages.agg import as_dataset, fold, pull
 
 # ---------------------------------------------------------------------------
 # Exact dedup
@@ -1186,20 +1187,15 @@ def edit_distance_pairs(
     import numpy as np
     import pandas as pd
 
-    def _distinct_partial(batch: pa.Table) -> pa.Table:
-        v = pd.unique(batch.column(col).to_numpy(zero_copy_only=False))
-        return pa.table(
-            {
-                "v": pa.array(v, pa.string()),
-                "one": pa.array(np.ones(len(v), dtype=np.int64)),
-            }
-        )
+    def _values(batch: pa.Table) -> pa.Table:
+        return pa.table({"v": pc.cast(batch.column(col), pa.string())})
 
-    vocab = grouped_aggregate_hybrid(
-        ds.map_batches(_distinct_partial, batch_format="pyarrow"),
+    vocab = as_dataset(fold(
+        ds.map_batches(_values, batch_format="pyarrow"),
         "v",
-        [("one", "sum", "n")],
-    ).select_columns(["v"])
+        [(None, "count", "n")],
+        combine=True,
+    )).select_columns(["v"])
 
     def _variants(batch: pa.Table) -> pa.Table:
         vals = batch.column("v").to_pylist()
@@ -1279,26 +1275,9 @@ def edit_distance_pairs(
         .map_groups(_per_shard, batch_format="pandas")
     )
 
-    def _dedup_partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "a": batch.column("a").to_numpy(zero_copy_only=False),
-                "b": batch.column("b").to_numpy(zero_copy_only=False),
-            }
-        ).drop_duplicates()
-        return pa.table(
-            {
-                "a": pa.array(df["a"].to_numpy(), pa.string()),
-                "b": pa.array(df["b"].to_numpy(), pa.string()),
-                "one": pa.array(np.ones(len(df), dtype=np.int64)),
-            }
-        )
-
-    distinct_cand = grouped_aggregate_hybrid(
-        cand.map_batches(_dedup_partial, batch_format="pyarrow"),
-        ["a", "b"],
-        [("one", "sum", "n")],
-    ).select_columns(["a", "b"])
+    distinct_cand = as_dataset(fold(
+        cand.select_columns(["a", "b"]), ["a", "b"], [(None, "count", "n")], combine=True
+    )).select_columns(["a", "b"])
 
     def _le1_eqlen(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # fixed-width byte-matrix mismatch count per equal-length run

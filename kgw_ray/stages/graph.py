@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
 
 from kgw_ray.functions.arrow_utils import arrow_from_pandas
@@ -17,7 +18,6 @@ from kgw_ray.stages.agg import (
     as_dataset,
     default_shuffle_partitions,
     fold,
-    grouped_aggregate_hybrid,
     order_by,
     pull,
     sharded_count,
@@ -221,16 +221,12 @@ def neighborhood(edges: rd.Dataset, node_id: str) -> rd.Dataset:
     neighbors (reference examples/downstream_analysis.ipynb cell 28).
 
     Two-phase, driver-bounded: pass 1 filters touching edges map-side and
-    reduces them to a DISTINCT neighbor-id Dataset (a native hash
-    aggregate — never the raw 1-hop edge list, which is unbounded for a
+    reduces them to a DISTINCT neighbor-id Dataset (a :func:`fold`,
+    NULL ids included — never the raw 1-hop edge list, which is unbounded for a
     celebrity node); pass 2 keeps edges with both endpoints in that set via
     the size-hybrid ``semi_join_dataset`` (broadcast value-set for normal
     degrees, hash-partitioned left_semi past 5M neighbors).
     """
-    import numpy as np
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Count
-
     from kgw_ray.stages.joins import semi_join_dataset
 
     def touching(batch: pa.Table) -> pa.Table:
@@ -241,20 +237,18 @@ def neighborhood(edges: rd.Dataset, node_id: str) -> rd.Dataset:
         return batch.filter(mask)
 
     def melt_ids(batch: pa.Table) -> pa.Table:
-        ids = np.concatenate(
-            [
-                batch.column("source_id").to_numpy(zero_copy_only=False),
-                batch.column("target_id").to_numpy(zero_copy_only=False),
-            ]
-        )
-        return pa.table({"id": pa.array(np.unique(ids))})
+        ids = batch["source_id"].chunks + batch["target_id"].chunks
+        return pa.table({"id": pa.chunked_array(ids, pa.string())})
 
     touch = edges.map_batches(touching, batch_format="pyarrow")
     # materialized ONCE: both semi joins probe this key set
     nbr_ids = (
-        touch.map_batches(melt_ids, batch_format="pyarrow")
-        .groupby("id")
-        .aggregate(Count(alias_name="_n"))
+        as_dataset(fold(
+            touch.map_batches(melt_ids, batch_format="pyarrow"),
+            "id",
+            [(None, "count", "_n")],
+            combine=True,
+        ))
         .drop_columns(["_n"])
         .materialize()
     )
@@ -568,7 +562,7 @@ def personalized_pagerank(
     filters the edge table to seed sources — r0 is zero elsewhere), an
     int64 ``np.unique`` per-batch combiner, and one grouped Sum that
     driver-merges when the combined partials are bounded
-    (stages/agg.py:grouped_aggregate_hybrid). The rank table carries only
+    (stages/agg.py:fold). The rank table carries only
     reached nodes; seed base rows are re-appended each step from the seed
     list (query-time seed sets are small — they broadcast by closure and
     the append is O(|S|))."""
@@ -703,9 +697,9 @@ def personalized_pagerank(
             rank_pdf = _base_applied_pdf(g)
             continue
 
-        sums = grouped_aggregate_hybrid(
+        sums = as_dataset(fold(
             contrib, "target_id", [("c", "sum", "c")]
-        ).materialize()
+        )).materialize()
 
         def _add_base(tbl: pa.Table) -> pa.Table:
             base = pc.if_else(
@@ -854,29 +848,19 @@ _TRI_SEP = "\x1f"  # wedge/edge pack separator (cannot appear in tokens)
 def _distinct_undirected_pairs(edges: rd.Dataset, src: str, dst: str) -> rd.Dataset:
     """Distinct undirected simple-graph pairs (a < b lexicographic, the
     DuckDB least/greatest order — byte order == codepoint order in UTF-8),
-    self-loops dropped; per-batch drop_duplicates combiner before the
-    vocabulary-sized exchange."""
-    import numpy as np
+    self-loops dropped; a count fold whose count is dropped."""
 
-    def _pair_partial(batch: pa.Table) -> pa.Table:
-        a = batch.column(src).to_numpy(zero_copy_only=False)
-        b = batch.column(dst).to_numpy(zero_copy_only=False)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        keep = lo != hi
-        packed = pd.DataFrame({"a": lo[keep], "b": hi[keep]}).drop_duplicates()
-        return pa.table(
-            {
-                "a": pa.array(packed["a"].to_numpy(), pa.string()),
-                "b": pa.array(packed["b"].to_numpy(), pa.string()),
-                "one": pa.array(np.ones(len(packed), dtype=np.int64)),
-            }
-        )
+    def _pairs(batch: pa.Table) -> pa.Table:
+        a, b = batch.column(src), batch.column(dst)
+        t = pa.table({"a": pc.min_element_wise(a, b), "b": pc.max_element_wise(a, b)})
+        return t.filter(pc.not_equal(a, b))
 
-    return grouped_aggregate_hybrid(
-        edges.map_batches(_pair_partial, batch_format="pyarrow"),
+    return as_dataset(fold(
+        edges.map_batches(_pairs, batch_format="pyarrow"),
         ["a", "b"],
-        [("one", "sum", "n")],
-    ).select_columns(["a", "b"])
+        [(None, "count", "n")],
+        combine=True,
+    )).select_columns(["a", "b"])
 
 
 def triangle_counts(
@@ -916,26 +900,15 @@ def triangle_counts(
     pairs = _distinct_undirected_pairs(edges, src, dst)
     pairs = pairs.materialize()  # consumed by degrees AND orientation
 
-    def _deg_partial(batch: pa.Table) -> pa.Table:
-        ids = np.concatenate(
-            [
-                batch.column("a").to_numpy(zero_copy_only=False),
-                batch.column("b").to_numpy(zero_copy_only=False),
-            ]
-        )
-        uq, cnt = np.unique(ids, return_counts=True)
-        return pa.table(
-            {
-                "id": pa.array(uq, pa.string()),
-                "deg": pa.array(cnt.astype(np.int64)),
-            }
-        )
+    def _ends(batch: pa.Table) -> pa.Table:
+        return pa.table({"id": pa.chunked_array(batch["a"].chunks + batch["b"].chunks, pa.string())})
 
-    degrees = grouped_aggregate_hybrid(
-        pairs.map_batches(_deg_partial, batch_format="pyarrow"),
+    degrees = as_dataset(fold(
+        pairs.map_batches(_ends, batch_format="pyarrow"),
         "id",
-        [("deg", "sum", "deg")],
-    ).materialize()
+        [(None, "count", "deg")],
+        combine=True,
+    )).materialize()
 
     def _orient_cols(a, b, deg_a, deg_b) -> pa.Table:
         # total order (deg, id): u strictly smaller endpoint, v larger;
@@ -1058,23 +1031,16 @@ def triangle_counts(
         broadcast_limit=broadcast_limit,
     )
 
-    def _node_partial(batch: pa.Table) -> pa.Table:
-        ids = np.concatenate(
-            [batch.column(c).to_numpy(zero_copy_only=False) for c in ("p", "x", "y")]
-        )
-        uq, cnt = np.unique(ids, return_counts=True)
-        return pa.table(
-            {
-                "id": pa.array(uq, pa.string()),
-                "n": pa.array(cnt.astype(np.int64)),
-            }
-        )
+    def _members(batch: pa.Table) -> pa.Table:
+        ids = [ch for c in ("p", "x", "y") for ch in batch[c].chunks]
+        return pa.table({"id": pa.chunked_array(ids, pa.string())})
 
-    tri = grouped_aggregate_hybrid(
-        closed.map_batches(_node_partial, batch_format="pyarrow"),
+    tri = as_dataset(fold(
+        closed.map_batches(_members, batch_format="pyarrow"),
         "id",
-        [("n", "sum", "n_triangles")],
-    )
+        [(None, "count", "n_triangles")],
+        combine=True,
+    ))
     if not _clustering:
         return tri
 
@@ -1293,7 +1259,7 @@ def _wedge_pair_fold(
         .groupby("shard")
         .map_groups(_wedges, batch_format="pandas")
     )
-    return grouped_aggregate_hybrid(wedges, ["x", "y"], [("n", "sum", out_col)])
+    return as_dataset(fold(wedges, ["x", "y"], [("n", "sum", out_col)]))
 
 
 def bfs_depths(
@@ -1345,8 +1311,6 @@ def bfs_depths(
             )
         source = sources
 
-    import pyarrow.compute as pc
-
     def _with_depth(d: int):
         def tag(t: pa.Table) -> pa.Table:
             return pa.table(
@@ -1358,17 +1322,6 @@ def bfs_depths(
 
         return tag
 
-    def _distinct_partial(t: pa.Table) -> pa.Table:
-        u = pc.unique(t.column("v"))
-        if isinstance(u, pa.ChunkedArray):
-            u = u.combine_chunks()
-        return pa.table(
-            {
-                "v": u,
-                "one": pa.nulls(len(u), pa.int64()).fill_null(1),
-            }
-        )
-
     frontier = rd.from_arrow(
         pa.table({"id": pa.array([source], pa.string())})
     ).materialize()
@@ -1379,10 +1332,8 @@ def bfs_depths(
             adj, frontier, on=["c"], right_on=["id"]
         ).select_columns(["v"])
         # distinct new neighbors, then drop already-visited (size-hybrid)
-        nxt = grouped_aggregate_hybrid(
-            nxt.map_batches(_distinct_partial, batch_format="pyarrow"),
-            "v",
-            [("one", "sum", "n")],
+        nxt = as_dataset(
+            fold(nxt, "v", [(None, "count", "n")], combine=True)
         ).select_columns(["v"])
         frontier = (
             anti_join(nxt, visited, on="v", key_col="id")
@@ -1485,7 +1436,7 @@ def eigenvector_centrality(
                     right_on=("id",),
                     num_partitions=num_partitions,
                 )
-            sums = grouped_aggregate_hybrid(
+            sums = as_dataset(fold(
                 j.map_batches(
                     lambda b: pa.table(
                         {
@@ -1497,7 +1448,7 @@ def eigenvector_centrality(
                 ),
                 "id",
                 [("x", "sum", "x")],
-            )
+            ))
         sums = sums.materialize()
         mx = sums.aggregate(Max("x"))["max(x)"]
         if mx is None:

@@ -29,7 +29,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from kgw_ray.stages.agg import grouped_aggregate_hybrid
+from kgw_ray.stages.agg import as_dataset, fold
 from kgw_ray.stages.graph import _distinct_undirected_pairs
 
 _BROADCAST_LIMIT = 5_000_000
@@ -37,25 +37,17 @@ _BROADCAST_LIMIT = 5_000_000
 
 def _degree_table(pairs: rd.Dataset) -> rd.Dataset:
     """(id, deg) distinct-neighbor degrees over an undirected distinct-pair
-    dataset — per-batch ``np.unique`` combiner, vocabulary-sized exchange."""
+    dataset — a count fold over both endpoints."""
 
-    def _deg_partial(batch: pa.Table) -> pa.Table:
-        ids = np.concatenate(
-            [
-                batch.column("a").to_numpy(zero_copy_only=False),
-                batch.column("b").to_numpy(zero_copy_only=False),
-            ]
-        )
-        uq, cnt = np.unique(ids, return_counts=True)
-        return pa.table(
-            {"id": pa.array(uq, pa.string()), "deg": pa.array(cnt.astype(np.int64))}
-        )
+    def _ends(batch: pa.Table) -> pa.Table:
+        return pa.table({"id": pa.chunked_array(batch["a"].chunks + batch["b"].chunks, pa.string())})
 
-    return grouped_aggregate_hybrid(
-        pairs.map_batches(_deg_partial, batch_format="pyarrow"),
+    return as_dataset(fold(
+        pairs.map_batches(_ends, batch_format="pyarrow"),
         "id",
-        [("deg", "sum", "deg")],
-    )
+        [(None, "count", "deg")],
+        combine=True,
+    ))
 
 
 def _sum_partials(ds: rd.Dataset, fn) -> list[np.ndarray]:
@@ -83,38 +75,25 @@ def reciprocity(
     counts then reduce to a single row on the driver.
     """
 
-    def _fold_partial(batch: pa.Table) -> pa.Table:
-        # fold to the undirected key IN the combiner with per-direction
-        # min/max flags: a pair seen in both directions ends with
-        # fmin=1 < fmax=2; duplicate same-direction observations (any
-        # batch split) leave fmin == fmax — ONE exchange total, where the
-        # naive plan pays two (distinct ordered pairs, then the fold)
-        s = batch.column(src).to_numpy(zero_copy_only=False)
-        t = batch.column(dst).to_numpy(zero_copy_only=False)
-        keep = s != t
-        s, t = s[keep], t[keep]
-        lo, hi = np.minimum(s, t), np.maximum(s, t)
-        flag = np.where(s < t, 1, 2).astype(np.int64)
-        g = (
-            pd.DataFrame({"a": lo, "b": hi, "fmin": flag, "fmax": flag})
-            .groupby(["a", "b"], sort=False)
-            .agg(fmin=("fmin", "min"), fmax=("fmax", "max"))
-            .reset_index()
-        )
+    def _undirected(batch: pa.Table) -> pa.Table:
+        # fold to the undirected key with per-direction min/max flags: a
+        # pair seen in both directions ends with fmin=1 < fmax=2; duplicate
+        # same-direction observations leave fmin == fmax — ONE exchange
+        # total, where the naive plan pays two (distinct ordered pairs,
+        # then the fold)
+        batch = batch.filter(pc.not_equal(batch[src], batch[dst]))
+        s, t = batch.column(src), batch.column(dst)
+        flag = pc.if_else(pc.less(s, t), 1, 2).cast(pa.int64())
         return pa.table(
-            {
-                "a": pa.array(g["a"].to_numpy(), pa.string()),
-                "b": pa.array(g["b"].to_numpy(), pa.string()),
-                "fmin": pa.array(g["fmin"].to_numpy().astype(np.int64)),
-                "fmax": pa.array(g["fmax"].to_numpy().astype(np.int64)),
-            }
+            {"a": pc.min_element_wise(s, t), "b": pc.max_element_wise(s, t), "f": flag}
         )
 
-    folded = grouped_aggregate_hybrid(
-        edges.map_batches(_fold_partial, batch_format="pyarrow"),
+    folded = as_dataset(fold(
+        edges.map_batches(_undirected, batch_format="pyarrow"),
         ["a", "b"],
-        [("fmin", "min", "fmin"), ("fmax", "max", "fmax")],
-    )
+        [("f", "min", "fmin"), ("f", "max", "fmax")],
+        combine=True,
+    ))
 
     def _counts(batch: pa.Table) -> pa.Table:
         fmin = batch.column("fmin").to_numpy(zero_copy_only=False)
@@ -325,33 +304,18 @@ def rich_club(
     degrees = _degree_table(pairs).materialize()
     withdeg = _attach_degrees(pairs, degrees, broadcast_limit=broadcast_limit)
 
-    def _mind_partial(batch: pa.Table) -> pa.Table:
-        m = np.minimum(
-            batch.column("deg_a").to_numpy(zero_copy_only=False),
-            batch.column("deg_b").to_numpy(zero_copy_only=False),
-        )
-        uq, cnt = np.unique(m, return_counts=True)
-        return pa.table(
-            {"mindeg": pa.array(uq.astype(np.int64)), "n": pa.array(cnt.astype(np.int64))}
-        )
+    def _mindeg(batch: pa.Table) -> pa.Table:
+        m = pc.min_element_wise(batch["deg_a"], batch["deg_b"])
+        return pa.table({"mindeg": pc.cast(m, pa.int64())})
 
-    def _deg_partial(batch: pa.Table) -> pa.Table:
-        uq, cnt = np.unique(
-            batch.column("deg").to_numpy(zero_copy_only=False), return_counts=True
-        )
-        return pa.table(
-            {"deg": pa.array(uq.astype(np.int64)), "n": pa.array(cnt.astype(np.int64))}
-        )
-
-    mind_hist = grouped_aggregate_hybrid(
-        withdeg.map_batches(_mind_partial, batch_format="pyarrow"),
+    mind_hist = fold(
+        withdeg.map_batches(_mindeg, batch_format="pyarrow"),
         "mindeg",
-        [("n", "sum", "n")],
+        [(None, "count", "n")],
+        combine=True,
     ).to_pandas()
-    deg_hist = grouped_aggregate_hybrid(
-        degrees.map_batches(_deg_partial, batch_format="pyarrow"),
-        "deg",
-        [("n", "sum", "n")],
+    deg_hist = fold(
+        degrees.select_columns(["deg"]), "deg", [(None, "count", "n")], combine=True
     ).to_pandas()
 
     ks = np.arange(1, max_k + 1, dtype=np.int64)
@@ -450,7 +414,7 @@ def multi_bfs_closeness(
     work linearly (pick n_sources, not the graph, at 10^12 edges)."""
     import pyarrow.compute as pc
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
+    from kgw_ray.stages.agg import as_dataset, fold
     from kgw_ray.stages.joins import anti_join, large_join
     from kgw_ray.stages.graph import _distinct_undirected_pairs
 
@@ -540,29 +504,15 @@ def multi_bfs_closeness(
                 adj, frontier, on=["c"], right_on=["id"]
             ).select_columns(["s", "v"])
 
-        def _distinct_partial(t: pa.Table) -> pa.Table:
-            import pandas as pd
+        def _pairs(t: pa.Table) -> pa.Table:
+            return _pack(pa.table({"s": t.column("s"), "id": t.column("v")}))
 
-            df = pd.DataFrame(
-                {
-                    "s": t.column("s").to_numpy(zero_copy_only=False),
-                    "id": t.column("v").to_numpy(zero_copy_only=False),
-                }
-            ).drop_duplicates()
-            out = pa.table(
-                {
-                    "s": pa.array(df["s"].to_numpy(), pa.string()),
-                    "id": pa.array(df["id"].to_numpy(), pa.string()),
-                    "one": pa.array(np.ones(len(df), dtype=np.int64)),
-                }
-            )
-            return _pack(out)
-
-        nxt = grouped_aggregate_hybrid(
-            hop.map_batches(_distinct_partial, batch_format="pyarrow"),
+        nxt = as_dataset(fold(
+            hop.map_batches(_pairs, batch_format="pyarrow"),
             "key",
             [("s", "min", "s"), ("id", "min", "id")],
-        ).select_columns(["key", "s", "id"])
+            combine=True,
+        )).select_columns(["key", "s", "id"])
         frontier = anti_join(nxt, visited, on="key", key_col="key").materialize()
         if frontier.count() == 0:
             break
@@ -578,29 +528,12 @@ def multi_bfs_closeness(
             f"multi_bfs_closeness: diameter exceeds max_rounds={max_rounds}"
         )
 
-    def _node_partial(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = pd.DataFrame(
-            {
-                "id": t.column("id").to_numpy(zero_copy_only=False),
-                "depth": t.column("depth").to_numpy(zero_copy_only=False),
-            }
-        )
-        g = df.groupby("id", sort=False)["depth"].agg(["size", "sum"]).reset_index()
-        return pa.table(
-            {
-                "id": pa.array(g["id"].to_numpy(), pa.string()),
-                "n_reached": pa.array(g["size"].to_numpy().astype(np.int64)),
-                "sum_depth": pa.array(g["sum"].to_numpy().astype(np.int64)),
-            }
-        )
-
-    return grouped_aggregate_hybrid(
-        results.map_batches(_node_partial, batch_format="pyarrow"),
+    return as_dataset(fold(
+        results.select_columns(["id", "depth"]),
         "id",
-        [("n_reached", "sum", "n_reached"), ("sum_depth", "sum", "sum_depth")],
-    )
+        [(None, "count", "n_reached"), ("depth", "sum", "sum_depth")],
+        combine=True,
+    ))
 
 
 def _distinct_ordered_pairs(
@@ -608,29 +541,15 @@ def _distinct_ordered_pairs(
 ) -> rd.Dataset:
     """Distinct ordered (s, t) pairs — the directed simple-edge set
     (self-loops kept: HITS/adjacency semantics match DuckDB's plain
-    ``SELECT DISTINCT``). Per-batch drop_duplicates combiner before the
-    vocabulary-sized exchange (same shape as _distinct_undirected_pairs,
-    kgw_ray/stages/graph.py)."""
+    ``SELECT DISTINCT``): a count fold whose count is dropped (same shape
+    as _distinct_undirected_pairs, kgw_ray/stages/graph.py)."""
 
-    def _pair_partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "s": batch.column(src).to_numpy(zero_copy_only=False),
-                "t": batch.column(dst).to_numpy(zero_copy_only=False),
-            }
-        ).drop_duplicates()
-        return pa.table(
-            {
-                "s": pa.array(df["s"].to_numpy(), pa.string()),
-                "t": pa.array(df["t"].to_numpy(), pa.string()),
-                "one": pa.array(np.ones(len(df), dtype=np.int64)),
-            }
-        )
-
-    return grouped_aggregate_hybrid(
-        edges.map_batches(_pair_partial, batch_format="pyarrow"),
-        ["s", "t"],
-        [("one", "sum", "n")],
+    pairs = edges.map_batches(
+        lambda b: pa.table({"s": b.column(src), "t": b.column(dst)}),
+        batch_format="pyarrow",
+    )
+    return as_dataset(
+        fold(pairs, ["s", "t"], [(None, "count", "n")], combine=True)
     ).select_columns(["s", "t"])
 
 
@@ -669,26 +588,16 @@ def _grouped_sum_of(
     """Per-batch pandas partial-sum combiner + vocabulary-sized grouped Sum
     → (out_key, out_val). The exchange moves ≤ one row per (block, key)."""
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                out_key: batch.column(key).to_numpy(zero_copy_only=False),
-                out_val: pc_int64(batch.column(val)),
-            }
-        )
-        g = df.groupby(out_key, sort=False)[out_val].sum().reset_index()
-        return pa.table(
-            {
-                out_key: pa.array(g[out_key].to_numpy(), pa.string()),
-                out_val: pa.array(g[out_val].to_numpy().astype(np.int64)),
-            }
-        )
+    def _values(batch: pa.Table) -> pa.Table:
+        v = pc.cast(pc.fill_null(batch.column(val), 0), pa.int64())
+        return pa.table({out_key: pc.cast(batch.column(key), pa.string()), out_val: v})
 
-    return grouped_aggregate_hybrid(
-        ds.map_batches(_partial, batch_format="pyarrow"),
+    return as_dataset(fold(
+        ds.map_batches(_values, batch_format="pyarrow"),
         out_key,
         [(out_val, "sum", out_val)],
-    )
+        combine=True,
+    ))
 
 
 def pc_int64(col: pa.ChunkedArray) -> np.ndarray:
@@ -726,18 +635,12 @@ def hits_scores(nodes: rd.Dataset, edges: rd.Dataset) -> rd.Dataset:
     """
     pairs = _distinct_ordered_pairs(edges).materialize()
 
-    def _h1_partial(batch: pa.Table) -> pa.Table:
-        s = batch.column("s").to_numpy(zero_copy_only=False)
-        uq, cnt = np.unique(s, return_counts=True)
-        return pa.table(
-            {"id": pa.array(uq, pa.string()), "h": pa.array(cnt.astype(np.int64))}
-        )
-
-    h1 = grouped_aggregate_hybrid(
-        pairs.map_batches(_h1_partial, batch_format="pyarrow"),
+    h1 = as_dataset(fold(
+        pairs.map_batches(lambda b: pa.table({"id": b.column("s")}), batch_format="pyarrow"),
         "id",
-        [("h", "sum", "h")],
-    )
+        [(None, "count", "h")],
+        combine=True,
+    ))
     a1 = _grouped_sum_of(
         _hybrid_attach(pairs, h1, on="s", right_on="id"), "t", "h", "id", "a"
     )
@@ -834,32 +737,17 @@ def label_propagation(
     node_ids = nodes.select_columns(["id"]).materialize()
     labels = node_ids.map_batches(_self_labels, batch_format="pyarrow")
 
-    def _count_partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "a": batch.column("a").to_numpy(zero_copy_only=False),
-                "lbl": batch.column("lbl").to_numpy(zero_copy_only=False),
-            }
-        )
-        g = df.groupby(["a", "lbl"], sort=False).size().rename("c").reset_index()
-        return pa.table(
-            {
-                "a": pa.array(g["a"].to_numpy(), pa.string()),
-                "lbl": pa.array(g["lbl"].to_numpy(), pa.string()),
-                "c": pa.array(g["c"].to_numpy().astype(np.int64)),
-            }
-        )
-
     for _ in range(iters):
         tagged = _hybrid_attach(sym, labels, on="b", right_on="id")
-        counts = grouped_aggregate_hybrid(
-            tagged.map_batches(_count_partial, batch_format="pyarrow"),
+        counts = as_dataset(fold(
+            tagged.select_columns(["a", "lbl"]),
             ["a", "lbl"],
-            [("c", "sum", "c")],
-        ).materialize()
-        maxc = grouped_aggregate_hybrid(
+            [(None, "count", "c")],
+            combine=True,
+        )).materialize()
+        maxc = as_dataset(fold(
             counts.select_columns(["a", "c"]), "a", [("c", "max", "cmax")]
-        )
+        ))
         at_max = _hybrid_attach(counts, maxc, on="a", right_on="a")
 
         def _keep_max(batch: pa.Table) -> pa.Table:
@@ -873,11 +761,11 @@ def label_propagation(
                 }
             )
 
-        winners = grouped_aggregate_hybrid(
+        winners = as_dataset(fold(
             at_max.map_batches(_keep_max, batch_format="pyarrow"),
             "a",
             [("lbl", "min", "new_lbl")],
-        )
+        ))
         joined = _hybrid_attach(labels, winners, on="id", right_on="a", how="left")
 
         def _coalesce(batch: pa.Table) -> pa.Table:
@@ -985,48 +873,30 @@ def modularity(
         broadcast_limit=broadcast_limit,
     )
 
-    def _intra_partial(t: pa.Table) -> pa.Table:
-        ca = t.column("community").to_numpy(zero_copy_only=False)
-        cb = t.column("community_b").to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({"community": ca[ca == cb]})
-        g = df.groupby("community", sort=False).size().rename("intra").reset_index()
-        return pa.table(
-            {
-                "community": pa.array(g["community"].to_numpy(), pa.string()),
-                "intra": pa.array(g["intra"].to_numpy().astype(np.int64)),
-            }
-        )
+    def _intra(t: pa.Table) -> pa.Table:
+        same = pc.equal(t.column("community"), t.column("community_b"))
+        return pa.table({"community": t.column("community")}).filter(same)
 
-    intra = grouped_aggregate_hybrid(
-        tagged.map_batches(_intra_partial, batch_format="pyarrow"),
+    intra = as_dataset(fold(
+        tagged.map_batches(_intra, batch_format="pyarrow"),
         "community",
-        [("intra", "sum", "intra_edges")],
-    )
+        [(None, "count", "intra_edges")],
+        combine=True,
+    ))
     # NOTE: intra can legitimately be EMPTY (every edge crosses
     # communities — seen on small banded host graphs); _hybrid_attach's
     # typed-empty broadcast guard keeps the left join schema-correct.
 
     # distinct-neighbor degree per node from the undirected pair melt
-    def _deg_partial(t: pa.Table) -> pa.Table:
-        both = np.concatenate(
-            [
-                t.column("a").to_numpy(zero_copy_only=False),
-                t.column("b").to_numpy(zero_copy_only=False),
-            ]
-        )
-        u, c = np.unique(both, return_counts=True)
-        return pa.table(
-            {
-                "id": pa.array(u, pa.string()),
-                "degree": pa.array(c.astype(np.int64)),
-            }
-        )
+    def _ends(t: pa.Table) -> pa.Table:
+        return pa.table({"id": pa.chunked_array(t["a"].chunks + t["b"].chunks, pa.string())})
 
-    deg = grouped_aggregate_hybrid(
-        e0.map_batches(_deg_partial, batch_format="pyarrow"),
+    deg = as_dataset(fold(
+        e0.map_batches(_ends, batch_format="pyarrow"),
         "id",
-        [("degree", "sum", "degree")],
-    )
+        [(None, "count", "degree")],
+        combine=True,
+    ))
     deg_tagged = _hybrid_attach(
         deg, labels, on="id", right_on="id", broadcast_limit=broadcast_limit
     )
@@ -1034,19 +904,12 @@ def modularity(
         deg_tagged, "community", "degree", "community", "degree_sum"
     )
 
-    def _ones(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "community": t.column("community"),
-                "one": pa.array(np.ones(len(t), dtype=np.int64)),
-            }
-        )
-
-    comm = grouped_aggregate_hybrid(
-        labels.map_batches(_ones, batch_format="pyarrow"),
+    comm = as_dataset(fold(
+        labels.select_columns(["community"]),
         "community",
-        [("one", "sum", "n_nodes")],
-    )
+        [(None, "count", "n_nodes")],
+        combine=True,
+    ))
 
     j = _hybrid_attach(
         _hybrid_attach(
@@ -1338,9 +1201,9 @@ def bellman_ford(
     for _ in range(rounds):
         reached = _hybrid_attach(pairs, dist, on=src_col, right_on="id")
         cands = reached.map_batches(_cand_partial, batch_format="pyarrow")
-        dist = grouped_aggregate_hybrid(
+        dist = as_dataset(fold(
             cands.union(dist), "id", [("dist", "min", "dist")]
-        ).materialize()
+        )).materialize()
 
     return dist
 
@@ -1438,28 +1301,17 @@ def sssp_counts(
     for r in range(1, rounds + 1):
         reached = _hybrid_attach(pairs, frontier, on="s", right_on="id")
 
-        def _cand_partial(batch: pa.Table) -> pa.Table:
-            df = pd.DataFrame(
-                {
-                    "src": batch.column("src").to_numpy(zero_copy_only=False),
-                    "t": batch.column("t").to_numpy(zero_copy_only=False),
-                    "cnt": batch.column("cnt").to_numpy(zero_copy_only=False),
-                }
-            )
-            g = df.groupby(["src", "t"], sort=False)["cnt"].sum().reset_index()
-            return pa.table(
-                {
-                    "src": pa.array(g["src"].to_numpy(), pa.string()),
-                    "id": pa.array(g["t"].to_numpy(), pa.string()),
-                    "cnt": pa.array(g["cnt"].to_numpy().astype(np.int64)),
-                }
-            )
-
-        cands = grouped_aggregate_hybrid(
-            reached.map_batches(_cand_partial, batch_format="pyarrow"),
+        cands = as_dataset(fold(
+            reached.map_batches(
+                lambda t: pa.table(
+                    {"src": t.column("src"), "id": t.column("t"), "cnt": t.column("cnt")}
+                ),
+                batch_format="pyarrow",
+            ),
             ["src", "id"],
             [("cnt", "sum", "cnt")],
-        )
+            combine=True,
+        ))
         from kgw_ray.stages.joins import anti_join
 
         cands = cands.map_batches(
@@ -1610,7 +1462,7 @@ def betweenness_from_counts(
     m1 = large_join(sv, vt, on=["v"])
     m2 = large_join(m1, st, on=["s", "t"])
 
-    def _term_partial(t: pa.Table) -> pa.Table:
+    def _terms(t: pa.Table) -> pa.Table:
         s = t.column("s").to_numpy(zero_copy_only=False)
         v = t.column("v").to_numpy(zero_copy_only=False)
         tt = t.column("t").to_numpy(zero_copy_only=False)
@@ -1630,39 +1482,21 @@ def betweenness_from_counts(
                 "int64 micro-unit fold"
             )
         term = c_sv * c_vt * 1_000_000 // c_st
-        g = (
-            pd.DataFrame({"id": v[keep], "bc": term})
-            .groupby("id", sort=False)["bc"]
-            .sum()
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "id": pa.array(g["id"].to_numpy(), pa.string()),
-                "bc": pa.array(g["bc"].to_numpy().astype(np.int64)),
-            }
-        )
+        return pa.table({"id": pa.array(v[keep], pa.string()), "bc": pa.array(term)})
 
-    bc = grouped_aggregate_hybrid(
-        m2.map_batches(_term_partial, batch_format="pyarrow"),
+    bc = as_dataset(fold(
+        m2.map_batches(_terms, batch_format="pyarrow"),
         "id",
         [("bc", "sum", "bc")],
-    )
+        combine=True,
+    ))
 
-    def _node_partial(t: pa.Table) -> pa.Table:
-        ids = np.unique(t.column("src").to_numpy(zero_copy_only=False))
-        return pa.table(
-            {
-                "id": pa.array(ids, pa.string()),
-                "one": pa.array(np.ones(len(ids), dtype=np.int64)),
-            }
-        )
-
-    nodes_ds = grouped_aggregate_hybrid(
-        apsp.map_batches(_node_partial, batch_format="pyarrow"),
+    nodes_ds = as_dataset(fold(
+        apsp.map_batches(lambda t: pa.table({"id": t.column("src")}), batch_format="pyarrow"),
         "id",
-        [("one", "sum", "n")],
-    ).select_columns(["id"])
+        [(None, "count", "n")],
+        combine=True,
+    )).select_columns(["id"])
     # assemble WITHOUT a left join: bc restricted to seed nodes ∪ zero rows
     # for seeds carrying no mass — int64 survives exactly (a pandas left
     # merge would round-trip bc through float64 NaN, corrupting > 2^53)
@@ -1714,37 +1548,20 @@ def nodes_from_edges(
             }
         )
 
-    return grouped_aggregate_hybrid(
+    return as_dataset(fold(
         edges.map_batches(_melt, batch_format="pyarrow"),
         "id",
         [("one", "sum", "n")],
-    ).select_columns(["id"])
+    )).select_columns(["id"])
 
 
 def _grouped_min_label(ds: rd.Dataset) -> rd.Dataset:
     """(id, label) partial rows → one MIN label per id (per-batch pandas
     combiner + the size-hybrid grouped Min)."""
 
-    def _partial(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "id": t.column("id").to_numpy(zero_copy_only=False),
-                "label": t.column("label").to_numpy(zero_copy_only=False),
-            }
-        )
-        g = df.groupby("id", sort=False)["label"].min().reset_index()
-        return pa.table(
-            {
-                "id": pa.array(g["id"].to_numpy(), pa.string()),
-                "label": pa.array(g["label"].to_numpy(), pa.string()),
-            }
-        )
-
-    return grouped_aggregate_hybrid(
-        ds.map_batches(_partial, batch_format="pyarrow"),
-        "id",
-        [("label", "min", "label")],
-    )
+    return as_dataset(fold(
+        ds.select_columns(["id", "label"]), "id", [("label", "min", "label")], combine=True
+    ))
 
 
 def strongly_connected_components(
@@ -1859,16 +1676,9 @@ def strongly_connected_components(
                 batch_format="pyarrow",
             )
             # dedup candidates before the anti join (many paths, one row)
-            cand = grouped_aggregate_hybrid(
-                cand.map_batches(
-                    lambda t: t.append_column(
-                        "one", pa.array(np.ones(t.num_rows, dtype=np.int64))
-                    ),
-                    batch_format="pyarrow",
-                ),
-                ["root", "id", "k"],
-                [("one", "sum", "n")],
-            ).drop_columns(["n"])
+            cand = as_dataset(fold(
+                cand, ["root", "id", "k"], [(None, "count", "n")], combine=True
+            )).drop_columns(["n"])
             fresh = anti_join(cand, settled, on="k").materialize()
             if fresh.count() == 0:
                 break
@@ -1946,24 +1756,18 @@ def _reach_from(
 
     key_from, key_to = ("s", "t") if forward else ("t", "s")
 
-    def _next_partial(t: pa.Table, col: str = key_to) -> pa.Table:
-        u = np.unique(t.column(col).to_numpy(zero_copy_only=False))
-        return pa.table(
-            {
-                "id": pa.array(u, pa.string()),
-                "one": pa.array(np.ones(len(u), dtype=np.int64)),
-            }
-        )
-
     frontier = seeds.materialize()
     visited = frontier
     for _ in range(max_rounds):
         reached = _hybrid_attach(pairs, frontier, on=key_from, right_on="id")
-        nxt = grouped_aggregate_hybrid(
-            reached.map_batches(_next_partial, batch_format="pyarrow"),
+        nxt = as_dataset(fold(
+            reached.map_batches(
+                lambda t: pa.table({"id": t.column(key_to)}), batch_format="pyarrow"
+            ),
             "id",
-            [("one", "sum", "n")],
-        ).select_columns(["id"])
+            [(None, "count", "n")],
+            combine=True,
+        )).select_columns(["id"])
         fresh = anti_join(nxt, visited, on="id").materialize()
         if fresh.count() == 0:
             break
@@ -1977,7 +1781,7 @@ def bowtie_profile(
     *,
     src: str = "source_id",
     dst: str = "target_id",
-) -> rd.Dataset:
+) -> "pa.Table | rd.Dataset":
     """Bow-tie decomposition of a directed graph (Broder et al. 2000, the
     canonical web-graph macro-structure): the largest SCC is the CORE,
     IN = nodes that reach the core, OUT = nodes the core reaches,
@@ -1995,19 +1799,9 @@ def bowtie_profile(
     nodes = nodes_from_edges(pairs, src="s", dst="t").materialize()
     comp = strongly_connected_components(edges, src=src, dst=dst).materialize()
 
-    def _one(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "scc": t.column("scc"),
-                "one": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-            }
-        )
-
-    sizes = grouped_aggregate_hybrid(
-        comp.map_batches(_one, batch_format="pyarrow"),
-        "scc",
-        [("one", "sum", "n")],
-    )
+    sizes = as_dataset(fold(
+        comp.select_columns(["scc"]), "scc", [(None, "count", "n")], combine=True
+    ))
     from kgw_ray.pipelines.relational import distributed_topk
 
     top = distributed_topk(sizes, ["n", "scc"], [True, False], 1)
@@ -2038,24 +1832,17 @@ def bowtie_profile(
             _pri(core, 0).union(_pri(bwd, 1)).union(_pri(fwd, 2)).union(_pri(nodes, 3))
         )
 
-    membership = grouped_aggregate_hybrid(allpri, "id", [("p", "min", "p")])
-    _CLASSES = np.array(["core", "in", "out", "other"])
+    membership = as_dataset(fold(allpri, "id", [("p", "min", "p")]))
+    _CLASSES = pa.array(["core", "in", "out", "other"])
 
-    def _census(t: pa.Table) -> pa.Table:
-        p = t.column("p").to_numpy(zero_copy_only=False).astype(np.int64)
-        cls = _CLASSES[p]
-        uq, cnt = np.unique(cls, return_counts=True)
-        return pa.table(
-            {
-                "class": pa.array(uq, pa.string()),
-                "n_nodes": pa.array(cnt.astype(np.int64)),
-            }
-        )
+    def _classes(t: pa.Table) -> pa.Table:
+        return pa.table({"class": pc.take(_CLASSES, pc.cast(t.column("p"), pa.int64()))})
 
-    return grouped_aggregate_hybrid(
-        membership.map_batches(_census, batch_format="pyarrow"),
+    return fold(
+        membership.map_batches(_classes, batch_format="pyarrow"),
         "class",
-        [("n_nodes", "sum", "n_nodes")],
+        [(None, "count", "n_nodes")],
+        combine=True,
     )
 
 
@@ -2171,7 +1958,7 @@ def random_walks(
     for r in range(1, length + 1):
         cands = _hybrid_attach(pairs, frontier, on="s", right_on="cur")
 
-        def _pick_partial(batch: pa.Table, *, _r=r) -> pa.Table:
+        def _pick_keys(batch: pa.Table, *, _r=r) -> pa.Table:
             starts = batch.column("start").to_numpy(zero_copy_only=False)
             hstart = (
                 batch.column("hstart")
@@ -2191,27 +1978,20 @@ def random_walks(
                 keys = np.char.add(u64_to_key20(hu), ts.astype("U"))
             else:
                 keys = np.zeros(0, dtype=object)
-            df = pd.DataFrame(
-                {"start": starts, "hstart": hstart.view(np.int64), "key": keys}
-            )
-            g = (
-                df.groupby("start", sort=False)
-                .agg(key=("key", "min"), hstart=("hstart", "first"))
-                .reset_index()
-            )
             return pa.table(
                 {
-                    "start": pa.array(g["start"].to_numpy(), pa.string()),
-                    "hstart": pa.array(g["hstart"].to_numpy().astype(np.int64)),
-                    "key": pa.array(g["key"].to_numpy(), pa.string()),
+                    "start": pa.array(starts, pa.string()),
+                    "hstart": pa.array(hstart.view(np.int64)),
+                    "key": pa.array(keys, pa.string()),
                 }
             )
 
-        picked = grouped_aggregate_hybrid(
-            cands.map_batches(_pick_partial, batch_format="pyarrow"),
+        picked = as_dataset(fold(
+            cands.map_batches(_pick_keys, batch_format="pyarrow"),
             "start",
             [("key", "min", "key"), ("hstart", "min", "hstart")],
-        )
+            combine=True,
+        ))
 
         def _unpack(t: pa.Table, *, _r=r) -> pa.Table:
             key = t.column("key")
@@ -2403,11 +2183,11 @@ def luby_mis(
                 }
             )
 
-        min_nbr = grouped_aggregate_hybrid(
+        min_nbr = as_dataset(fold(
             live.map_batches(_sym_keys, batch_format="pyarrow"),
             "c",
             [("nkey", "min", "nkey")],
-        ).materialize()
+        )).materialize()
 
         def _own_key(t: pa.Table, *, _r=r) -> pa.Table:
             ids = t.column("id").to_numpy(zero_copy_only=False)
@@ -2483,22 +2263,10 @@ def luby_mis(
             touched_a.map_batches(_other("b"), batch_format="pyarrow")
             .union(touched_b.map_batches(_other("a"), batch_format="pyarrow"))
         )
-
-        def _uniq_ids(t: pa.Table) -> pa.Table:
-            ids = np.unique(t.column("id").to_numpy(zero_copy_only=False))
-            return pa.table(
-                {
-                    "id": pa.array(ids, pa.string()),
-                    "one": pa.array(np.ones(len(ids), dtype=np.int64)),
-                }
-            )
-
         dominated = anti_join(
-            grouped_aggregate_hybrid(
-                nbrs.map_batches(_uniq_ids, batch_format="pyarrow"),
-                "id",
-                [("one", "sum", "n")],
-            ).select_columns(["id"]),
+            as_dataset(fold(
+                nbrs.select_columns(["id"]), "id", [(None, "count", "n")], combine=True
+            )).select_columns(["id"]),
             winners,
             on="id",
             key_col="id",
@@ -2784,34 +2552,18 @@ def _edge_support(
     )
 
     def _edges3(t: pa.Table) -> pa.Table:
-        p = t.column("p").to_numpy(zero_copy_only=False)
-        x = t.column("x").to_numpy(zero_copy_only=False)
-        y = t.column("y").to_numpy(zero_copy_only=False)
-        df = (
-            pd.DataFrame(
-                {
-                    "a": np.concatenate([p, p, x]),
-                    "b": np.concatenate([x, y, y]),
-                }
-            )
-            .groupby(["a", "b"], sort=False)
-            .size()
-            .rename("sup")
-            .reset_index()
-        )
+        p, x, y = t["p"].chunks, t["x"].chunks, t["y"].chunks
         return pa.table(
-            {
-                "a": pa.array(df["a"].to_numpy(), pa.string()),
-                "b": pa.array(df["b"].to_numpy(), pa.string()),
-                "sup": pa.array(df["sup"].to_numpy().astype(np.int64)),
-            }
+            {"a": pa.chunked_array(p + p + x, pa.string()),
+             "b": pa.chunked_array(x + y + y, pa.string())}
         )
 
-    return grouped_aggregate_hybrid(
+    return as_dataset(fold(
         closed.map_batches(_edges3, batch_format="pyarrow"),
         ["a", "b"],
-        [("sup", "sum", "sup")],
-    )
+        [(None, "count", "sup")],
+        combine=True,
+    ))
 
 
 def k_truss(
@@ -3049,11 +2801,11 @@ def greedy_maximal_matching(
                 }
             )
 
-        mk = grouped_aggregate_hybrid(
+        mk = as_dataset(fold(
             keyed.map_batches(_melt, batch_format="pyarrow"),
             "c",
             [("ek", "min", "mk")],
-        ).materialize()
+        )).materialize()
         if mk.count() == 0:
             break
 
@@ -3088,22 +2840,11 @@ def greedy_maximal_matching(
         )
 
         def _ends(t: pa.Table) -> pa.Table:
-            a = t.column("a").to_numpy(zero_copy_only=False)
-            b = t.column("b").to_numpy(zero_copy_only=False)
-            ids = np.unique(np.concatenate([a, b]))
-            return pa.table({"id": pa.array(ids, pa.string())})
+            return pa.table({"id": pa.chunked_array(t["a"].chunks + t["b"].chunks, pa.string())})
 
         ends = winners.map_batches(_ends, batch_format="pyarrow")
-        ends = grouped_aggregate_hybrid(
-            ends.map_batches(
-                lambda t: t.append_column(
-                    "one",
-                    pa.array(np.ones(t.num_rows, dtype=np.int64)),
-                ),
-                batch_format="pyarrow",
-            ),
-            "id",
-            [("one", "sum", "n")],
+        ends = as_dataset(
+            fold(ends, "id", [(None, "count", "n")], combine=True)
         ).select_columns(["id"])
         unmatched = anti_join(
             unmatched, ends, on="id", key_col="id", broadcast_limit=_bl
@@ -3289,11 +3030,11 @@ def jones_plassmann_coloring(
                 }
             )
 
-        mx = grouped_aggregate_hybrid(
+        mx = as_dataset(fold(
             live.map_batches(_melt, batch_format="pyarrow"),
             "c",
             [("nkey", "max", "mx")],
-        ).materialize()
+        )).materialize()
 
         if mx.count() == 0:
             winners = undecided.select_columns(["id"]).materialize()
@@ -3368,13 +3109,13 @@ def jones_plassmann_coloring(
                     }
                 )
 
-            wc = grouped_aggregate_hybrid(
+            wc = as_dataset(fold(
                 ca.map_batches(_wc, batch_format="pyarrow").union(
                     cb.map_batches(_wc, batch_format="pyarrow")
                 ),
                 ["w", "color"],
                 [("one", "max", "one")],
-            )
+            ))
 
             def _bits(t: pa.Table) -> pa.Table:
                 c = t.column("color").to_numpy(zero_copy_only=False)
@@ -3385,11 +3126,11 @@ def jones_plassmann_coloring(
                     }
                 )
 
-            bm = grouped_aggregate_hybrid(
+            bm = as_dataset(fold(
                 wc.map_batches(_bits, batch_format="pyarrow"),
                 "w",
                 [("bit", "sum", "bm")],
-            ).materialize()
+            )).materialize()
 
         if bm is None or bm.count() == 0:
             withbm = winners.map_batches(

@@ -3,7 +3,9 @@ exchange branch agree for every caller on empty, one-row, NULL-key and
 normal inputs; a materialized input costs at most one execution; and the
 query-mix plans reduce driver-sized results without an all-to-all."""
 
+import ast
 import os
+import re
 
 import numpy as np
 import pandas as pd
@@ -84,6 +86,11 @@ def _sf_callers():
         "events_sliding_window": rel.events_sliding_window,
         "events_props_extract": rel.events_props_extract,
         "events_rollup": rel.events_rollup,
+        "parts_by_type_stats": rel.parts_by_type_stats,
+        "orders_monthly_rollup": rel.orders_monthly_rollup,
+        "events_users_per_type": rel.events_users_per_type,
+        "events_latest_per_user": rel.events_latest_per_user,
+        "web_domain_stats": td.web_domain_stats,
         "curate_documents": td.curate_documents,
         "webkg_edges": lambda sf: webkg.edge_rows(triples(sf)),
         "webkg_nodes": lambda sf: webkg.node_rows(triples(sf)),
@@ -102,6 +109,50 @@ def test_query_fold_branches_agree(name, variant, sf_variant, force_exchange):
         assert len(exchange) == 0
     else:
         assert_matches(driver, exchange, f"{name}/{variant}")
+
+
+# registry queries that GROUP BY (a key derived from) events.event_type or
+# lineitem.l_returnflag, plus the DISTINCT over event_type: on the
+# null_key fixture a third of those keys are NULL, and SQL keeps NULL as a
+# group. Left out: events_value_quantiles (Ray's sort-based map_groups
+# raises on NULL string keys) and events_unpivot_type_counts (the wide
+# pivot it unpivots has one column per known type, none for NULL).
+_NULL_KEY_QUERIES = [
+    "q1_pricing_summary", "q12_priority_by_returnflag", "lineitem_price_quantiles",
+    "events_hourly_window", "events_hourly_modal_type", "events_user_simpson",
+    "events_hll_registers", "events_props_extract", "events_minmax_by_type",
+    "events_rollup", "events_cube", "events_markov_transitions",
+    "events_markov_stationary", "events_users_per_type", "events_user_modal_type",
+    "events_value_var_parts", "events_user_sketch_by_type",
+    "events_top3_users_per_type", "events_hourly_dispersion", "events_path_trigrams",
+    "events_type_lift", "users_by_type_signature", "distinct_event_types",
+]
+
+
+@pytest.mark.parametrize("name", _NULL_KEY_QUERIES)
+def test_null_key_groups_match_sql(name, sf_variant):
+    from kgw_ray.pipelines.registry import ORACLES, QUERIES
+
+    sf = sf_variant["null_key"]
+    assert_matches(to_pandas(QUERIES[name](sf)), run_oracle(ORACLES[name], sf), name)
+
+
+def test_neighborhood_null_target_ids():
+    """NULL target ids over three blocks: the distinct neighbor set is a
+    fold (Ray's sort-based aggregate raises comparing None with str)."""
+    from kgw_ray.stages.graph import neighborhood
+
+    src = ["a", "a", "b", "c", "a", "d", "b", "e", "c"]
+    dst = ["b", None, "c", "a", "c", None, None, "f", "b"]
+    edges = pa.table(
+        {"source_id": pa.array(src, pa.string()), "target_id": pa.array(dst, pa.string()),
+         "type": pa.array(["r"] * len(src), pa.string()),
+         "properties": pa.array(["{}"] * len(src), pa.string())}
+    )
+    got = to_pandas(neighborhood(rd.from_arrow(edges).repartition(3), "a"))
+    ids = {x for s, d in zip(src, dst) if "a" in (s, d) for x in (s, d)}
+    want = [(s, d) for s, d in zip(src, dst) if s in ids and d is not None and d in ids]
+    assert sorted(zip(got["source_id"], got["target_id"])) == sorted(want)
 
 
 def _graph(variant: str):
@@ -342,3 +393,80 @@ def test_events_rollup_no_future_warning(sf_variant):
             warnings.simplefilter("error", FutureWarning)
             out = events_rollup(sf_variant[variant])
         assert out.schema.field("hour").type == pa.timestamp("us")
+
+
+# the webkg build path keeps its own partial/merge (tree combine, driver
+# merge limit); everything else folds with ``combine=True``
+_HAND_COMBINER_ALLOWED = {
+    "_merge_edge_partials", "node_rows", "_edge_partials", "_node_partials",
+    "_tree_combine", "nodes_from_edges",
+}
+_HAND_COMBINER = re.compile(
+    r"\.groupby\(|np\.unique\(|\.value_counts\(|drop_duplicates\("
+)
+
+
+def _hand_combiners(path: str) -> list[str]:
+    """``fold(<ds>.map_batches(f), ...)`` call sites in ``path`` (or
+    ``fold(x, ...)`` with ``x`` assigned from such a chain) whose ``f``,
+    resolved in the nearest enclosing scope that defines it, groups,
+    histograms or deduplicates by hand."""
+    src = open(path).read()
+    found = []
+
+    def mapped(expr) -> list[str]:
+        return [
+            c.args[0].id for c in ast.walk(expr)
+            if isinstance(c, ast.Call) and getattr(c.func, "attr", None) == "map_batches"
+            and c.args and isinstance(c.args[0], ast.Name)
+        ]
+
+    def visit(node, scopes, owners, chains):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = [d for d in ast.walk(node) if d is not node]
+            local = {d.name: d for d in inner if isinstance(d, ast.FunctionDef)}
+            chain = {
+                a.targets[0].id: mapped(a.value) for a in inner
+                if isinstance(a, ast.Assign) and len(a.targets) == 1
+                and isinstance(a.targets[0], ast.Name)
+            }
+            scopes, owners, chains = scopes + [local], owners + [node.name], {**chains, **chain}
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "fold"
+            and node.args
+        ):
+            arg = node.args[0]
+            names = chains.get(arg.id, []) if isinstance(arg, ast.Name) else mapped(arg)
+            for name in names:
+                fn = next((s[name] for s in reversed(scopes) if name in s), None)
+                if (
+                    fn is not None
+                    and _HAND_COMBINER.search(ast.get_source_segment(src, fn))
+                    and not _HAND_COMBINER_ALLOWED & {name, *owners}
+                ):
+                    found.append(f"{path}:{node.lineno} {name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scopes, owners, chains)
+
+    tree = ast.parse(src)
+    top = {d.name: d for d in tree.body if isinstance(d, ast.FunctionDef)}
+    visit(tree, [top], [], {})
+    return found
+
+
+def test_grouped_aggregates_use_fold():
+    """Every grouped aggregate is one ``fold`` whose per-block combine is
+    the fold's own (``combine=True``): no second entry point, and no
+    hand-written per-block group-by, histogram or distinct feeding it."""
+    root = os.path.join(os.path.dirname(__file__), "..", "kgw_ray")
+    wrapper, hand = [], []
+    for dirpath, _, files in os.walk(root):
+        for f in sorted(files):
+            if f.endswith(".py"):
+                path = os.path.join(dirpath, f)
+                if "grouped_aggregate_hybrid" in open(path).read():
+                    wrapper.append(path)
+                hand += _hand_combiners(path)
+    assert wrapper == [], wrapper
+    assert hand == [], "\n".join(hand)

@@ -742,12 +742,41 @@ def test_export_execution_budget(mode, tmp_path, executions):
 
 
 def test_failed_render_leaves_no_partial(tmp_path):
-    """A render that raises (orjson cannot parse an empty properties
-    string) propagates, and leaves neither the target nor its temp file."""
+    """A render that raises (orjson cannot parse a truncated properties
+    object) propagates, and leaves neither the target nor its temp file."""
     edges = rd.from_arrow(
-        pa.table({c: ["x", "y"] for c in exports.EDGE_COLUMNS[:3]} | {"properties": ["{}", ""]})
+        pa.table({c: ["x", "y"] for c in exports.EDGE_COLUMNS[:3]} | {"properties": ["{}", "{"]})
     )
     path = tmp_path / "kg_edges.jsonl"
     with pytest.raises(ValueError):
         exports.write_jsonl_export(edges, str(path))
     assert list(tmp_path.iterdir()) == []  # neither the target nor its .partial
+
+
+def test_type_decls_null_type_last(tmp_path):
+    """A NULL type is declared last, as ``"null"`` (how repr1 renders it),
+    instead of failing the sort."""
+    nodes = rd.from_arrow(
+        pa.table({"id": ["x", "y", "z"], "type": pa.array(["b", None, "a"], pa.string()),
+                  "properties": ["{}"] * 3})
+    ).repartition(3)
+    edges = rd.from_arrow(
+        pa.table({c: pa.array([], pa.string()) for c in exports.EDGE_COLUMNS})
+    )
+    path = tmp_path / "kg.metta"
+    exports.write_metta_repr1(nodes, edges, str(path))
+    decls = [l for l in path.read_text().splitlines() if l.endswith(" NodeType)")]
+    assert decls == ['(: "a" NodeType)', '(: "b" NodeType)', '(: "null" NodeType)']
+    assert '(: "y" "null")' in path.read_text().splitlines()
+
+
+def test_jsonl_empty_properties_is_null(tmp_path):
+    """An empty properties string means "no properties", like NULL."""
+    edges = rd.from_arrow(
+        pa.table({c: ["x", "y", "z"] for c in exports.EDGE_COLUMNS[:3]}
+                 | {"properties": pa.array(['{"w":1}', "", None], pa.string())})
+    )
+    path = tmp_path / "kg_edges.jsonl"
+    exports.write_jsonl_export(edges, str(path))
+    props = [json.loads(l)["properties"] for l in path.read_text().splitlines()]
+    assert props == [{"w": 1}, None, None]

@@ -1067,13 +1067,13 @@ def test_latest_per_user_rejects_out_of_width_keys(ray_session, tmp_path):
         events_latest_per_user(str(tmp_path)).to_pandas()
 
 
-def test_grouped_aggregate_hybrid_paths_agree(ray_session):
+def test_fold_driver_and_exchange_paths_agree(ray_session):
     """driver_limit=0 forces the exchange path; both paths must produce
     the same groups and values (sum/min/max, NULL keys included)."""
     import pyarrow as pa
     import ray.data as rd
 
-    from kgw_ray.stages.agg import grouped_aggregate_hybrid
+    from kgw_ray.stages.agg import fold
 
     t = pa.table(
         {
@@ -1082,10 +1082,8 @@ def test_grouped_aggregate_hybrid_paths_agree(ray_session):
         }
     )
     specs = [("v", "sum", "s"), ("v", "min", "mn"), ("v", "max", "mx")]
-    fast = grouped_aggregate_hybrid(rd.from_arrow(t), "k", specs).to_pandas()
-    slow = grouped_aggregate_hybrid(
-        rd.from_arrow(t), "k", specs, driver_limit=0
-    ).to_pandas()
+    fast = fold(rd.from_arrow(t), "k", specs).to_pandas()
+    slow = fold(rd.from_arrow(t), "k", specs, driver_limit=0).to_pandas()
 
     def canon(df):
         return {
