@@ -1251,7 +1251,7 @@ def q_kg_eccentricity(sf_dir: str) -> "pa.Table | rd.Dataset":
     import pyarrow.compute as pc
 
     from kgw_ray.pipelines.webkg import edges_from_triples, triples_dataset
-    from kgw_ray.stages.agg import as_dataset, fold
+    from kgw_ray.stages.agg import fold
     from kgw_ray.stages.graph_metrics import sssp_counts
 
     ap = sssp_counts(edges_from_triples(triples_dataset(sf_dir)), rounds=8)
@@ -1365,7 +1365,7 @@ def q_kg_harmonic(sf_dir: str) -> "pa.Table | rd.Dataset":
     import pyarrow.compute as pc
 
     from kgw_ray.pipelines.webkg import edges_from_triples, triples_dataset
-    from kgw_ray.stages.agg import as_dataset, fold
+    from kgw_ray.stages.agg import fold
     from kgw_ray.stages.graph_metrics import sssp_counts
 
     ap = sssp_counts(edges_from_triples(triples_dataset(sf_dir)), rounds=8)
@@ -2217,7 +2217,7 @@ def q_webkg_host_pagerank(sf_dir: str) -> rd.Dataset:
     the two verified operators: link extraction (webkg.link_graph) +
     integer micro-unit pagerank (stages/graph.py)."""
     from kgw_ray.pipelines.webkg import link_graph
-    from kgw_ray.stages.agg import as_dataset, fold
+    from kgw_ray.stages.agg import as_dataset, fold, stacked
     from kgw_ray.stages.graph import pagerank
 
     links = link_graph(sf_dir).map_batches(
@@ -2227,12 +2227,8 @@ def q_webkg_host_pagerank(sf_dir: str) -> rd.Dataset:
         batch_format="pyarrow",
     ).materialize()
 
-    def hosts(t: pa.Table) -> pa.Table:
-        ends = t.column("source_id").chunks + t.column("target_id").chunks
-        return pa.table({"id": pa.chunked_array(ends, pa.string())})
-
     nodes = as_dataset(fold(
-        links.map_batches(hosts, batch_format="pyarrow"),
+        links.map_batches(stacked("source_id", "target_id"), batch_format="pyarrow"),
         "id",
         [(None, "count", "n")],
         combine=True,
@@ -2647,7 +2643,7 @@ def q_docs_quality_buckets(sf_dir: str) -> "pa.Table | rd.Dataset":
     import pyarrow as _pa
 
     from kgw_ray.sources.readers import read_table
-    from kgw_ray.stages.agg import as_dataset, fold, global_row_number
+    from kgw_ray.stages.agg import fold, global_row_number
     from kgw_ray.stages.scoring import QualityModelScorer
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
@@ -3163,15 +3159,15 @@ def q_webkg_vertex_cover(sf_dir: str) -> rd.Dataset:
     the endpoints (matching edges are disjoint). Pure derivation of the
     gated webkg_matching machinery; one extra melt + distinct."""
     from kgw_ray.pipelines.registry import q_webkg_matching
-    from kgw_ray.stages.agg import as_dataset, fold
+    from kgw_ray.stages.agg import as_dataset, fold, stacked
 
     m = q_webkg_matching(sf_dir)
 
-    def _ends(t: pa.Table) -> pa.Table:
-        return pa.table({"id": pa.chunked_array(t["a"].chunks + t["b"].chunks, pa.string())})
-
     return as_dataset(fold(
-        m.map_batches(_ends, batch_format="pyarrow"), "id", [(None, "count", "n")], combine=True
+        m.map_batches(stacked("a", "b"), batch_format="pyarrow"),
+        "id",
+        [(None, "count", "n")],
+        combine=True,
     )).select_columns(["id"])
 
 

@@ -3101,7 +3101,6 @@ def events_retention_cohorts(sf_dir: str) -> "pa.Table | rd.Dataset":
     (per-block (cohort, offset, user) dedup combiner → one pair-keyed
     exchange → vocabulary-sized count). Weeks are epoch-microsecond floor
     divisions — integer-exact on both engines."""
-    import numpy as np
 
     from kgw_ray.stages.graph_metrics import _hybrid_attach
 

@@ -70,6 +70,17 @@ def as_dataset(result: "pa.Table | rd.Dataset") -> rd.Dataset:
     return rd.from_arrow(result) if isinstance(result, pa.Table) else result
 
 
+def stacked(*cols: str, name: str = "id") -> Callable[[pa.Table], pa.Table]:
+    """A derive for one fold over several columns (edge endpoints → node
+    counts): every row of a batch gives one ``name`` row per column."""
+
+    def derive(t: pa.Table) -> pa.Table:
+        chunks = [ch for c in cols for ch in t.column(c).chunks]
+        return pa.table({name: pa.chunked_array(chunks, pa.string())})
+
+    return derive
+
+
 def order_by(result, keys: Sequence[str], descending: Sequence[bool]):
     """ORDER BY over a fold result, NULLs last: a driver table sorts in
     place, a Dataset pays the exchange ``sort``. Ray Data's sort cannot

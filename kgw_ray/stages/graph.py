@@ -21,6 +21,7 @@ from kgw_ray.stages.agg import (
     order_by,
     pull,
     sharded_count,
+    stacked,
 )
 from kgw_ray.stages.joins import large_join
 
@@ -236,15 +237,11 @@ def neighborhood(edges: rd.Dataset, node_id: str) -> rd.Dataset:
         )
         return batch.filter(mask)
 
-    def melt_ids(batch: pa.Table) -> pa.Table:
-        ids = batch["source_id"].chunks + batch["target_id"].chunks
-        return pa.table({"id": pa.chunked_array(ids, pa.string())})
-
     touch = edges.map_batches(touching, batch_format="pyarrow")
     # materialized ONCE: both semi joins probe this key set
     nbr_ids = (
         as_dataset(fold(
-            touch.map_batches(melt_ids, batch_format="pyarrow"),
+            touch.map_batches(stacked("source_id", "target_id"), batch_format="pyarrow"),
             "id",
             [(None, "count", "_n")],
             combine=True,
@@ -900,11 +897,8 @@ def triangle_counts(
     pairs = _distinct_undirected_pairs(edges, src, dst)
     pairs = pairs.materialize()  # consumed by degrees AND orientation
 
-    def _ends(batch: pa.Table) -> pa.Table:
-        return pa.table({"id": pa.chunked_array(batch["a"].chunks + batch["b"].chunks, pa.string())})
-
     degrees = as_dataset(fold(
-        pairs.map_batches(_ends, batch_format="pyarrow"),
+        pairs.map_batches(stacked("a", "b"), batch_format="pyarrow"),
         "id",
         [(None, "count", "deg")],
         combine=True,
@@ -1031,12 +1025,8 @@ def triangle_counts(
         broadcast_limit=broadcast_limit,
     )
 
-    def _members(batch: pa.Table) -> pa.Table:
-        ids = [ch for c in ("p", "x", "y") for ch in batch[c].chunks]
-        return pa.table({"id": pa.chunked_array(ids, pa.string())})
-
     tri = as_dataset(fold(
-        closed.map_batches(_members, batch_format="pyarrow"),
+        closed.map_batches(stacked("p", "x", "y"), batch_format="pyarrow"),
         "id",
         [(None, "count", "n_triangles")],
         combine=True,

@@ -29,7 +29,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from kgw_ray.stages.agg import as_dataset, fold
+from kgw_ray.stages.agg import as_dataset, fold, stacked
 from kgw_ray.stages.graph import _distinct_undirected_pairs
 
 _BROADCAST_LIMIT = 5_000_000
@@ -39,11 +39,8 @@ def _degree_table(pairs: rd.Dataset) -> rd.Dataset:
     """(id, deg) distinct-neighbor degrees over an undirected distinct-pair
     dataset — a count fold over both endpoints."""
 
-    def _ends(batch: pa.Table) -> pa.Table:
-        return pa.table({"id": pa.chunked_array(batch["a"].chunks + batch["b"].chunks, pa.string())})
-
     return as_dataset(fold(
-        pairs.map_batches(_ends, batch_format="pyarrow"),
+        pairs.map_batches(stacked("a", "b"), batch_format="pyarrow"),
         "id",
         [(None, "count", "deg")],
         combine=True,
@@ -888,11 +885,8 @@ def modularity(
     # typed-empty broadcast guard keeps the left join schema-correct.
 
     # distinct-neighbor degree per node from the undirected pair melt
-    def _ends(t: pa.Table) -> pa.Table:
-        return pa.table({"id": pa.chunked_array(t["a"].chunks + t["b"].chunks, pa.string())})
-
     deg = as_dataset(fold(
-        e0.map_batches(_ends, batch_format="pyarrow"),
+        e0.map_batches(stacked("a", "b"), batch_format="pyarrow"),
         "id",
         [(None, "count", "degree")],
         combine=True,
@@ -2839,10 +2833,7 @@ def greedy_maximal_matching(
             winners.map_batches(_tag, batch_format="pyarrow").materialize()
         )
 
-        def _ends(t: pa.Table) -> pa.Table:
-            return pa.table({"id": pa.chunked_array(t["a"].chunks + t["b"].chunks, pa.string())})
-
-        ends = winners.map_batches(_ends, batch_format="pyarrow")
+        ends = winners.map_batches(stacked("a", "b"), batch_format="pyarrow")
         ends = as_dataset(
             fold(ends, "id", [(None, "count", "n")], combine=True)
         ).select_columns(["id"])
