@@ -1163,10 +1163,10 @@ def frontier_polite_by_host(sf_dir: str) -> "pa.Table | rd.Dataset":
 
     targets = frontier_targets(sf_dir).materialize()
 
-    hdf = fold(
-        targets.select_columns(["dst_host"]), "dst_host", [(None, "count", "n")], combine=True
+    hosts = list(
+        fold(targets.select_columns(["dst_host"]), "dst_host", [(None, "count", "n")], combine=True)
+        .to_pandas()["dst_host"]
     )
-    hosts = hdf.column("dst_host").to_pylist() if hdf.num_rows else []
     rules_ref = ray.put(rules_for_hosts(hosts))
 
     def polite(t: pa.Table) -> pa.Table:
