@@ -2579,7 +2579,11 @@ def events_users_click_and_purchase(sf_dir: str) -> rd.Dataset:
         et = t.column("event_type")
         flag = lambda v: pc.cast(pc.fill_null(pc.equal(et, v), False), pa.int64())  # noqa: E731
         return pa.table(
-            {"user_id": t.column("user_id"), "b_click": flag("click"), "b_purchase": flag("purchase")}
+            {
+                "user_id": t.column("user_id"),
+                "b_click": flag("click"),
+                "b_purchase": flag("purchase"),
+            }
         )
 
     folded = as_dataset(fold(
@@ -2956,7 +2960,8 @@ def q12_priority_by_returnflag(sf_dir: str) -> "pa.Table | rd.Dataset":
         j = large_join(line, orders_side, on=("l_orderkey",), right_on=("o_orderkey",))
 
     def partial(t: pa.Table) -> pa.Table:
-        crit = pc.fill_null(pc.is_in(t.column("o_orderpriority"), value_set=pa.array(["1-URGENT", "2-HIGH"])), False)
+        urgent = pa.array(["1-URGENT", "2-HIGH"])
+        crit = pc.fill_null(pc.is_in(t.column("o_orderpriority"), value_set=urgent), False)
         return pa.table(
             {
                 "l_returnflag": t.column("l_returnflag"),
@@ -3053,7 +3058,9 @@ def q18_large_orders_by_customer(sf_dir: str) -> "pa.Table | rd.Dataset":
 
     totals = as_dataset(fold(
         line.map_batches(
-            lambda t: pa.table({"l_orderkey": t.column("l_orderkey"), "qty": _rint(t.column("l_quantity"))}),
+            lambda t: pa.table(
+                {"l_orderkey": t.column("l_orderkey"), "qty": _rint(t.column("l_quantity"))}
+            ),
             batch_format="pyarrow",
         ),
         "l_orderkey",
@@ -4381,7 +4388,9 @@ def q7_volume_shipping(sf_dir: str) -> "pa.Table | rd.Dataset":
                 "supp_nation": _lookup(t.column("l_suppkey"), s_nat),
                 "cust_nation": _lookup(t.column("o_custkey"), c_nat),
                 "year": pc.cast(pc.year(t.column("l_shipdate")), pa.int64()),
-                "revenue_e4": pa.array(_rev_e4(t.column("l_extendedprice"), t.column("l_discount"))),
+                "revenue_e4": pa.array(
+                    _rev_e4(t.column("l_extendedprice"), t.column("l_discount"))
+                ),
             }
         )
         return out.filter(pc.not_equal(out.column("supp_nation"), out.column("cust_nation")))
@@ -4612,7 +4621,9 @@ def q10_returned_revenue_by_customer(sf_dir: str) -> rd.Dataset:
 
     def partial(t: pa.Table) -> pa.Table:
         rev = _rev_e4(t.column("l_extendedprice"), t.column("l_discount"))
-        return pa.table({"c_custkey": t.column("o_custkey"), "revenue_e4": pa.array(rev, pa.int64())})
+        return pa.table(
+            {"c_custkey": t.column("o_custkey"), "revenue_e4": pa.array(rev, pa.int64())}
+        )
 
     per_cust = as_dataset(fold(
         j.map_batches(partial, batch_format="pyarrow"),
@@ -4663,7 +4674,9 @@ def q11_important_parts(sf_dir: str) -> rd.Dataset:
     line = read_table(sf_dir, "lineitem", columns=["l_partkey", "l_extendedprice"])
 
     def partial(t: pa.Table) -> pa.Table:
-        return pa.table({"p_partkey": t.column("l_partkey"), "value_c": _cents(t.column("l_extendedprice"))})
+        return pa.table(
+            {"p_partkey": t.column("l_partkey"), "value_c": _cents(t.column("l_extendedprice"))}
+        )
 
     per_part = as_dataset(fold(
         line.map_batches(partial, batch_format="pyarrow"),
@@ -4764,7 +4777,9 @@ def q15_top_suppliers(sf_dir: str) -> rd.Dataset:
 
     def partial(t: pa.Table) -> pa.Table:
         rev = _rev_e4(t.column("l_extendedprice"), t.column("l_discount"))
-        return pa.table({"s_suppkey": t.column("l_suppkey"), "total_revenue_e4": pa.array(rev, pa.int64())})
+        return pa.table(
+            {"s_suppkey": t.column("l_suppkey"), "total_revenue_e4": pa.array(rev, pa.int64())}
+        )
 
     totals = as_dataset(fold(
         line.map_batches(partial, batch_format="pyarrow"),
@@ -6818,7 +6833,11 @@ def events_hll_registers(sf_dir: str) -> "pa.Table | rd.Dataset":
         w = h & _HLL_WMASK
         rho = np.where(w == 0, _HLL_WBITS + 1, _HLL_WBITS - _bitlen_u64(w) + 1)
         return pa.table(
-            {"event_type": t.column("event_type"), "reg": pa.array(reg), "rho": pa.array(rho.astype(np.int64))}
+            {
+                "event_type": t.column("event_type"),
+                "reg": pa.array(reg),
+                "rho": pa.array(rho.astype(np.int64)),
+            }
         )
 
     return fold(

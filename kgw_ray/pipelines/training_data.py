@@ -136,9 +136,10 @@ def text_rare_token_stats(sf_dir: str, rare_divisor: int = 1000) -> rd.Dataset:
     op (C4-style rare-token filters, TF-IDF family).
 
     Pass 1 — global token frequencies: a token-count ``fold(combine=True)``
-    (the only shuffle, over the VOCABULARY, not the corpus). Pass 2 — the rare-token set (freq < total/rare_divisor)
-    is ``ray.put`` once and read zero-copy per task; each doc's rare-token
-    occurrences are segment-summed. Broadcast assumption: the rare
+    (the only shuffle, over the VOCABULARY, not the corpus). Pass 2 — the
+    rare-token set (freq < total/rare_divisor) is ``ray.put`` once and
+    read zero-copy per task; each doc's rare-token occurrences are
+    segment-summed. Broadcast assumption: the rare
     vocabulary fits one object (fine to ~10^8 tokens); beyond that the
     scale path is the size-hybrid token join (stages/joins.py), same shape
     as semi_join_dataset.
@@ -224,9 +225,6 @@ def web_domain_stats(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Per-source-domain corpus rollup (domain blocklist / quality-by-domain
     shape): one ``fold(combine=True)`` over the DOMAIN key — the shuffle
     moves one row per (block, domain), never the corpus."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Max, Sum
-
     docs = read_table(
         sf_dir, "documents", columns=["doc_id", "text", "source", "n_chars"]
     )
@@ -274,7 +272,8 @@ def pareto_concentration(sf_dir: str) -> "pa.Table":
     whose cumulative char mass reaches that fraction of the corpus.
 
     Physical plan: a char-sum ``fold(combine=True)`` (one row per
-    (block, domain) crosses the wire) over the DOMAIN vocabulary → the cumulative scan runs on the driver over
+    (block, domain) crosses the wire) over the DOMAIN vocabulary → the
+    cumulative scan runs on the driver over
     the vocabulary-sized table (hosts, not docs — bounded by design; at
     100 TB the host vocabulary is ~10⁷ rows, still a driver-safe fold).
     Threshold test is exact integer math (``cum*100 >= pct*total``), so
@@ -285,7 +284,10 @@ def pareto_concentration(sf_dir: str) -> "pa.Table":
     docs = read_table(sf_dir, "documents", columns=["source", "n_chars"])
 
     pdf = fold(
-        docs.select_columns(["source", "n_chars"]), "source", [("n_chars", "sum", "c")], combine=True
+        docs.select_columns(["source", "n_chars"]),
+        "source",
+        [("n_chars", "sum", "c")],
+        combine=True,
     ).to_pandas()
     if len(pdf) == 0:
         empty = pa.array([], pa.int64())
@@ -347,7 +349,10 @@ def source_gini(sf_dir: str) -> "pa.Table":
     docs = read_table(sf_dir, "documents", columns=["source", "n_chars"])
 
     pdf = fold(
-        docs.select_columns(["source", "n_chars"]), "source", [("n_chars", "sum", "c")], combine=True
+        docs.select_columns(["source", "n_chars"]),
+        "source",
+        [("n_chars", "sum", "c")],
+        combine=True,
     ).to_pandas()
     one = pa.array([0], pa.int64())
     if len(pdf) == 0:
@@ -3493,7 +3498,8 @@ def webkg_crawl_budget(sf_dir: str, budget: int = _CRAWL_BUDGET) -> pa.Table:
     docs = read_table(sf_dir, "documents", columns=["source"])
 
     def hosts(t: pa.Table) -> pa.Table:
-        return pa.table({"host": pc.binary_join_element_wise(t.column("source"), ".example.org", "")})
+        host = pc.binary_join_element_wise(t.column("source"), ".example.org", "")
+        return pa.table({"host": host})
 
     counts = (
         fold(
