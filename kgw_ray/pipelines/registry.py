@@ -2669,13 +2669,10 @@ def q_docs_quality_buckets(sf_dir: str) -> "pa.Table | rd.Dataset":
             (rn - 1) // (base + 1) + 1,
             rem + (rn - cut - 1) // base_safe + 1,
         ).astype(np.int64)
-        lg = t.column("logit_micro")
         return _pa.table(
             {
                 "bucket": _pa.array(bucket),
-                "n_docs": _pa.array(np.ones(len(t), dtype=np.int64)),
-                "min_logit": lg,
-                "max_logit": lg,
+                "logit": t.column("logit_micro"),
             }
         )
 
@@ -2683,10 +2680,11 @@ def q_docs_quality_buckets(sf_dir: str) -> "pa.Table | rd.Dataset":
         ranked.map_batches(_bucketize, batch_format="pyarrow"),
         "bucket",
         [
-            ("n_docs", "sum", "n_docs"),
-            ("min_logit", "min", "min_logit"),
-            ("max_logit", "max", "max_logit"),
+            (None, "count", "n_docs"),
+            ("logit", "min", "min_logit"),
+            ("logit", "max", "max_logit"),
         ],
+        combine=True,
     )
 
 _STORED_EDGES_SQL = f"""

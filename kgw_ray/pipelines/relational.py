@@ -3587,32 +3587,23 @@ def events_late_arrivals(sf_dir: str) -> rd.Dataset:
     proj = ds.map_batches(_proj, batch_format="pyarrow").materialize()
     width = max(1, _LATE_MOD // _LATE_BUCKETS)
 
-    def _bmax(t: pa.Table) -> pa.Table:
+    def _bucket(t: pa.Table) -> pa.Table:
         e = t.column("arr").to_numpy(zero_copy_only=False)
-        ts = t.column("ts_us").to_numpy(zero_copy_only=False)
         b = np.minimum(e // width, _LATE_BUCKETS - 1)
-        df = pd.DataFrame({"bucket": b, "m": ts})
-        g = df.groupby("bucket", sort=False)["m"].max().reset_index()
-        return pa.table(
-            {
-                "bucket": pa.array(g["bucket"].to_numpy().astype(np.int64)),
-                "m": pa.array(g["m"].to_numpy().astype(np.int64)),
-            }
-        )
+        return pa.table({"bucket": pa.array(b, pa.int64()), "m": t.column("ts_us")})
 
-    hist = (
-        typed_pandas(
-            proj.map_batches(_bmax, batch_format="pyarrow"), ["bucket", "m"]
-        )
-        .groupby("bucket")["m"]
-        .max()
-    )
+    hist = fold(
+        proj.map_batches(_bucket, batch_format="pyarrow"),
+        "bucket",
+        [("m", "max", "m")],
+        combine=True,
+    ).to_pandas()
     NEG = np.iinfo(np.int64).min
     bmax = np.full(_LATE_BUCKETS, NEG, dtype=np.int64)
-    if len(hist):
-        bmax[hist.index.to_numpy().astype(np.int64)] = hist.to_numpy().astype(
-            np.int64
-        )
+    # an all-NULL-ts bucket carries no watermark; an empty fold types its
+    # key column from nothing (string), hence the casts
+    b = hist["bucket"].to_numpy().astype(np.int64)
+    bmax[b] = hist["m"].fillna(NEG).to_numpy().astype(np.int64)
     # exclusive prefix max = each bucket's carry-in watermark
     carry = np.concatenate(([NEG], np.maximum.accumulate(bmax)[:-1]))
 
@@ -3850,38 +3841,28 @@ def events_markov_transitions(sf_dir: str) -> "pa.Table | rd.Dataset":
     ``user_id % 64``; per shard a vectorized lexsort by (user, ts,
     event_id) — the event_id tiebreak makes the order TOTAL, so both
     engines see identical bigrams on equal timestamps — then a
-    boundary-masked shift + one pandas groupby folds the shard to its
-    ≤ |types|² transition rows before the tiny final Sum."""
+    boundary-masked shift emits the transitions and one count fold
+    (``combine=True``) collapses each block to ≤ |types|² rows."""
     ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"])
 
     def per_shard(g: pd.DataFrame) -> pa.Table:
-        empty = pa.table(
-            {
-                "from_type": pa.array([], pa.string()),
-                "to_type": pa.array([], pa.string()),
-                "n": pa.array([], pa.int64()),
-            }
-        )
         if len(g) == 0:
-            return empty
+            e0 = pa.array([], pa.string())
+            return pa.table({"from_type": e0, "to_type": e0})
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         u = g["user_id"].to_numpy()
         t = g["event_type"].to_numpy()
         same = np.concatenate(([False], u[1:] == u[:-1]))
-        if not same.any():
-            return empty
         frm = np.concatenate(([""], t[:-1]))[same]
         to = t[same]
         # LAG(...) IS NOT NULL drops NULL sources; a NULL target is a group
         keep = pd.notna(frm)
-        out = (
-            pd.DataFrame({"from_type": frm[keep], "to_type": to[keep]})
-            .groupby(["from_type", "to_type"], sort=False, dropna=False)
-            .size()
-            .rename("n")
-            .reset_index()
+        return pa.table(
+            {
+                "from_type": pa.array(frm[keep], pa.string(), from_pandas=True),
+                "to_type": pa.array(to[keep], pa.string(), from_pandas=True),
+            }
         )
-        return arrow_from_pandas(out)
 
     shards = (
         ds.map_batches(_shard_by_user, batch_format="pyarrow")
@@ -3889,7 +3870,7 @@ def events_markov_transitions(sf_dir: str) -> "pa.Table | rd.Dataset":
         .map_groups(per_shard, batch_format="pandas")
     )
     return fold(
-        shards, ["from_type", "to_type"], [("n", "sum", "n")]
+        shards, ["from_type", "to_type"], [(None, "count", "n")], combine=True
     )
 
 
@@ -4008,15 +3989,9 @@ def basket_brand_pairs(sf_dir: str) -> "pa.Table | rd.Dataset":
         return t.append_column("_shard", pa.array(k % 64))
 
     def per_shard(g: pd.DataFrame) -> pa.Table:
-        empty = pa.table(
-            {
-                "brand_a": pa.array([], pa.string()),
-                "brand_b": pa.array([], pa.string()),
-                "n_orders": pa.array([], pa.int64()),
-            }
-        )
         if len(g) == 0:
-            return empty
+            e0 = pa.array([], pa.string())
+            return pa.table({"brand_a": e0, "brand_b": e0})
         ob = pd.DataFrame(
             {
                 "o": g["l_orderkey"].to_numpy(),
@@ -4025,14 +4000,12 @@ def basket_brand_pairs(sf_dir: str) -> "pa.Table | rd.Dataset":
         ).drop_duplicates()
         m = ob.merge(ob, on="o")
         m = m[m["b_x"] < m["b_y"]]
-        out = (
-            m.groupby(["b_x", "b_y"], sort=False)
-            .size()
-            .rename("n_orders")
-            .reset_index()
-            .rename(columns={"b_x": "brand_a", "b_y": "brand_b"})
+        return pa.table(
+            {
+                "brand_a": pa.array(m["b_x"].to_numpy(), pa.string()),
+                "brand_b": pa.array(m["b_y"].to_numpy(), pa.string()),
+            }
         )
-        return arrow_from_pandas(out)
 
     shards = (
         line.map_batches(shard, batch_format="pyarrow")
@@ -4040,7 +4013,7 @@ def basket_brand_pairs(sf_dir: str) -> "pa.Table | rd.Dataset":
         .map_groups(per_shard, batch_format="pandas")
     )
     return fold(
-        shards, ["brand_a", "brand_b"], [("n_orders", "sum", "n_orders")]
+        shards, ["brand_a", "brand_b"], [(None, "count", "n_orders")], combine=True
     )
 
 
@@ -4167,18 +4140,15 @@ def orders_backlog_timeline(sf_dir: str) -> pa.Table:
 
     orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_orderdate"])
 
-    def open_partial(t: pa.Table) -> pa.Table:
-        d = pc.cast(t.column("o_orderdate"), pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        days = d // 86_400_000_000
-        uq, cnt = np.unique(days, return_counts=True)
-        return pa.table(
-            {
-                "day": pa.array(uq.astype(np.int64)),
-                "net": pa.array(cnt.astype(np.int64)),
-            }
-        )
+    def day_net(col: str, shift: int, net: int):
+        def derive(t: pa.Table) -> pa.Table:
+            us = pc.cast(t.column(col), pa.int64())
+            day = pc.add(pc.divide(us, pa.scalar(86_400_000_000, pa.int64())), shift)
+            return pa.table(
+                {"day": day, "net": pa.array(np.full(t.num_rows, net, np.int64))}
+            )
+
+        return derive
 
     # +1 at the order day — ONLY for orders that have lineitems (the close
     # side is inner on both engines)
@@ -4189,28 +4159,13 @@ def orders_backlog_timeline(sf_dir: str) -> pa.Table:
     from kgw_ray.stages.joins import semi_join_dataset
 
     opened = semi_join_dataset(orders, keyed, on="o_orderkey").map_batches(
-        open_partial, batch_format="pyarrow"
+        day_net("o_orderdate", 0, 1), batch_format="pyarrow"
     )
-
-    def close_day_partial(t: pa.Table) -> pa.Table:
-        c = t.column("close_us").to_numpy(zero_copy_only=False)
-        days = c // 86_400_000_000 + 1  # open THROUGH the close day
-        uq, cnt = np.unique(days, return_counts=True)
-        return pa.table(
-            {
-                "day": pa.array(uq.astype(np.int64)),
-                "net": pa.array(-cnt.astype(np.int64)),
-            }
-        )
-
-    closed = closes.map_batches(close_day_partial, batch_format="pyarrow")
+    # -1 the day after the close day: open THROUGH the close day
+    closed = closes.map_batches(day_net("close_us", 1, -1), batch_format="pyarrow")
     daily = (
-        typed_pandas(
-            as_dataset(fold(
-                opened.union(closed), "day", [("net", "sum", "net")]
-            )),
-            ["day", "net"],
-        )
+        fold(opened.union(closed), "day", [("net", "sum", "net")], combine=True)
+        .to_pandas()
         .sort_values("day")
         .reset_index(drop=True)
     )
@@ -5275,13 +5230,7 @@ def users_by_type_signature(sf_dir: str) -> "pa.Table | rd.Dataset":
         sig = df.groupby("user_id", sort=False)["event_type"].agg(
             lambda s: ",".join(s.dropna()) if s.notna().any() else None
         )
-        g = sig.value_counts(dropna=False)
-        return pa.table(
-            {
-                "signature": pa.array(g.index.to_numpy(), pa.string()),
-                "n_users": pa.array(g.to_numpy().astype(np.int64)),
-            }
-        )
+        return pa.table({"signature": pa.array(sig.to_numpy(), pa.string())})
 
     def add_shard(t: pa.Table) -> pa.Table:
         u = t.column("user_id").to_numpy(zero_copy_only=False)
@@ -5292,9 +5241,7 @@ def users_by_type_signature(sf_dir: str) -> "pa.Table | rd.Dataset":
         .groupby("shard")
         .map_groups(shard_sig, batch_format="pandas")
     )
-    return fold(
-        sigs, "signature", [("n_users", "sum", "n_users")]
-    )
+    return fold(sigs, "signature", [(None, "count", "n_users")], combine=True)
 
 
 USERS_BY_TYPE_SIGNATURE_SQL = """
@@ -5593,17 +5540,10 @@ def events_type_lift(sf_dir: str) -> pa.Table:
     def shard_pairs(df: pd.DataFrame) -> pa.Table:
         j = df.merge(df, on="user_id", suffixes=("_a", "_b"))
         j = j[j["event_type_a"] < j["event_type_b"]]
-        g = (
-            j.groupby(["event_type_a", "event_type_b"], sort=False)
-            .size()
-            .rename("n_ab")
-            .reset_index()
-        )
         return pa.table(
             {
-                "type_a": pa.array(g["event_type_a"].to_numpy(), pa.string()),
-                "type_b": pa.array(g["event_type_b"].to_numpy(), pa.string()),
-                "n_ab": pa.array(g["n_ab"].to_numpy().astype(np.int64)),
+                "type_a": pa.array(j["event_type_a"].to_numpy(), pa.string()),
+                "type_b": pa.array(j["event_type_b"].to_numpy(), pa.string()),
             }
         )
 
@@ -5612,7 +5552,8 @@ def events_type_lift(sf_dir: str) -> pa.Table:
         .groupby("shard")
         .map_groups(shard_pairs, batch_format="pandas"),
         ["type_a", "type_b"],
-        [("n_ab", "sum", "n_ab")],
+        [(None, "count", "n_ab")],
+        combine=True,
     ).to_pandas()
 
     n_users = int(
@@ -6358,8 +6299,8 @@ def events_path_trigrams(sf_dir: str, k: int = 20) -> pa.Table:
     Plan: the markov shape with a double shift — per shard (user_id %
     64) one lexsort by (user, ts, event_id), two boundary-masked numpy
     shifts build (t1, t2, t3) rows only where all three events share a
-    user, a per-shard pandas groupby folds to ≤ |types|³ partial rows,
-    a vocabulary-sized Sum merges shards, and ``distributed_topk``
+    user, one count fold (``combine=True``: ≤ |types|³ rows per block)
+    merges them, and ``distributed_topk``
     avoids the global sort."""
 
     ds = read_table(
@@ -6367,31 +6308,21 @@ def events_path_trigrams(sf_dir: str, k: int = 20) -> pa.Table:
     )
 
     def per_shard(g: pd.DataFrame) -> pa.Table:
-        empty = pa.table(
-            {
-                "t1": pa.array([], pa.string()),
-                "t2": pa.array([], pa.string()),
-                "t3": pa.array([], pa.string()),
-                "n": pa.array([], pa.int64()),
-            }
-        )
-        if len(g) < 3:
-            return empty
+        if len(g) == 0:
+            e0 = pa.array([], pa.string())
+            return pa.table({"t1": e0, "t2": e0, "t3": e0})
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         u = g["user_id"].to_numpy()
         t = g["event_type"].to_numpy()
         # LAG(event_type, 2) IS NOT NULL; NULL t2/t3 are groups
         ok = (u[2:] == u[1:-1]) & (u[1:-1] == u[:-2]) & pd.notna(t[:-2])
-        if not ok.any():
-            return empty
-        out = (
-            pd.DataFrame({"t1": t[:-2][ok], "t2": t[1:-1][ok], "t3": t[2:][ok]})
-            .groupby(["t1", "t2", "t3"], sort=False, dropna=False)
-            .size()
-            .rename("n")
-            .reset_index()
+        return pa.table(
+            {
+                "t1": pa.array(t[:-2][ok], pa.string(), from_pandas=True),
+                "t2": pa.array(t[1:-1][ok], pa.string(), from_pandas=True),
+                "t3": pa.array(t[2:][ok], pa.string(), from_pandas=True),
+            }
         )
-        return arrow_from_pandas(out)
 
     shards = (
         ds.map_batches(_shard_by_user, batch_format="pyarrow")
@@ -6399,7 +6330,7 @@ def events_path_trigrams(sf_dir: str, k: int = 20) -> pa.Table:
         .map_groups(per_shard, batch_format="pandas")
     )
     counts = as_dataset(fold(
-        shards, ["t1", "t2", "t3"], [("n", "sum", "n")]
+        shards, ["t1", "t2", "t3"], [(None, "count", "n")], combine=True
     ))
     return distributed_topk(
         counts, ["n", "t1", "t2", "t3"], [True, False, False, False], k
@@ -6517,13 +6448,12 @@ def events_weekly_retention(sf_dir: str) -> "pa.Table | rd.Dataset":
             {
                 "user_id": t.column("user_id"),
                 "week": pc.divide(us, pa.scalar(_WEEK_US, pa.int64())),
-                "one": pa.array(np.ones(len(t), dtype=np.int64)),
             }
         )
 
     weekly = ds.map_batches(to_week, batch_format="pyarrow")
     user_week = as_dataset(fold(
-        weekly, ["user_id", "week"], [("one", "sum", "n")]
+        weekly, ["user_id", "week"], [(None, "count", "n")], combine=True
     )).materialize()
     first = as_dataset(fold(
         user_week, "user_id", [("week", "min", "cohort_week")]
@@ -6542,14 +6472,14 @@ def events_weekly_retention(sf_dir: str) -> "pa.Table | rd.Dataset":
                     pc.cast(t.column("week"), pa.int64()),
                     pc.cast(t.column("cohort_week"), pa.int64()),
                 ),
-                "n_users": pa.array(np.ones(len(t), dtype=np.int64)),
             }
         )
 
     return fold(
         joined.map_batches(offsets, batch_format="pyarrow"),
         ["cohort_week", "week_offset"],
-        [("n_users", "sum", "n_users")],
+        [(None, "count", "n_users")],
+        combine=True,
     )
 
 
@@ -6594,16 +6524,9 @@ def orders_basket_triples(sf_dir: str, min_support: int = 2) -> rd.Dataset:
         return t.append_column("_shard", pa.array(k % 64))
 
     def per_shard(g: pd.DataFrame) -> pa.Table:
-        empty = pa.table(
-            {
-                "brand_a": pa.array([], pa.string()),
-                "brand_b": pa.array([], pa.string()),
-                "brand_c": pa.array([], pa.string()),
-                "n_orders": pa.array([], pa.int64()),
-            }
-        )
         if len(g) == 0:
-            return empty
+            e0 = pa.array([], pa.string())
+            return pa.table({"brand_a": e0, "brand_b": e0, "brand_c": e0})
         ob = pd.DataFrame(
             {
                 "o": g["l_orderkey"].to_numpy(),
@@ -6612,20 +6535,15 @@ def orders_basket_triples(sf_dir: str, min_support: int = 2) -> rd.Dataset:
         ).drop_duplicates()
         m2 = ob.merge(ob, on="o")
         m2 = m2[m2["b_x"] < m2["b_y"]]
-        if len(m2) == 0:
-            return empty
         m3 = m2.merge(ob, on="o")
         m3 = m3[m3["b_y"] < m3["b"]]
-        if len(m3) == 0:
-            return empty
-        out = (
-            m3.groupby(["b_x", "b_y", "b"], sort=False)
-            .size()
-            .rename("n_orders")
-            .reset_index()
-            .rename(columns={"b_x": "brand_a", "b_y": "brand_b", "b": "brand_c"})
+        return pa.table(
+            {
+                "brand_a": pa.array(m3["b_x"].to_numpy(), pa.string()),
+                "brand_b": pa.array(m3["b_y"].to_numpy(), pa.string()),
+                "brand_c": pa.array(m3["b"].to_numpy(), pa.string()),
+            }
         )
-        return arrow_from_pandas(out)
 
     shards = (
         line.map_batches(shard, batch_format="pyarrow")
@@ -6635,7 +6553,8 @@ def orders_basket_triples(sf_dir: str, min_support: int = 2) -> rd.Dataset:
     counts = as_dataset(fold(
         shards,
         ["brand_a", "brand_b", "brand_c"],
-        [("n_orders", "sum", "n_orders")],
+        [(None, "count", "n_orders")],
+        combine=True,
     ))
     return counts.filter(
         expr=f"n_orders >= {int(min_support)}"
@@ -6684,14 +6603,14 @@ def events_dau_wau_stickiness(sf_dir: str) -> rd.Dataset:
             {
                 "user_id": t.column("user_id"),
                 "day": pc.divide(us, pa.scalar(_DAY_US, pa.int64())),
-                "one": pa.array(np.ones(len(t), dtype=np.int64)),
             }
         )
 
     act = as_dataset(fold(
         ds.map_batches(to_day, batch_format="pyarrow"),
         ["user_id", "day"],
-        [("one", "sum", "n")],
+        [(None, "count", "n")],
+        combine=True,
     )).materialize()
 
     # corpus day bounds: a 2-value aggregate, driver-scalar by design
@@ -6719,33 +6638,21 @@ def events_dau_wau_stickiness(sf_dir: str) -> rd.Dataset:
             {
                 "user_id": pa.array(uu[keep]),
                 "day": pa.array(tgt[keep]),
-                "one": pa.array(np.ones(int(keep.sum()), dtype=np.int64)),
             }
         )
 
     windowed = as_dataset(fold(
         act.map_batches(explode, batch_format="pyarrow"),
         ["user_id", "day"],
-        [("one", "sum", "n")],
+        [(None, "count", "n")],
+        combine=True,
     ))
 
-    def ones(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "day": t.column("day"),
-                "cnt": pa.array(np.ones(len(t), dtype=np.int64)),
-            }
-        )
-
     wau = as_dataset(fold(
-        windowed.map_batches(ones, batch_format="pyarrow"),
-        "day",
-        [("cnt", "sum", "wau")],
+        windowed.select_columns(["day"]), "day", [(None, "count", "wau")], combine=True
     )).materialize()
     dau = as_dataset(fold(
-        act.map_batches(ones, batch_format="pyarrow"),
-        "day",
-        [("cnt", "sum", "dau")],
+        act.select_columns(["day"]), "day", [(None, "count", "dau")], combine=True
     )).materialize()
 
     # the day spine is calendar-bounded (≤ 36.5k rows/century) — broadcast
@@ -6985,7 +6892,6 @@ def users_activity_bitmap(sf_dir: str) -> "pa.Table | rd.Dataset":
                 {
                     "user_id": pa.array([], pa.int64()),
                     "k": pa.array([], pa.int64()),
-                    "one": pa.array([], pa.int64()),
                 }
             )
         day = (
@@ -7011,14 +6917,14 @@ def users_activity_bitmap(sf_dir: str) -> "pa.Table | rd.Dataset":
             {
                 "user_id": t.column("user_id"),
                 "bit": pa.array(np.int64(1) << k),
-                "one": pa.array(np.ones(len(k), dtype=np.int64)),
             }
         )
 
     return fold(
         distinct.map_batches(_bits, batch_format="pyarrow"),
         "user_id",
-        [("bit", "sum", "l28_bitmap"), ("one", "sum", "n_active_days")],
+        [("bit", "sum", "l28_bitmap"), (None, "count", "n_active_days")],
+        combine=True,
     )
 
 

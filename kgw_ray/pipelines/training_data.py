@@ -1688,11 +1688,10 @@ def docs_inverted_index(sf_dir: str) -> "pa.Table | rd.Dataset":
     the skeleton every sharded index build / BM25 scorer starts from.
 
     Exactness across blocks: each document is one row, so a block's
-    distinct (doc, token) pairs are globally distinct — the per-batch
-    pandas hash-groupby partial (df, tf, min_doc) is an exact combiner and
-    the ONE shuffle moves per-(batch, token) partials, i.e. the
-    vocabulary, never the token stream. Output is vocabulary-bounded."""
-    import pyarrow.compute as pc
+    distinct (doc, token) pairs are globally distinct — one fold with
+    ``combine=True`` (an Arrow group-by per block: df, tf, min doc) merges
+    per-(block, token) partials, i.e. the vocabulary, never the token
+    stream. Output is vocabulary-bounded."""
 
     def doc_tokens(batch: pa.Table) -> pa.Table:
         return _distinct_doc_tokens(batch, batch.column("doc_id"))
@@ -4356,19 +4355,10 @@ def docs_lang_source_chi2(sf_dir: str) -> pa.Table:
 
     docs = read_table(sf_dir, "documents", columns=["lang", "source"])
 
-    def ones(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "one", pa.array(np.ones(len(t), dtype=np.int64))
-        )
-
-    counts = (
-        as_dataset(fold(
-            docs.map_batches(ones, batch_format="pyarrow"),
-            ["lang", "source"],
-            [("one", "sum", "o")],
-        ))
-        .to_pandas()  # vocabulary-bounded: |langs| × |sources| rows
-    )
+    # vocabulary-bounded: |langs| × |sources| rows
+    counts = fold(
+        docs, ["lang", "source"], [(None, "count", "o")], combine=True
+    ).to_pandas()
     obs = {
         (r.lang, r.source): int(r.o) for r in counts.itertuples(index=False)
     }

@@ -1648,22 +1648,9 @@ def mirror_host_pairs(sf_dir: str) -> rd.Dataset:
 
     hg = host_graph(sf_dir).select_columns(["src_host", "dst_host"])
 
-    def _ones(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "src_host": t.column("src_host"),
-                "one": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-            }
-        )
-
-    sizes = as_dataset(fold(
-        hg.map_batches(_ones, batch_format="pyarrow"),
-        "src_host",
-        [("one", "sum", "n")],
-    ))
-    from kgw_ray.functions.arrow_utils import typed_pandas as _tp
-
-    sizes = _tp(sizes, ["src_host", "n"])
+    sizes = fold(
+        hg.select_columns(["src_host"]), "src_host", [(None, "count", "n")], combine=True
+    ).to_pandas()
     import ray as _ray
 
     size_ref = _ray.put(dict(zip(sizes["src_host"], sizes["n"].astype(int))))
@@ -1690,16 +1677,11 @@ def mirror_host_pairs(sf_dir: str) -> rd.Dataset:
             ys.append(s[a:e][j])
         if not xs:
             e0 = pa.array([], pa.string())
-            return pa.table({"h1": e0, "h2": e0, "n": pa.array([], pa.int64())})
-        packed = pd.DataFrame(
-            {"h1": np.concatenate(xs), "h2": np.concatenate(ys)}
-        )
-        cnt = packed.groupby(["h1", "h2"], sort=False).size().reset_index(name="n")
+            return pa.table({"h1": e0, "h2": e0})
         return pa.table(
             {
-                "h1": pa.array(cnt["h1"].to_numpy(), pa.string()),
-                "h2": pa.array(cnt["h2"].to_numpy(), pa.string()),
-                "n": pa.array(cnt["n"].to_numpy().astype(np.int64)),
+                "h1": pa.array(np.concatenate(xs), pa.string()),
+                "h2": pa.array(np.concatenate(ys), pa.string()),
             }
         )
 
@@ -1708,7 +1690,8 @@ def mirror_host_pairs(sf_dir: str) -> rd.Dataset:
         .groupby("shard")
         .map_groups(_pairs, batch_format="pandas"),
         ["h1", "h2"],
-        [("n", "sum", "n_common")],
+        [(None, "count", "n_common")],
+        combine=True,
     ))
 
     def _score(t: pa.Table) -> pa.Table:

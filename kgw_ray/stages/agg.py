@@ -70,13 +70,13 @@ def as_dataset(result: "pa.Table | rd.Dataset") -> rd.Dataset:
     return rd.from_arrow(result) if isinstance(result, pa.Table) else result
 
 
-def stacked(*cols: str, name: str = "id") -> Callable[[pa.Table], pa.Table]:
+def stacked(*cols: str) -> Callable[[pa.Table], pa.Table]:
     """A derive for one fold over several columns (edge endpoints → node
-    counts): every row of a batch gives one ``name`` row per column."""
+    counts): every row of a batch gives one ``id`` row per column."""
 
     def derive(t: pa.Table) -> pa.Table:
         chunks = [ch for c in cols for ch in t.column(c).chunks]
-        return pa.table({name: pa.chunked_array(chunks, pa.string())})
+        return pa.table({"id": pa.chunked_array(chunks, pa.string())})
 
     return derive
 
@@ -987,9 +987,9 @@ def global_row_number(
     """EXACT global ROW_NUMBER() ORDER BY ``keys`` (int64 columns, the
     composite must be unique) — the classic distributed ranking plan:
 
-    1. one partial pass bincounts the LEADING key into ``n_buckets``
-       equal-width value ranges (driver folds the tiny per-block
-       histograms → exclusive prefix offsets);
+    1. one fold counts the LEADING key's rows per ``n_buckets``
+       equal-width value range (≤ n_buckets groups → exclusive prefix
+       offsets on the driver);
     2. one bucket-keyed exchange co-locates each range; inside a bucket a
        single lexsort assigns local ranks, shifted by the bucket's offset.
 
@@ -1031,23 +1031,19 @@ def global_row_number(
     lo, hi = int(mm["lo"].min()), int(mm["hi"].max())
     width = max(1, (hi - lo + n_buckets) // n_buckets)
 
-    def _hist_partial(t: pa.Table) -> pa.Table:
+    def _bucket(t: pa.Table) -> pa.Table:
         v = t.column(lead).to_numpy(zero_copy_only=False)
         b = np.minimum((v - lo) // width, n_buckets - 1)
-        cnt = np.bincount(b, minlength=n_buckets).astype(np.int64)
-        nz = np.flatnonzero(cnt)
-        return pa.table(
-            {"bucket": pa.array(nz.astype(np.int64)), "c": pa.array(cnt[nz])}
-        )
+        return pa.table({"bucket": pa.array(b, pa.int64())})
 
-    hist = (
-        proj.map_batches(_hist_partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("bucket")["c"]
-        .sum()
-    )
+    hist = fold(
+        proj.map_batches(_bucket, batch_format="pyarrow"),
+        "bucket",
+        [(None, "count", "c")],
+        combine=True,
+    ).to_pandas()
     counts = np.zeros(n_buckets, dtype=np.int64)
-    counts[hist.index.to_numpy()] = hist.to_numpy()
+    counts[hist["bucket"].to_numpy()] = hist["c"].to_numpy()
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
 
     def _tag(t: pa.Table) -> pa.Table:
@@ -1090,9 +1086,8 @@ def global_ordered_prefix_sum(
     PRECEDING)`` (inclusive; int64 columns, composite key unique) — the
     ordered-scan analog of :func:`global_row_number`, same two-pass plan:
 
-    1. one partial pass range-buckets the LEADING key and folds per-bucket
-       VALUE SUMS on the driver (tiny: ``n_buckets`` int64s) → exclusive
-       bucket offsets;
+    1. one fold range-buckets the LEADING key and sums VALUES per
+       bucket (tiny: ``n_buckets`` int64s) → exclusive bucket offsets;
     2. one bucket-keyed exchange; inside a bucket a single lexsort orders
        the rows and a local cumsum, shifted by the bucket's offset, is the
        global running total.
@@ -1132,28 +1127,19 @@ def global_ordered_prefix_sum(
     lo, hi = int(mm["lo"].min()), int(mm["hi"].max())
     width = max(1, (hi - lo + n_buckets) // n_buckets)
 
-    def _sum_partial(t: pa.Table) -> pa.Table:
+    def _bucket(t: pa.Table) -> pa.Table:
         k = t.column(lead).to_numpy(zero_copy_only=False)
-        v = t.column(val).to_numpy(zero_copy_only=False)
         b = np.minimum((k - lo) // width, n_buckets - 1)
-        s = np.bincount(b, weights=v.astype(np.float64), minlength=n_buckets)
-        # weights force float64; totals < 2^53 stay exact (documented cap)
-        nz = np.flatnonzero(s)
-        return pa.table(
-            {
-                "bucket": pa.array(nz.astype(np.int64)),
-                "s": pa.array(s[nz].astype(np.int64)),
-            }
-        )
+        return pa.table({"bucket": pa.array(b, pa.int64()), "s": t.column(val)})
 
-    hist = (
-        proj.map_batches(_sum_partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("bucket")["s"]
-        .sum()
-    )
+    hist = fold(
+        proj.map_batches(_bucket, batch_format="pyarrow"),
+        "bucket",
+        [("s", "sum", "s")],
+        combine=True,
+    ).to_pandas()
     sums = np.zeros(n_buckets, dtype=np.int64)
-    sums[hist.index.to_numpy()] = hist.to_numpy()
+    sums[hist["bucket"].to_numpy()] = hist["s"].to_numpy()
     offsets = np.concatenate(([0], np.cumsum(sums)[:-1]))
 
     def _tag(t: pa.Table) -> pa.Table:

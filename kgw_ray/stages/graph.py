@@ -305,8 +305,8 @@ def pagerank(
     ``d/outdeg`` attached with ONE size-hybrid join and reused every
     iteration. Per iteration: one LEFT join (edge weights ⋈ current ranks
     on source_id — a source absent from the rank table has no in-edges, so
-    its rank is the base (1-d), supplied on null), a per-batch
-    ``np.unique`` partial combiner, and one ``groupby(target_id).Sum``.
+    its rank is the base (1-d), supplied on null) and one grouped Sum per
+    target_id (stages/agg.py:fold, ``combine=True``).
     Joins follow the repo-wide size-hybrid rule (stages/joins.py): the
     rank/degree side broadcasts via ``ray.put`` below ``broadcast_limit``
     rows and falls back to the hash-partitioned ``Dataset.join`` beyond —
@@ -413,12 +413,7 @@ def pagerank(
         d = batch.column("d").to_numpy(zero_copy_only=False).astype(np.int64)
         rank = _rank_micro(batch) if with_rank else np.int64(SCALE)
         c = (rank * np.int64(damp_micro)) // (np.int64(SCALE) * d)
-        uq, inv = np.unique(t, return_inverse=True)
-        acc = np.zeros(len(uq), dtype=np.int64)
-        np.add.at(acc, inv, c)  # exact int64 per-batch combine
-        return pa.table(
-            {"target_id": pa.array(uq, pa.string()), "c": pa.array(acc)}
-        )
+        return pa.table({"target_id": pa.array(t, pa.string()), "c": pa.array(c)})
 
     # driver branch: an edge-weight table of ≤20M rows (the envelope the
     # rank broadcast needs anyway) is pulled ONCE and every iteration is a
@@ -463,6 +458,7 @@ def pagerank(
                 contrib,
                 "target_id",
                 [("c", "sum", "c")],
+                combine=True,
                 driver_limit=0 if force_exchange else None,
             )
             ranks = as_dataset(sums).map_batches(
@@ -556,13 +552,12 @@ def personalized_pagerank(
 
     Physical plan per iteration: one size-hybrid join of the reusable
     edge-weight table against the current rank table (iteration 0 instead
-    filters the edge table to seed sources — r0 is zero elsewhere), an
-    int64 ``np.unique`` per-batch combiner, and one grouped Sum that
-    driver-merges when the combined partials are bounded
-    (stages/agg.py:fold). The rank table carries only
-    reached nodes; seed base rows are re-appended each step from the seed
-    list (query-time seed sets are small — they broadcast by closure and
-    the append is O(|S|))."""
+    filters the edge table to seed sources — r0 is zero elsewhere) and
+    one grouped Sum (stages/agg.py:fold, ``combine=True``) that
+    driver-merges when the combined partials are bounded. The rank table
+    carries only reached nodes; seed base rows are re-appended each step
+    from the seed list (query-time seed sets are small — they broadcast by
+    closure and the append is O(|S|))."""
     import numpy as np
     import pyarrow.compute as pc
 
@@ -617,18 +612,17 @@ def personalized_pagerank(
         batch_format="pyarrow",
     ).materialize()
 
-    def _combine(t_ids, c) -> pa.Table:
-        uq, inv = np.unique(t_ids, return_inverse=True)
-        acc = np.zeros(len(uq), dtype=np.int64)
-        np.add.at(acc, inv, c)
-        return pa.table({"target_id": pa.array(uq, pa.string()), "c": pa.array(acc)})
+    def _contrib(t_ids, c) -> pa.Table:
+        return pa.table(
+            {"target_id": pa.array(t_ids, pa.string()), "c": pa.array(c, pa.int64())}
+        )
 
     def _first_partial(batch: pa.Table) -> pa.Table:
         # r0 = SCALE on seeds only: contribution dm // d from seed sources
         keep = pc.is_in(batch.column("source_id"), value_set=seed_arr)
         b = batch.filter(keep)
         d = b.column("d").to_numpy(zero_copy_only=False).astype(np.int64)
-        return _combine(
+        return _contrib(
             b.column("target_id").to_numpy(zero_copy_only=False), np.int64(dm) // d
         )
 
@@ -647,7 +641,7 @@ def personalized_pagerank(
         r[np.isnan(r)] = 0  # pandas-merge miss (int64 micro < 2^53: exact)
         r = r.astype(np.int64)
         d = batch.column("d").to_numpy(zero_copy_only=False).astype(np.int64)
-        return _combine(
+        return _contrib(
             batch.column("target_id").to_numpy(zero_copy_only=False),
             (r * np.int64(dm)) // (np.int64(SCALE) * d),
         )
@@ -684,19 +678,14 @@ def personalized_pagerank(
             joined = _hybrid_left(ew, ranks, on="source_id", right_key="id")
             contrib = joined.map_batches(_rank_partial, batch_format="pyarrow")
 
+        sums = fold(contrib, "target_id", [("c", "sum", "c")], combine=True)
         if use_driver:
-            parts = contrib.to_pandas()
-            g = (
-                parts.groupby("target_id", sort=False)["c"].sum()
-                if len(parts)
-                else pd.Series(dtype=np.int64)
+            s = sums.to_pandas()
+            rank_pdf = _base_applied_pdf(
+                pd.Series(s["c"].to_numpy(), index=s["target_id"].to_numpy())
             )
-            rank_pdf = _base_applied_pdf(g)
             continue
-
-        sums = as_dataset(fold(
-            contrib, "target_id", [("c", "sum", "c")]
-        )).materialize()
+        sums = as_dataset(sums).materialize()
 
         def _add_base(tbl: pa.Table) -> pa.Table:
             base = pc.if_else(
@@ -1182,8 +1171,8 @@ def _wedge_pair_fold(
     """Shared sharded-coarse wedge enumeration: symmetrize the distinct
     undirected pair set to full adjacency, group centers by
     hash(center) % num_shards (lexsort + per-segment triu — no per-node
-    tasks), fold each shard's wedge pairs locally, then one bounded
-    (x, y) Sum exchange. ``seg_weight(d)`` is each wedge's integer
+    tasks), then one (x, y) Sum fold whose per-block combine collapses
+    each shard's wedge pairs. ``seg_weight(d)`` is each wedge's integer
     contribution given its center's degree d (None → 1, plain counts).
     Exact work is inherently Σ deg² — cap or sample hub neighborhoods
     upstream when the degree distribution has no ceiling."""
@@ -1227,19 +1216,11 @@ def _wedge_pair_fold(
             return pa.table(
                 {"x": e0, "y": e0, "n": pa.array([], pa.int64())}
             )
-        packed = pd.DataFrame(
-            {
-                "x": np.concatenate(xs),
-                "y": np.concatenate(ys),
-                "n": np.concatenate(ws),
-            }
-        )
-        cnt = packed.groupby(["x", "y"], sort=False)["n"].sum().reset_index()
         return pa.table(
             {
-                "x": pa.array(cnt["x"].to_numpy(), pa.string()),
-                "y": pa.array(cnt["y"].to_numpy(), pa.string()),
-                "n": pa.array(cnt["n"].to_numpy().astype(np.int64)),
+                "x": pa.array(np.concatenate(xs), pa.string()),
+                "y": pa.array(np.concatenate(ys), pa.string()),
+                "n": pa.array(np.concatenate(ws), pa.int64()),
             }
         )
 
@@ -1249,7 +1230,7 @@ def _wedge_pair_fold(
         .groupby("shard")
         .map_groups(_wedges, batch_format="pandas")
     )
-    return as_dataset(fold(wedges, ["x", "y"], [("n", "sum", out_col)]))
+    return as_dataset(fold(wedges, ["x", "y"], [("n", "sum", out_col)], combine=True))
 
 
 def bfs_depths(

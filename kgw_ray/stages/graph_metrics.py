@@ -1146,9 +1146,9 @@ def bellman_ford(
 
     Integer min-plus is engine-exact (the oracle unrolls the identical
     rounds). Physical plan per round: ONE size-hybrid join of the
-    (node-vocabulary-sized) dist table onto the edge stream at ``s``, a
-    per-batch min combiner of ``dist+w`` per target, then a grouped Min
-    folding candidates against the previous dist table — the edge stream
+    (node-vocabulary-sized) dist table onto the edge stream at ``s``,
+    then one fold (``combine=True``) taking the Min of the ``dist+w``
+    candidates and the previous dist table per node — the edge stream
     is materialized once and re-consumed; nothing corpus-sized crosses
     per round beyond ≤ one row per (block, reached node).
 
@@ -1178,25 +1178,16 @@ def bellman_ford(
         pa.table({"id": pa.array([source], pa.string()), "dist": pa.array([0], pa.int64())})
     )
 
-    def _cand_partial(batch: pa.Table) -> pa.Table:
-        d = pc_int64(batch.column("dist"))
-        w = pc_int64(batch.column(w_col))
-        df = pd.DataFrame(
-            {"id": batch.column(dst_col).to_numpy(zero_copy_only=False), "dist": d + w}
-        )
-        g = df.groupby("id", sort=False)["dist"].min().reset_index()
-        return pa.table(
-            {
-                "id": pa.array(g["id"].to_numpy(), pa.string()),
-                "dist": pa.array(g["dist"].to_numpy().astype(np.int64)),
-            }
-        )
+    def _cand(batch: pa.Table) -> pa.Table:
+        d, w = (pc.cast(pc.fill_null(batch.column(c), 0), pa.int64()) for c in ("dist", w_col))
+        dst = pc.cast(batch.column(dst_col), pa.string())
+        return pa.table({"id": dst, "dist": pc.add(d, w)})
 
     for _ in range(rounds):
         reached = _hybrid_attach(pairs, dist, on=src_col, right_on="id")
-        cands = reached.map_batches(_cand_partial, batch_format="pyarrow")
+        cands = reached.map_batches(_cand, batch_format="pyarrow")
         dist = as_dataset(fold(
-            cands.union(dist), "id", [("dist", "min", "dist")]
+            cands.union(dist), "id", [("dist", "min", "dist")], combine=True
         )).materialize()
 
     return dist
@@ -1550,8 +1541,8 @@ def nodes_from_edges(
 
 
 def _grouped_min_label(ds: rd.Dataset) -> rd.Dataset:
-    """(id, label) partial rows → one MIN label per id (per-batch pandas
-    combiner + the size-hybrid grouped Min)."""
+    """(id, label) partial rows → one MIN label per id (one fold with
+    ``combine=True``: an Arrow group-by per block, then the merge)."""
 
     return as_dataset(fold(
         ds.select_columns(["id", "label"]), "id", [("label", "min", "label")], combine=True
@@ -3089,23 +3080,14 @@ def jones_plassmann_coloring(
                 broadcast_limit=broadcast_limit,
             )
 
-            def _wc(t: pa.Table) -> pa.Table:
-                return pa.table(
-                    {
-                        "w": t.column("w"),
-                        "color": t.column("color"),
-                        "one": pa.array(
-                            np.ones(t.num_rows, dtype=np.int64)
-                        ),
-                    }
-                )
-
+            # distinct (w, color): a count whose column is dropped by _bits
             wc = as_dataset(fold(
-                ca.map_batches(_wc, batch_format="pyarrow").union(
-                    cb.map_batches(_wc, batch_format="pyarrow")
+                ca.select_columns(["w", "color"]).union(
+                    cb.select_columns(["w", "color"])
                 ),
                 ["w", "color"],
-                [("one", "max", "one")],
+                [(None, "count", "n")],
+                combine=True,
             ))
 
             def _bits(t: pa.Table) -> pa.Table:

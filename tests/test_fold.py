@@ -396,54 +396,87 @@ def test_events_rollup_no_future_warning(sf_variant):
 
 
 # the webkg build path keeps its own partial/merge (tree combine, driver
-# merge limit); everything else folds with ``combine=True``
+# merge limit); everything else folds with ``combine=True``. Two group-bys
+# are not combiners: a per-block k-smallest sample (it feeds fold with
+# combine=False), and per-document term counts (a document is one row).
 _HAND_COMBINER_ALLOWED = {
     "_merge_edge_partials", "node_rows", "_edge_partials", "_node_partials",
     "_tree_combine", "nodes_from_edges",
+    "events_user_sketch_by_type", "_distinct_doc_tokens",
 }
 _HAND_COMBINER = re.compile(
-    r"\.groupby\(|np\.unique\(|\.value_counts\(|drop_duplicates\("
+    r"\.groupby\(|\.group_by\(|np\.unique\(|np\.add\.at\(|\.value_counts\(|drop_duplicates\("
 )
 
 
 def _hand_combiners(path: str) -> list[str]:
-    """``fold(<ds>.map_batches(f), ...)`` call sites in ``path`` (or
-    ``fold(x, ...)`` with ``x`` assigned from such a chain) whose ``f``,
-    resolved in the nearest enclosing scope that defines it, groups,
-    histograms or deduplicates by hand."""
+    """``fold(x, ...)`` call sites in ``path`` whose input ``x`` maps
+    batches through a function that groups, histograms or deduplicates by
+    hand. ``x`` is followed along its Dataset method chain, through
+    ``union`` and through names assigned in enclosing scopes (``a =
+    ds.map_batches(f)``; ``fold(a.union(b), ...)``), a lambda's calls are
+    followed into the local functions they name, and so are the local
+    functions that ``f`` calls, one level deep. Not seen: a per-block
+    group-by whose result is pulled and regrouped without ``fold``, and
+    ``map_groups`` bodies (their group-bys are mostly the per-user or
+    per-order computation itself)."""
     src = open(path).read()
     found = []
 
-    def mapped(expr) -> list[str]:
+    def called(expr) -> list[str]:
         return [
-            c.args[0].id for c in ast.walk(expr)
-            if isinstance(c, ast.Call) and getattr(c.func, "attr", None) == "map_batches"
-            and c.args and isinstance(c.args[0], ast.Name)
+            c.func.id for c in ast.walk(expr)
+            if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
         ]
+
+    def mapped(expr, chains, seen=()) -> list[str]:
+        """Functions mapped along the Dataset method chain of ``expr``."""
+        if isinstance(expr, ast.Name):
+            if expr.id in seen:
+                return []
+            return [
+                f for value in chains.get(expr.id, [])
+                for f in mapped(value, chains, (*seen, expr.id))
+            ]
+        if not (isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute)):
+            return []
+        out = mapped(expr.func.value, chains, seen)
+        if expr.func.attr == "map_batches" and expr.args:
+            f = expr.args[0]
+            out += [f.id] if isinstance(f, ast.Name) else called(f)
+        elif expr.func.attr == "union":
+            out += [g for a in expr.args for g in mapped(a, chains, seen)]
+        return out
 
     def visit(node, scopes, owners, chains):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = [d for d in ast.walk(node) if d is not node]
             local = {d.name: d for d in inner if isinstance(d, ast.FunctionDef)}
-            chain = {
-                a.targets[0].id: mapped(a.value) for a in inner
-                if isinstance(a, ast.Assign) and len(a.targets) == 1
-                and isinstance(a.targets[0], ast.Name)
-            }
+            chain = {}
+            for a in inner:
+                if (
+                    isinstance(a, ast.Assign) and len(a.targets) == 1
+                    and isinstance(a.targets[0], ast.Name)
+                ):
+                    chain.setdefault(a.targets[0].id, []).append(a.value)
             scopes, owners, chains = scopes + [local], owners + [node.name], {**chains, **chain}
         if (
             isinstance(node, ast.Call)
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "fold"
             and node.args
         ):
-            arg = node.args[0]
-            names = chains.get(arg.id, []) if isinstance(arg, ast.Name) else mapped(arg)
-            for name in names:
-                fn = next((s[name] for s in reversed(scopes) if name in s), None)
-                if (
-                    fn is not None
-                    and _HAND_COMBINER.search(ast.get_source_segment(src, fn))
-                    and not _HAND_COMBINER_ALLOWED & {name, *owners}
+            def resolve(name):
+                return next((sc[name] for sc in reversed(scopes) if name in sc), None)
+
+            for name in mapped(node.args[0], chains):
+                fn = resolve(name)
+                if fn is None:
+                    continue
+                body = [fn] + [h for h in map(resolve, called(fn)) if h is not None]
+                if not _HAND_COMBINER_ALLOWED & {name, *owners} and any(
+                    _HAND_COMBINER.search(ast.get_source_segment(src, b))
+                    and b.name not in _HAND_COMBINER_ALLOWED
+                    for b in body
                 ):
                     found.append(f"{path}:{node.lineno} {name}")
         for child in ast.iter_child_nodes(node):
@@ -456,9 +489,10 @@ def _hand_combiners(path: str) -> list[str]:
 
 
 def test_grouped_aggregates_use_fold():
-    """Every grouped aggregate is one ``fold`` whose per-block combine is
-    the fold's own (``combine=True``): no second entry point, and no
-    hand-written per-block group-by, histogram or distinct feeding it."""
+    """No second entry point to the grouped fold, and no hand-written
+    per-block group-by, histogram or distinct feeding a ``fold`` call
+    (what ``_hand_combiners`` can see): its per-block combine is the
+    fold's own (``combine=True``)."""
     root = os.path.join(os.path.dirname(__file__), "..", "kgw_ray")
     wrapper, hand = [], []
     for dirpath, _, files in os.walk(root):
