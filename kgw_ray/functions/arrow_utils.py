@@ -14,13 +14,6 @@ import pandas as pd
 import pyarrow as pa
 
 
-def strip_meta(batch: pa.Table) -> pa.Table:
-    """Zero-copy: drop custom schema metadata from a block."""
-    if batch.schema.metadata:
-        return batch.replace_schema_metadata(None)
-    return batch
-
-
 def arrow_from_pandas(df: pd.DataFrame) -> pa.Table:
     """pandas → Arrow without the pandas schema-metadata payload."""
     return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)

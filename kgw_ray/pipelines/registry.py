@@ -15,7 +15,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from kgw_ray.sources.readers import read_table
+from kgw_ray.sources.readers import read_table, scan_parquet
 from kgw_ray.stages.triples import ENTITIES, ENTITY_TYPE, RELATIONS
 
 QUERIES: dict[str, Callable[[str], Any]] = {}
@@ -2702,13 +2702,11 @@ def q_kg_edges_stored_pages(sf_dir: str) -> rd.Dataset:
     read(doc_id, html) -> extract -> triples -> link -> dedup merge
     (webkg.triples_from_pages) -- must produce the identical edge table
     as the inline-synthesis path (same oracle as webkg_edges)."""
-    import ray.data as _rd
-
     from kgw_ray.pipelines.webkg import edges_from_triples, triples_from_pages
     from kgw_ray.sources.pages import render_pages_parquet
 
     pages_dir = render_pages_parquet(sf_dir)
-    pages = _rd.read_parquet(pages_dir, columns=["doc_id", "html"])
+    pages = scan_parquet(pages_dir, columns=["doc_id", "html"])
     return edges_from_triples(triples_from_pages(pages))
 
 

@@ -24,7 +24,7 @@ from ray.data.aggregate import Max, Min
 from kgw_ray.functions.arrow_utils import arrow_from_pandas, typed_pandas
 from kgw_ray.functions.porthash import bitlen_u64 as _bitlen_u64
 from kgw_ray.functions.porthash import mix64 as _mix64
-from kgw_ray.sources.readers import read_table, read_table_pandas
+from kgw_ray.sources.readers import read_table, read_table_pandas, scan_parquet
 from kgw_ray.stages.agg import as_dataset, fold, order_by
 from kgw_ray.stages.joins import broadcast_join, large_join
 
@@ -1652,7 +1652,7 @@ def docs_compact_small_files(sf_dir: str) -> pa.Table:
         )
     out_dir = tempfile.mkdtemp(prefix="kgw_ray_compact_")
     stats = compact_parquet(ds, out_dir, target_rows_per_file=_COMPACT_TARGET)
-    r = table_checksum(rd.read_parquet(out_dir, columns=cols), cols)
+    r = table_checksum(scan_parquet(out_dir, columns=cols), cols)
     return pa.table(
         {
             "n_rows": pa.array([r["n_rows"]], pa.int64()),
@@ -5631,17 +5631,21 @@ def events_user_sketch_by_type(sf_dir: str, k: int = 64) -> pa.Table:
         t = t.filter(pc.is_valid(t.column("user_id")))
         users = pc.cast(t.column("user_id"), pa.string()).to_pylist()
         h = pa.array(_portable_token_hashes(users), pa.uint64())
-        pairs = (
-            pa.table({"event_type": t.column("event_type"), "h": h})
-            .group_by(["event_type", "h"], use_threads=False)
-            .aggregate([])
-            .sort_by([("event_type", "ascending"), ("h", "ascending")])
+        pairs = pa.table({"event_type": t.column("event_type"), "h": h}).sort_by(
+            [("event_type", "ascending"), ("h", "ascending")]
         )
         et = pairs.column("event_type").to_numpy(zero_copy_only=False)
+        hv = pairs.column("h").to_numpy()
         new = np.ones(len(et), dtype=bool)
         new[1:] = et[1:] != et[:-1]
+        # sorted, so a repeated (type, hash) pair follows its first copy.
+        # Not an Arrow group_by: with a NULL string key before an integer
+        # key, pyarrow 16 splits the NULL group into duplicate groups.
+        first = new.copy()
+        first[1:] |= hv[1:] != hv[:-1]
+        pairs, new = pairs.filter(pa.array(first)), new[first]
         start = np.flatnonzero(new)[np.cumsum(new) - 1]
-        return pairs.filter(pa.array(np.arange(len(et)) - start < k))
+        return pairs.filter(pa.array(np.arange(len(new)) - start < k))
 
     pairs = fold(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -6264,12 +6268,16 @@ def events_user_journeys(sf_dir: str) -> rd.Dataset:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         u = g["user_id"].to_numpy()
         starts, lengths = _user_segments(u)
-        agg = g.groupby("user_id", sort=False)["event_type"].agg(">".join)
+        # string_agg skips NULL types; a user with none gets a NULL journey
+        typed = g[g["event_type"].notna()]
+        agg = typed.groupby("user_id", sort=False)["event_type"].agg(">".join)
         return pa.table(
             {
                 "user_id": pa.array(u[starts]),
                 "n_events": pa.array(lengths.astype(np.int64)),
-                "journey": pa.array(agg.to_numpy(), pa.string()),
+                "journey": pa.array(
+                    agg.reindex(u[starts]).to_numpy(), pa.string(), from_pandas=True
+                ),
             }
         )
 

@@ -18,7 +18,7 @@ import ray.data as rd
 
 from kgw_ray.functions.arrow_utils import typed_pandas
 from kgw_ray.functions.tokenize import split_tokens
-from kgw_ray.sources.readers import read_table
+from kgw_ray.sources.readers import read_table, scan_parquet
 from kgw_ray.stages.agg import as_dataset, fold
 from kgw_ray.stages.corpus import flat_tokens
 
@@ -4304,20 +4304,18 @@ def docs_partitioned_export(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Hive-partitioned export with a gated read-back: write the documents
     table as ``lang=<value>/`` Parquet partitions (the resumable-output
     layout — a re-run skips finished partition directories), then read the
-    partitioned lake BACK (Ray re-derives the partition column from the
-    directory names) and count rows per partition in-engine. The returned
+    partitioned lake BACK (the reader re-derives the partition column from
+    the directory names) and count rows per partition in-engine. The returned
     (lang, n_docs) table is hash-gated against GROUP BY over the ORIGINAL
     table, so the gate proves the partitioned write routed and preserved
     every row."""
     import tempfile
 
-    import ray.data as rd
-
     docs = read_table(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
     out_dir = tempfile.mkdtemp(prefix="kgw_ray_part_export_")
     docs.write_parquet(out_dir, partition_cols=["lang"])
 
-    back = rd.read_parquet(out_dir)
+    back = scan_parquet(out_dir)
 
     return fold(
         back.map_batches(

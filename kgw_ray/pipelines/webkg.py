@@ -28,9 +28,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from kgw_ray.functions.scalars import json_dumps, json_loads
+from kgw_ray.functions.scalars import json_dumps
 from kgw_ray.sources.pages import pages_dataset, url_for, warc_ts_for
-from kgw_ray.stages.agg import as_dataset, fold
+from kgw_ray.sources.readers import scan_parquet
+from kgw_ray.stages.agg import _materialized, as_dataset, fold
 from kgw_ray.stages.extract import HtmlExtract
 from kgw_ray.stages.linking import link_triples_batch
 from kgw_ray.stages.triples import ENTITY_TYPE, extract_triples_batch
@@ -223,8 +224,8 @@ def _merge_edge_partials(partials: rd.Dataset, *, render: bool = True):
     ``render=False`` keeps the COMBINER schema, making the output a
     mergeable state (closed under another merge — Sum/Min monoids)."""
     keys = ["subj_id", "pred", "obj_id"]
-    parts = partials.materialize()
-    if parts.count() > _DRIVER_MERGE_LIMIT:
+    parts, _, rows, _ = _materialized(partials)
+    if sum(rows) > _DRIVER_MERGE_LIMIT:
         parts = _tree_combine(
             parts, keys, [("n_obs", "sum"), ("first_doc", "min")]
         )
@@ -354,8 +355,8 @@ def node_rows(triples: rd.Dataset) -> "pa.Table | rd.Dataset":
     rendered by the fold (a driver table when driver-sized).
     """
     partials = triples.map_batches(_node_partials, batch_format="pyarrow")
-    parts = partials.materialize()
-    if parts.count() > _DRIVER_MERGE_LIMIT:
+    parts, _, rows, _ = _materialized(partials)
+    if sum(rows) > _DRIVER_MERGE_LIMIT:
         parts = _tree_combine(parts, ["surface"], [("n_partial", "sum")])
     return fold(
         parts,
@@ -372,48 +373,44 @@ def nodes_from_triples(triples: rd.Dataset) -> rd.Dataset:
     return as_dataset(node_rows(triples))
 
 
+def _endpoint_mentions(batch: pa.Table) -> pa.Table:
+    """Rendered edge rows → one (surface, n_mentions) row per endpoint;
+    ``n_obs`` is cut out of the canonical properties JSON
+    (``_edge_props_json``) with a regex kernel, not parsed per row."""
+    n_obs = pc.cast(
+        pc.struct_field(
+            pc.extract_regex(batch.column("properties"), r'"n_obs":(?P<n>\d+)'), [0]
+        ),
+        pa.int64(),
+    )
+    ends = [pc.utf8_slice_codeunits(batch.column(c), 2) for c in ("source_id", "target_id")]
+    return pa.table(
+        {
+            "surface": pa.chunked_array(ends[0].chunks + ends[1].chunks, pa.string()),
+            "n_mentions": pa.chunked_array(n_obs.chunks * 2, pa.int64()),
+        }
+    )
+
+
 def nodes_from_edges(edges: rd.Dataset) -> rd.Dataset:
     """Node table derived from the MERGED edges table instead of a second
     corpus pass: every triple mention contributes one subj and one obj
     occurrence, so n_mentions(s) = Σ n_obs over edges where s is source
-    plus Σ n_obs where s is target — two tiny aggregations over the edge
-    table (identical output to ``nodes_from_triples``; equality-tested).
+    plus Σ n_obs where s is target — one fold over the endpoint rows
+    (identical output to ``nodes_from_triples``; equality-tested).
     ``build_webkg`` uses this so the expensive pages→extract→link pipeline
     runs ONCE, not once per hub table."""
-    from ray.data.aggregate import Sum
-
-    def melt(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        n_obs = batch.column("n_obs").to_numpy(zero_copy_only=False)
-        surfaces = [s[2:] for s in batch.column("source_id").to_pylist()] + [
-            s[2:] for s in batch.column("target_id").to_pylist()
-        ]
-        return pa.table(
-            {
-                "surface": pa.array(surfaces, pa.string()),
-                "n_partial": pa.array(np.concatenate([n_obs, n_obs]), pa.int64()),
-            }
+    return as_dataset(
+        fold(
+            edges.map_batches(_endpoint_mentions, batch_format="pyarrow"),
+            "surface",
+            [("n_mentions", "sum", "n_mentions")],
+            combine=True,
+            finalize=_render_node_rows,
+            batch_format="pyarrow",
+            driver_limit=_DRIVER_MERGE_LIMIT,
         )
-
-    def unrender(batch: pa.Table) -> pa.Table:
-        # recover (source_id, target_id, n_obs) from rendered edge rows
-        n_obs = [json_loads(p)["n_obs"] for p in batch.column("properties").to_pylist()]
-        return pa.table(
-            {
-                "source_id": batch.column("source_id"),
-                "target_id": batch.column("target_id"),
-                "n_obs": pa.array(n_obs, pa.int64()),
-            }
-        )
-
-    counts = (
-        edges.map_batches(unrender, batch_format="pyarrow")
-        .map_batches(melt, batch_format="pyarrow")
-        .groupby("surface")
-        .aggregate(Sum("n_partial", alias_name="n_mentions"))
     )
-    return counts.map_batches(_render_node_rows, batch_format="pyarrow")
 
 
 def build_webkg(
@@ -523,9 +520,6 @@ def build_webkg_partitioned(
     merge re-aggregates the per-partition partials into the edges table —
     the only cross-partition shuffle, over pre-collapsed rows.
     """
-    import ray.data as rd
-
-    from kgw_ray.sources.readers import read_table  # noqa: F401 (docs parity)
     from kgw_ray.state.manifest import (
         partition_input_shards,
         resumable_partitioned_run,
@@ -536,16 +530,13 @@ def build_webkg_partitioned(
     fingerprint = _input_fingerprint("webkg_part", sorted(document_files))
 
     def per_partition(paths: list[str]) -> rd.Dataset:
-        docs = rd.read_parquet(paths, columns=["doc_id", "text", "lang", "source"])
-        from kgw_ray.functions.arrow_utils import strip_meta
+        docs = scan_parquet(paths, columns=["doc_id", "text", "lang", "source"])
         from kgw_ray.sources.pages import synth_pages
         from kgw_ray.stages.extract import extract_batch
         from kgw_ray.stages.linking import link_triples_batch
         from kgw_ray.stages.triples import extract_triples_batch
 
-        pages = docs.map_batches(strip_meta, batch_format="pyarrow").map_batches(
-            synth_pages, batch_format="pyarrow"
-        )
+        pages = docs.map_batches(synth_pages, batch_format="pyarrow")
         triples = (
             pages.map_batches(extract_batch, batch_format="pyarrow")
             .map_batches(extract_triples_batch, batch_format="pyarrow")
@@ -582,8 +573,6 @@ def build_webkg_partitioned_full(
     over the same shard assignment — a rerun reuses every completed
     partition of both stages. Returns (nodes, edges).
     """
-    import ray.data as rd
-
     from kgw_ray.state.manifest import (
         partition_input_shards,
         resumable_partitioned_run,
@@ -598,16 +587,13 @@ def build_webkg_partitioned_full(
     fingerprint = _input_fingerprint("webkg_part", sorted(document_files))
 
     def per_partition_nodes(paths: list[str]) -> rd.Dataset:
-        docs = rd.read_parquet(paths, columns=["doc_id", "text", "lang", "source"])
-        from kgw_ray.functions.arrow_utils import strip_meta
+        docs = scan_parquet(paths, columns=["doc_id", "text", "lang", "source"])
         from kgw_ray.sources.pages import synth_pages
         from kgw_ray.stages.extract import extract_batch
         from kgw_ray.stages.linking import link_triples_batch
         from kgw_ray.stages.triples import extract_triples_batch
 
-        pages = docs.map_batches(strip_meta, batch_format="pyarrow").map_batches(
-            synth_pages, batch_format="pyarrow"
-        )
+        pages = docs.map_batches(synth_pages, batch_format="pyarrow")
         triples = (
             pages.map_batches(extract_batch, batch_format="pyarrow")
             .map_batches(extract_triples_batch, batch_format="pyarrow")

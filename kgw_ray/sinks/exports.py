@@ -151,13 +151,13 @@ _WINDOW = 32
 
 def _publish(path: str, parts: list) -> None:
     """Write ``path`` from ``parts`` in order. A ``str`` part is written as
-    is; a ``(blocks, render)`` part renders every block in its own task as
-    ``render(block, start) -> str``, at most ``_WINDOW`` parts ahead of the
-    driver's ordered writes."""
+    is and an object ref as the string it holds; a ``(blocks, render)``
+    part renders every block in its own task as ``render(block, start) ->
+    str``, at most ``_WINDOW`` parts ahead of the driver's ordered writes."""
 
     def submitted():
         for part in parts:
-            if isinstance(part, str):
+            if not isinstance(part, tuple):
                 yield part
             else:
                 blocks, render = part
@@ -335,23 +335,6 @@ def _graphml_type(v) -> str:
     return "string"
 
 
-def _attr_schema_of_block(batch: pa.Table, start: int) -> dict:
-    """Local (key → (gtype, global_ordinal)) of one block; ``start`` is the
-    block's global row offset so first-seen order is GLOBAL scan order
-    (reference load.py:404-459 walks rows in one sequence). Ordinals are
-    (row, key_index) TUPLES — a row-stride integer would overflow into the
-    next row's range for property dicts with 1000+ keys."""
-    seen: dict[str, tuple[str, tuple[int, int]]] = {}
-    for base, props in enumerate(batch.column("properties").to_pylist()):
-        if not props:
-            continue
-        d = json_loads(props)
-        for i, (k, v) in enumerate(d.items()):
-            if k not in seen:
-                seen[k] = (_graphml_type(v), (start + base, i))
-    return seen
-
-
 def _graphml_key_id(owner: str, k: str) -> str:
     """Key id for a property attribute. A property literally named "type"
     would collide with the built-in ``{owner}_type`` declaration (duplicate
@@ -360,13 +343,13 @@ def _graphml_key_id(owner: str, k: str) -> str:
     return f"{owner}_{k}_prop" if k == "type" else f"{owner}_{k}"
 
 
-def _attr_schema(blocks: _Blocks, owner: str) -> list[str]:
+def _attr_schema(rendered: list, owner: str) -> list[str]:
     """``<key>`` declarations of every property key in first-seen order,
-    typed by its first value (pass 1 of GraphML, load.py:404-459):
-    per-block maps computed in parallel, tiny driver merge by min
+    typed by its first value (pass 1 of GraphML, load.py:404-459): the
+    per-block maps of ``_graphml_block``, merged on the driver by min
     (row, key_index) ordinal."""
     merged: dict[str, tuple[str, tuple[int, int]]] = {}
-    for seen in _per_block(_attr_schema_of_block, blocks):
+    for seen in ray.get([seen for seen, _ in rendered]):
         for k, (t, o) in seen.items():
             if k not in merged or o < merged[k][1]:
                 merged[k] = (t, o)
@@ -396,43 +379,64 @@ def _graphml_value(v) -> str:
     return _esc(v)
 
 
-def _graphml_data(owner: str, props: pa.Array) -> pa.Array:
-    """Per row, the ``<data>`` lines of its properties, each after a
-    newline ("" for a row without properties)."""
-    tag = lru_cache(maxsize=None)(
-        lambda k: f'\n      <data key="{_attr(_graphml_key_id(owner, k))}">'
-    )
-    return _strings([
-        "".join(f"{tag(k)}{_graphml_value(v)}</data>" for k, v in json_loads(p).items())
-        if p else ""
-        for p in props.to_pylist()
-    ])
-
-
-def _graphml_nodes(tbl: pa.Table, _start: int) -> str:
-    nid, ntype, props = _cols(tbl, "id", "type", "properties")
+def _graphml_nodes(tbl: pa.Table, _start: int, data: pa.Array) -> str:
+    nid, ntype = _cols(tbl, "id", "type")
     return _lines(_join(
         '    <node id="', _xml(nid, attr=True), '">\n      <data key="node_type">',
-        _xml(ntype), "</data>", _graphml_data("node", props), "\n    </node>",
+        _xml(ntype), "</data>", data, "\n    </node>",
     ))
 
 
-def _graphml_edges(tbl: pa.Table, start: int) -> str:
+def _graphml_edges(tbl: pa.Table, start: int, data: pa.Array) -> str:
     # final edge ids baked in from the block's global row offset
-    s, t, etype, props = _cols(tbl, "source_id", "target_id", "type", "properties")
+    s, t, etype = _cols(tbl, "source_id", "target_id", "type")
     return _lines(_join(
         '    <edge id="e', _ids(start, tbl.num_rows), '" source="', _xml(s, attr=True),
         '" target="', _xml(t, attr=True), '">\n      <data key="edge_type">',
-        _xml(etype), "</data>", _graphml_data("edge", props), "\n    </edge>",
+        _xml(etype), "</data>", data, "\n    </edge>",
     ))
 
 
+def _graphml_block(owner: str, tbl: pa.Table, start: int) -> tuple[dict, str]:
+    """One block of ``owner`` rows: (its attribute schema, its GraphML
+    lines), each ``properties`` value parsed once for both.
+
+    The schema maps key → (gtype, global ordinal); ``start`` is the
+    block's global row offset, so first-seen order is GLOBAL scan order
+    (reference load.py:404-459 walks rows in one sequence). Ordinals are
+    (row, key_index) TUPLES — a row-stride integer would overflow into the
+    next row's range for property dicts with 1000+ keys. A row's
+    ``<data>`` lines each follow a newline ("" without properties)."""
+    props = [json_loads(p) if p else {} for p in tbl.column("properties").to_pylist()]
+    seen: dict[str, tuple[str, tuple[int, int]]] = {}
+    for row, d in enumerate(props):
+        for i, (k, v) in enumerate(d.items()):
+            if k not in seen:
+                seen[k] = (_graphml_type(v), (start + row, i))
+    tag = lru_cache(maxsize=None)(
+        lambda k: f'\n      <data key="{_attr(_graphml_key_id(owner, k))}">'
+    )
+    data = _strings([
+        "".join(f"{tag(k)}{_graphml_value(v)}</data>" for k, v in d.items())
+        for d in props
+    ])
+    render = _graphml_nodes if owner == "node" else _graphml_edges
+    return seen, render(tbl, start, data)
+
+
 def write_graphml(nodes: rd.Dataset, edges: rd.Dataset, path: str) -> None:
-    """GraphML export: attribute-schema pass, then parallel rendering with
-    sequential edge ids (load.py:503), each block knowing its global edge
-    offset up front. Each input executes at most once: its block refs feed
-    both the attribute-schema pass and the render pass."""
-    n, e = _blocks(nodes), _blocks(edges)
+    """GraphML export with sequential edge ids (load.py:503). Each input
+    executes at most once, and each block is parsed and rendered once, in
+    one task that also returns the block's attribute schema: the rendered
+    blocks wait in the object store while the driver merges the schemas
+    into the ``<key>`` declarations that head the file."""
+    rendered = {
+        owner: [
+            _on_block.options(num_returns=2).remote(partial(_graphml_block, owner), r, s)
+            for r, s in zip(b.refs, b.starts)
+        ]
+        for owner, b in (("node", _blocks(nodes)), ("edge", _blocks(edges)))
+    }
     _publish(path, [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns" '
@@ -441,11 +445,11 @@ def write_graphml(nodes: rd.Dataset, edges: rd.Dataset, path: str) -> None:
         'http://graphml.graphdrawing.org/xmlns/1.0/graphml.xsd">\n'
         '  <key id="node_type" for="node" attr.name="type" attr.type="string"/>\n'
         '  <key id="edge_type" for="edge" attr.name="type" attr.type="string"/>\n',
-        *_attr_schema(n, "node"),
-        *_attr_schema(e, "edge"),
+        *_attr_schema(rendered["node"], "node"),
+        *_attr_schema(rendered["edge"], "edge"),
         '  <graph edgedefault="directed">\n',
-        (n, _graphml_nodes),
-        (e, _graphml_edges),
+        *[text for _, text in rendered["node"]],
+        *[text for _, text in rendered["edge"]],
         "  </graph>\n</graphml>\n",
     ])
 

@@ -159,19 +159,13 @@ def pages_dataset(
     without external data; every replica synthesizes different page HTML
     (doc_id feeds the paragraph-width variation) but identical text.
     """
-    from kgw_ray.sources.readers import read_table
+    from kgw_ray.sources.readers import cluster_cpus, read_table
 
     if override_num_blocks is None and repeat > 1:
-        # the single small parquet file reads as ~8 blocks, which caps task
-        # parallelism of the whole downstream chain — fan the read out to
-        # ≥2 blocks per CPU so replicas saturate the cluster
-        import ray
-
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:  # pragma: no cover
-            cpus = 8
-        override_num_blocks = 2 * cpus
+        # the single small parquet file reads as one block per row group,
+        # which caps task parallelism of the whole downstream chain — fan
+        # the read out to 2 blocks per CPU so replicas saturate the cluster
+        override_num_blocks = 2 * cluster_cpus()
 
     docs = read_table(
         sf_dir,

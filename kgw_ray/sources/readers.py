@@ -4,14 +4,39 @@ The reference's Extract stage pulls raw files over HTTP and decompresses them
 (kgw/_shared/extract.py:176-200, tasks.py:96-128). In this sealed environment
 all inputs are local Parquet; the reader's job is column pruning and
 row-filter pushdown so only the needed bytes leave storage.
+
+Every Parquet read in the engine is :func:`scan_parquet`. It plans on the
+driver from the file footers and starts no Ray task before execution
+(Ray's ``read_parquet`` prefetches footers and samples fragments in remote
+tasks on every call; those extra workers made the raylet retire the warm
+worker, so every other execution paid a fresh worker's imports):
+
+- the pieces are the files, or their row groups when there are fewer
+  files than tasks, grouped into ``min(pieces, 2 × cluster CPUs)``
+  contiguous read tasks. The same number is the read's block count, so
+  Ray adds no split and the read fuses into the map chain after it;
+- each task yields one block per row group, with the pandas schema
+  metadata stripped and the filter pushed into the scan;
+- the block metadata carries the footer row counts, so ``count()`` of an
+  unfiltered read runs no execution;
+- ``k=v`` directories under a scanned directory become string columns
+  (hive partitioning).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Optional, Sequence
+from typing import Any, Optional, Sequence, Union
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.dataset as pads
+import pyarrow.fs as pafs
+import pyarrow.parquet as pq
+import ray
 import ray.data as rd
+from ray.data.block import BlockMetadata
+from ray.data.datasource import Datasource, ReadTask
 
 TABLES = (
     "region",
@@ -27,6 +52,147 @@ TABLES = (
 )
 
 
+def cluster_cpus() -> int:
+    try:
+        return max(1, int(ray.cluster_resources().get("CPU", 8)))
+    except Exception:  # pragma: no cover
+        return 8
+
+
+def parquet_files(path: str) -> list[tuple[str, dict]]:
+    """(file, hive partition values) for a file, or for every ``.parquet``
+    file under a directory in sorted order; names starting with ``_`` or
+    ``.`` (manifests, markers, temp files) are skipped."""
+    if not os.path.isdir(path):
+        return [(path, {})]
+    out = []
+    for root, dirs, files in os.walk(path):
+        dirs[:] = sorted(d for d in dirs if d[:1] not in "_.")
+        rel = os.path.relpath(root, path)
+        parts = dict(
+            seg.split("=", 1) for seg in rel.split(os.sep) if "=" in seg
+        )
+        out.extend(
+            (os.path.join(root, f), parts)
+            for f in sorted(files)
+            if f.endswith(".parquet") and f[:1] not in "_."
+        )
+    return out
+
+
+def parquet_num_rows(path: str) -> int:
+    """Row count of a Parquet file or directory, from the footers."""
+    return sum(pq.read_metadata(f).num_rows for f, _ in parquet_files(path))
+
+
+def _read_pieces(pieces, columns, filter, schema):
+    """A read task's body: one block per (file, row group) piece, cast to
+    the planned schema (which also drops the pandas metadata)."""
+
+    def read():
+        if not pieces:  # files without row groups: one typed empty block
+            yield schema.empty_table()
+        fmt, fs = pads.ParquetFileFormat(), pafs.LocalFileSystem()
+        for path, rg, parts in pieces:
+            frag = fmt.make_fragment(path, filesystem=fs, row_groups=[rg])
+            t = pads.Scanner.from_fragment(
+                frag, columns=columns, filter=filter, use_threads=False
+            ).to_table()
+            for name, v in parts.items():
+                t = t.append_column(name, pa.repeat(pa.scalar(v), t.num_rows))
+            yield t.select(schema.names).cast(schema)
+
+    return read
+
+
+class _ParquetPieces(Datasource):
+    """The footer-planned read behind :func:`scan_parquet`."""
+
+    def __init__(self, paths, columns, filter):
+        files = [fp for p in paths for fp in parquet_files(p)]
+        metas = [pq.read_metadata(f) for f, _ in files]
+        names = sorted({k for _, parts in files for k in parts})
+        schemas = [
+            pa.schema([f.remove_metadata() for f in m.schema.to_arrow_schema()])
+            for m in metas
+        ]
+        full = pa.unify_schemas(schemas) if schemas else pa.schema([])
+        full = pa.schema(
+            [f for f in full if f.name not in names]
+            + [pa.field(n, pa.string()) for n in names]
+        )
+        sel = list(columns) if columns is not None else full.names
+        self._schema = pa.schema([full.field(c) for c in sel])
+        file_cols = [c for c in sel if c not in names]
+        self._columns, self._filter = file_cols, filter
+        # one unit per file, each a list of (path, row group, rows, bytes,
+        # partition values)
+        self._files = []
+        for (path, parts), m in zip(files, metas):
+            keep = {i for i in range(m.num_columns) if m.schema.column(i).path in file_cols}
+            rgs = []
+            for r in range(m.num_row_groups):
+                g = m.row_group(r)
+                size = sum(g.column(i).total_uncompressed_size for i in keep)
+                rgs.append((path, r, g.num_rows, size, {k: parts[k] for k in sel if k in parts}))
+            self._files.append(rgs)
+
+    def get_name(self) -> str:
+        return "Parquet"
+
+    def estimate_inmemory_data_size(self) -> Optional[int]:
+        return sum(p[3] for f in self._files for p in f)
+
+    def units(self, n_tasks: int) -> list[list[tuple]]:
+        """Files when there are at least ``n_tasks`` of them, else row
+        groups."""
+        if len(self._files) >= n_tasks:
+            return self._files
+        return [[p] for f in self._files for p in f]
+
+    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        units = self.units(parallelism) or [[] for _ in self._files[:1]]
+        if not units:
+            return []
+        tasks = []
+        for idx in np.array_split(np.arange(len(units)), min(parallelism, len(units))):
+            group = [p for i in idx for p in units[i]]
+            pieces = [(path, rg, parts) for path, rg, _, _, parts in group]
+            meta = BlockMetadata(
+                num_rows=None if self._filter is not None else sum(p[2] for p in group),
+                size_bytes=sum(p[3] for p in group),
+                input_files=sorted({p[0] for p in group}),
+                exec_stats=None,
+            )
+            fn = _read_pieces(pieces, self._columns, self._filter, self._schema)
+            tasks.append(ReadTask(fn, meta, schema=self._schema))
+        return tasks
+
+
+def scan_parquet(
+    path: Union[str, Sequence[str]],
+    *,
+    columns: Optional[Sequence[str]] = None,
+    filter: Any = None,
+    override_num_blocks: Optional[int] = None,
+) -> rd.Dataset:
+    """Read Parquet files or directories (see the module docstring).
+
+    ``filter`` is a ``pyarrow.dataset`` expression over file columns
+    (e.g. ``pc.field("lang") == "en"``), pushed into each row group's
+    scan. ``override_num_blocks`` is for callers that need more blocks
+    than the files have row groups: Ray splits the read's output to reach
+    it (and the split read no longer fuses with the maps after it).
+    """
+    paths = [path] if isinstance(path, str) else list(path)
+    source = _ParquetPieces(paths, columns, filter)
+    n = override_num_blocks or 2 * cluster_cpus()
+    n_tasks = max(1, min(n, len(source.units(n))))
+    return rd.read_datasource(
+        source, override_num_blocks=max(n_tasks, override_num_blocks or 0)
+    )
+
+
 def read_table(
     sf_dir: str,
     name: str,
@@ -35,58 +201,14 @@ def read_table(
     filter: Any = None,
     override_num_blocks: Optional[int] = None,
 ) -> rd.Dataset:
-    """Read one table with column pruning + row-group pushdown.
-
-    ``filter`` is a ``pyarrow.dataset`` expression (e.g. ``pc.field("lang") == "en"``)
-    pushed down to the Parquet scan.
-    """
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    path = os.path.join(sf_dir, f"{name}.parquet")
-    kwargs: dict[str, Any] = {}
-    if columns is not None:
-        kwargs["columns"] = list(columns)
-    if filter is not None:
-        kwargs["filter"] = filter
-    if override_num_blocks is not None:
-        kwargs["override_num_blocks"] = override_num_blocks
-    # The driver-generated files carry pandas schema metadata, which breaks
-    # Ray's shuffle schema dedup (unhashable dict) and costs ~20× on
-    # aggregates. Passing a metadata-stripped (pruned) schema to the read
-    # makes every block clean AT THE SOURCE — no extra map stage, and the
-    # read operator itself stops warning about unhashable schemas. With a
-    # pushed row filter the scan may reference unprojected columns that a
-    # pruned schema would hide from the fragment reader, so filtered reads
-    # keep the post-read strip instead.
-    if filter is None:
-        # a table may be a DIRECTORY of shard files (the Common-Crawl shape;
-        # bench's scaled corpus) — take the schema from any one member
-        schema_src = path
-        if os.path.isdir(path):
-            members = sorted(
-                os.path.join(path, f)
-                for f in os.listdir(path)
-                if f.endswith(".parquet")
-            )
-            if members:
-                schema_src = members[0]
-            else:
-                # nested/hive layouts or extensionless shards: let Ray
-                # resolve the files and strip metadata post-read instead
-                from kgw_ray.functions.arrow_utils import strip_meta
-
-                return rd.read_parquet(path, **kwargs).map_batches(
-                    strip_meta, batch_format="pyarrow", zero_copy_batch=True
-                )
-        fsch = pq.read_schema(schema_src)
-        sel = list(columns) if columns is not None else fsch.names
-        kwargs["schema"] = pa.schema([fsch.field(c).remove_metadata() for c in sel])
-        return rd.read_parquet(path, **kwargs)
-    from kgw_ray.functions.arrow_utils import strip_meta
-
-    ds = rd.read_parquet(path, **kwargs)
-    return ds.map_batches(strip_meta, batch_format="pyarrow", zero_copy_batch=True)
+    """Read one table (a file or a directory of shard files) with column
+    pruning and row-group filter pushdown, through :func:`scan_parquet`."""
+    return scan_parquet(
+        os.path.join(sf_dir, f"{name}.parquet"),
+        columns=columns,
+        filter=filter,
+        override_num_blocks=override_num_blocks,
+    )
 
 
 def read_table_pandas(
@@ -103,8 +225,6 @@ def read_table_pandas(
     read at sf0.1). Same column pruning + row-group filter pushdown; on a
     cluster the driver reads once from shared storage. NOT for fact-scale
     sides — those stay ``read_table`` Datasets."""
-    import pyarrow.dataset as pads
-
     path = os.path.join(sf_dir, f"{name}.parquet")
     t = pads.dataset(path).to_table(
         columns=list(columns) if columns is not None else None, filter=filter

@@ -289,6 +289,9 @@ class IVFIndex:
         )
 
 
+_PAIRS = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("cosine", pa.float64())])
+
+
 def ivf_near_dup_pairs(
     embeds: rd.Dataset,
     *,
@@ -309,6 +312,8 @@ def ivf_near_dup_pairs(
     from kgw_ray.functions.arrow_utils import arrow_from_pandas
 
     idx = IVFIndex.build(embeds, n_cells=n_cells, id_col=id_col, vec_col=vec_col)
+    if idx.n_cells == 0:  # empty corpus: no cell column to group by
+        return rd.from_arrow(_PAIRS.empty_table())
 
     def pairs_of_cell(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(id_col)
@@ -333,15 +338,7 @@ def ivf_near_dup_pairs(
                 )
             )
         if not outs:
-            outs = [
-                pd.DataFrame(
-                    {
-                        "a": pd.Series([], dtype="int64"),
-                        "b": pd.Series([], dtype="int64"),
-                        "cosine": pd.Series([], dtype="float64"),
-                    }
-                )
-            ]
+            return _PAIRS.empty_table()
         return arrow_from_pandas(pd.concat(outs, ignore_index=True))
 
     return idx.assigned.groupby("cell").map_groups(pairs_of_cell, batch_format="pandas")

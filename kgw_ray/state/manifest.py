@@ -26,6 +26,8 @@ from typing import Callable, Optional
 
 import ray.data as rd
 
+from kgw_ray.sources.readers import parquet_num_rows, scan_parquet
+
 MANIFEST_NAME = "_MANIFEST.json"
 
 
@@ -82,7 +84,7 @@ def resumable_stage(
     """
     m = read_manifest(out_dir)
     if not force and m is not None and m.fingerprint == fingerprint and m.stage == stage:
-        return rd.read_parquet(out_dir)
+        return scan_parquet(out_dir)
 
     _clean_stale_tmps(out_dir)
     tmp_dir = f"{out_dir}.tmp-{uuid.uuid4().hex[:8]}"
@@ -92,8 +94,7 @@ def resumable_stage(
     ds = fn()
     ds.write_parquet(tmp_dir)
     wall = time.monotonic() - t0
-    committed = rd.read_parquet(tmp_dir)
-    n = committed.count()
+    n = parquet_num_rows(tmp_dir)
     manifest = StageManifest(
         stage=stage, fingerprint=fingerprint, num_rows=n, wall_time_sec=wall, extra=extra
     )
@@ -102,7 +103,7 @@ def resumable_stage(
     if os.path.exists(out_dir):
         shutil.rmtree(out_dir)
     os.replace(tmp_dir, out_dir)
-    return rd.read_parquet(out_dir)
+    return scan_parquet(out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +162,7 @@ def resumable_partitioned_run(
         ds = fn(shard)
         ds.write_parquet(tmp_dir)
         wall = time.monotonic() - t0
-        n = rd.read_parquet(tmp_dir).count()
+        n = parquet_num_rows(tmp_dir)
         manifest = StageManifest(
             stage=stage,
             fingerprint=part_fp,
@@ -176,14 +177,7 @@ def resumable_partitioned_run(
         os.replace(tmp_dir, pdir)
         if on_partition_done is not None:
             on_partition_done(i, manifest)
-    # read_parquet rejects a list of directories — enumerate the part files
-    files = [
-        os.path.join(pdir, f)
-        for pdir in part_dirs
-        for f in sorted(os.listdir(pdir))
-        if f.endswith(".parquet")
-    ]
-    return rd.read_parquet(files)
+    return scan_parquet(part_dirs)
 
 
 def partition_metrics(out_dir: str) -> list[dict]:

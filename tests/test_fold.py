@@ -112,9 +112,9 @@ def test_query_fold_branches_agree(name, variant, sf_variant, force_exchange):
 
 
 # registry queries that GROUP BY (a key derived from) events.event_type or
-# lineitem.l_returnflag, plus the DISTINCT over event_type: on the
-# null_key fixture a third of those keys are NULL, and SQL keeps NULL as a
-# group. Left out: events_value_quantiles (Ray's sort-based map_groups
+# lineitem.l_returnflag, plus the DISTINCT over event_type and the
+# per-user journey string_agg (which skips NULL types): on the null_key
+# fixture a third of those keys are NULL, and SQL keeps NULL as a group. Left out: events_value_quantiles (Ray's sort-based map_groups
 # raises on NULL string keys) and events_unpivot_type_counts (the wide
 # pivot it unpivots has one column per known type, none for NULL).
 _NULL_KEY_QUERIES = [
@@ -126,6 +126,7 @@ _NULL_KEY_QUERIES = [
     "events_value_var_parts", "events_user_sketch_by_type",
     "events_top3_users_per_type", "events_hourly_dispersion", "events_path_trigrams",
     "events_type_lift", "users_by_type_signature", "distinct_event_types",
+    "events_user_journeys",
 ]
 
 
@@ -135,6 +136,21 @@ def test_null_key_groups_match_sql(name, sf_variant):
 
     sf = sf_variant["null_key"]
     assert_matches(to_pandas(QUERIES[name](sf)), run_oracle(ORACLES[name], sf), name)
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 3])
+def test_user_sketch_null_group_any_block_layout(n_blocks, sf_variant, tmp_path):
+    """The per-block k-smallest sample keeps each (type, user hash) once,
+    the NULL type included, however the events are cut into blocks (the
+    reader yields one block per row group)."""
+    from kgw_ray.pipelines.registry import ORACLES, QUERIES
+
+    t = pq.read_table(os.path.join(sf_variant["null_key"], "events.parquet"))
+    pq.write_table(t, tmp_path / "events.parquet", row_group_size=-(-t.num_rows // n_blocks))
+    assert pq.read_metadata(tmp_path / "events.parquet").num_row_groups == n_blocks
+    name = "events_user_sketch_by_type"
+    got = to_pandas(QUERIES[name](str(tmp_path)))
+    assert_matches(got, run_oracle(ORACLES[name], str(tmp_path)), name)
 
 
 def test_neighborhood_null_target_ids():
