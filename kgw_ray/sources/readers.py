@@ -151,9 +151,11 @@ class _ParquetPieces(Datasource):
         return [[p] for f in self._files for p in f]
 
     def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
-        units = self.units(parallelism) or [[] for _ in self._files[:1]]
+        units = self.units(parallelism)
         if not units:
-            return []
+            if not self._files:
+                return []
+            units = [[]]  # no row groups: one task yields a typed empty block
         tasks = []
         for idx in np.array_split(np.arange(len(units)), min(parallelism, len(units))):
             group = [p for i in idx for p in units[i]]
@@ -186,11 +188,10 @@ def scan_parquet(
     """
     paths = [path] if isinstance(path, str) else list(path)
     source = _ParquetPieces(paths, columns, filter)
-    n = override_num_blocks or 2 * cluster_cpus()
-    n_tasks = max(1, min(n, len(source.units(n))))
-    return rd.read_datasource(
-        source, override_num_blocks=max(n_tasks, override_num_blocks or 0)
-    )
+    if override_num_blocks is None:
+        n = 2 * cluster_cpus()
+        override_num_blocks = max(1, min(n, len(source.units(n))))
+    return rd.read_datasource(source, override_num_blocks=override_num_blocks)
 
 
 def read_table(
