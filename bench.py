@@ -209,8 +209,7 @@ def run_skew(sf_dir: str, num_cpus: int) -> dict:
     from kgw_ray._shipping import ensure_importable_in_workers
 
     ensure_importable_in_workers()
-    import ray.data as rd
-
+    from kgw_ray.sources.readers import scan_parquet
     from kgw_ray.stages.dedup import (
         _band_rows_from_flat,
         _unpack_shingle_blobs,
@@ -220,7 +219,7 @@ def run_skew(sf_dir: str, num_cpus: int) -> dict:
     )
 
     skew_dir = _prepare_skew_corpus(sf_dir)
-    docs = rd.read_parquet(
+    docs = scan_parquet(
         os.path.join(skew_dir, "documents.parquet"), columns=["doc_id", "text"]
     )
 
@@ -343,13 +342,12 @@ def run_flagship(
     from kgw_ray._shipping import ensure_importable_in_workers
 
     ensure_importable_in_workers()
-    import ray.data as rd
-
     from kgw_ray.pipelines.webkg import (
         edges_from_triples,
         triples_dataset,
         triples_from_pages,
     )
+    from kgw_ray.sources.readers import scan_parquet
 
     import pyarrow.parquet as pq
 
@@ -362,7 +360,7 @@ def run_flagship(
 
     def flagship() -> int:
         # prune the scan to the two columns the chain consumes
-        pages = rd.read_parquet(pages_dir, columns=["doc_id", "html"])
+        pages = scan_parquet(pages_dir, columns=["doc_id", "html"])
         return _consume(edges_from_triples(triples_from_pages(pages)))
 
     # warmup: spin up the worker pool + ship code once, then take the

@@ -1158,9 +1158,10 @@ def media_frame_sample(sf_dir: str) -> rd.Dataset:
 def _exact_dedup_winners(good: rd.Dataset) -> "pa.Table | rd.Dataset":
     """Exact dedup, first wins: MIN(doc_id) per content hash, folded per
     block and merged on the driver while the hash set is driver-sized
-    (16-byte keys move, never text)."""
+    (16-byte keys move, never text). ``good`` is materialized, so the
+    per-block fold runs as block tasks: no Ray Data execution."""
     return fold(
-        good.select_columns(["content_md5", "doc_id"]),
+        good,
         "content_md5",
         [("doc_id", "min", "doc_id")],
         combine=True,
@@ -3994,13 +3995,13 @@ def dedup_cluster_sizes(sf_dir: str) -> "pa.Table | rd.Dataset":
     )
 
     sizes = as_dataset(fold(
-        comps.select_columns(["component"]),
+        as_dataset(comps),
         "component",
         [(None, "count", "cluster_size")],
         combine=True,
     ))
     return fold(
-        sizes.select_columns(["cluster_size"]),
+        sizes,
         "cluster_size",
         [(None, "count", "n_clusters")],
         combine=True,

@@ -25,7 +25,9 @@ the sequential ids of GraphML edges and MeTTa repr2/3 need no second pass,
 and the driver writes the fragments to the one output file in order
 (``_publish``). What a header needs from the rows (the distinct types of
 the MeTTa type decls, the GraphML attribute schema) comes from per-block
-tasks over the same refs, merged on the driver.
+tasks over the same refs, merged on the driver. The block tasks are the
+shared ``stages.agg._on_block``/``_per_block`` primitive, the same one
+``fold`` combines a materialized table with.
 
 Renderers build a block's lines a column at a time with
 ``pyarrow.compute``: line templates are ``binary_join_element_wise`` over
@@ -57,10 +59,9 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import ray
 import ray.data as rd
-from ray.data.block import BlockAccessor
 
 from kgw_ray.functions.scalars import clean, json_dumps, json_loads
-from kgw_ray.stages.agg import _materialized
+from kgw_ray.stages.agg import _materialized, _on_block, _per_block
 
 
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
@@ -129,18 +130,6 @@ def _blocks(ds: rd.Dataset, start: int = 0) -> _Blocks:
             starts.append(start)
             start += n
     return _Blocks(kept, starts, start, schema)
-
-
-@ray.remote
-def _on_block(fn: Callable, block, start: int):
-    return fn(BlockAccessor.for_block(block).to_arrow(), start)
-
-
-def _per_block(fn: Callable, blocks: _Blocks) -> list:
-    """``fn(block, start)`` of every block, run as parallel tasks."""
-    return ray.get(
-        [_on_block.remote(fn, r, s) for r, s in zip(blocks.refs, blocks.starts)]
-    )
 
 
 # parts in flight while a file is assembled: bounds object-store residency
@@ -467,7 +456,7 @@ def _type_decls(blocks: _Blocks, kind: str) -> list[str]:
     """One ``(: "t" NodeType)`` line per distinct type, sorted (the
     reference emits SQLite's DISTINCT order, which is storage-dependent);
     a NULL type sorts last and is declared ``"null"``, as repr1 renders it."""
-    types = {t for ts in _per_block(_block_types, blocks) for t in ts}
+    types = {t for ts in ray.get(_per_block(_block_types, blocks.refs)) for t in ts}
     names = [clean(t) for t in sorted(types - {None})] + ['"null"'] * (None in types)
     return [f"(: {n} {kind})\n" for n in names]
 

@@ -10,22 +10,28 @@ Every grouped aggregate in the repo runs through :func:`fold`:
   dropped. No call site writes its own per-block group-by
   (``tests/test_fold.py::test_grouped_aggregates_use_fold``); partials
   that are not a group-by (packed arg-max keys, k-smallest samples,
-  windowed shifts) come in with ``combine=False``. The partials are
-  materialized once (not again when they already are), and the row
-  count is read from the block metadata — no extra execution.
+  windowed shifts) come in with ``combine=False``. A lazy input is
+  combined by a ``map_batches`` and materialized once; a materialized
+  input (its blocks already in the object store) is combined by block
+  tasks (:func:`_per_block`) on its block refs, projected to the key and
+  spec columns, and starts no Ray Data execution. The row count is read
+  from the block metadata — no extra execution.
 - **driver branch.** At or under ``driver_limit`` partial rows the merge
   is one pandas group-by on the driver and ``finalize`` runs there too;
   the result is a ``pa.Table``. A result this small is pulled or
   broadcast by its consumer anyway, so an all-to-all exchange to reduce
   it is pure fixed latency (120–290 ms per ``Aggregate``/``Sort`` at
   1 CPU, for a few hundred rows). A consumer on the driver uses the
-  table; ``as_dataset`` wraps it only where Dataset ops are chained.
+  table; ``as_dataset`` wraps it only where Dataset ops are chained. On a
+  materialized input within the limit the block tasks' partials come
+  straight back to the driver (partial rows never exceed input rows).
 - **exchange branch.** Above the limit the partials are reduced by one
   hash-shard exchange (each row hashes to an int shard, ``map_groups``
   merges each shard with the same pandas group-by) and ``finalize`` runs
-  as a ``map_batches``; the result is a Dataset. So ``finalize`` must be
-  row-local; order-dependent tails (sort, top-k) follow the fold
-  (:func:`order_by`). Ray Data's sort-based ``groupby().aggregate`` is
+  as a ``map_batches``; the result is a Dataset. A materialized input's
+  block-task partials enter it as ``rd.from_arrow_refs`` of their refs.
+  So ``finalize`` must be row-local; order-dependent tails (sort, top-k)
+  follow the fold (:func:`order_by`). Ray Data's sort-based ``groupby().aggregate`` is
   not used: it raises on NULL string keys spread over several blocks
   (Ray 2.49 compares None with str while picking sort boundaries), and
   for near-unique multi-column keys it sorts the full key tuple.
@@ -48,6 +54,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
+from ray.data.block import BlockAccessor
 from ray.data.dataset import MaterializedDataset
 
 from kgw_ray.functions.arrow_utils import arrow_from_pandas
@@ -132,21 +139,39 @@ def _materialized(ds: rd.Dataset):
     return ds, refs, rows, schema
 
 
-def pull(ds: rd.Dataset) -> pa.Table:
-    """All rows of ``ds`` as one Arrow table on the driver. The blocks are
-    fetched by reference, so a materialized Dataset costs no execution
-    (``to_pandas`` runs one even then); a schema-less empty Dataset gives
-    a zero-column table."""
-    from ray.data.block import BlockAccessor
+@ray.remote
+def _on_block(fn: Callable, block, start: int = 0):
+    return fn(BlockAccessor.for_block(block).to_arrow(), start)
 
-    _, refs, _, schema = _materialized(ds)
-    tables = [BlockAccessor.for_block(b).to_arrow() for b in ray.get(refs)]
+
+def _per_block(fn: Callable, refs: Sequence, starts: Optional[Sequence[int]] = None) -> list:
+    """``fn(block, start)`` of every block in ``refs`` as parallel Ray
+    tasks on the block refs, the one way to work on blocks already in the
+    object store: about 2 ms a task at 1 CPU, against 25–45 ms of fixed
+    cost for a Ray Data execution. Returns the result refs in block order;
+    ``starts`` (default 0) is each block's first global row."""
+    starts = [0] * len(refs) if starts is None else starts
+    return [_on_block.remote(fn, r, s) for r, s in zip(refs, starts)]
+
+
+def _concat(tables: list, schema=None) -> pa.Table:
+    """Arrow tables as one, pandas metadata dropped; no table gives
+    ``schema``'s empty table (a zero-column table without one)."""
     if not tables:
         return schema.empty_table() if schema is not None else pa.table({})
     return pa.concat_tables(
         [t.replace_schema_metadata(None) for t in tables],
         promote_options="permissive",
     )
+
+
+def pull(ds: rd.Dataset) -> pa.Table:
+    """All rows of ``ds`` as one Arrow table on the driver. The blocks are
+    fetched by reference, so a materialized Dataset costs no execution
+    (``to_pandas`` runs one even then); a schema-less empty Dataset gives
+    a zero-column table."""
+    _, refs, _, schema = _materialized(ds)
+    return _concat([BlockAccessor.for_block(b).to_arrow() for b in ray.get(refs)], schema)
 
 
 def _types(schema) -> dict:
@@ -208,17 +233,45 @@ def _merge_frame(pdf: pd.DataFrame, key_list, specs, types: dict) -> pa.Table:
     return _to_arrow(g, types)
 
 
+def _fixed_width(t: pa.DataType) -> bool:
+    try:
+        t.bit_width
+    except ValueError:
+        return False
+    return True
+
+
 def _combiner(key_list, specs) -> Callable[[pa.Table], pa.Table]:
-    """Per-block Arrow group_by with ``specs``: output (keys, aliases)."""
+    """Per-block Arrow group_by with ``specs``: output (keys, aliases).
+    Fixed-width keys group first: pyarrow 16 returns the NULL group of a
+    nullable string key many times when it precedes a fixed-width key, so
+    the partials would not collapse; the output keeps the caller's order."""
     aggs = [([], "count_all") if op == "count" else (col, op) for col, op, _ in specs]
     names = ["count_all" if op == "count" else f"{col}_{op}" for col, op, _ in specs]
     aliases = [alias for _, _, alias in specs]
 
     def combine(t: pa.Table) -> pa.Table:
-        g = t.group_by(key_list, use_threads=False).aggregate(aggs)
+        order = sorted(key_list, key=lambda k: not _fixed_width(t.schema.field(k).type))
+        g = t.group_by(order, use_threads=False).aggregate(aggs)
         return g.select(key_list + names).rename_columns(key_list + aliases)
 
     return combine
+
+
+def _combined(
+    ds: MaterializedDataset, combine: Callable, cols: list, driver_limit: int
+) -> "pa.Table | rd.Dataset":
+    """``combine`` of every non-empty block of ``ds`` over the ``cols``
+    projection, as block tasks (a zero-row block can lack columns). The
+    partials come back as one driver table when the input rows fit
+    ``driver_limit``, else they stay in the object store as a Dataset."""
+    _, refs, rows, _ = _materialized(ds)
+    parts = _per_block(
+        lambda t, _start: combine(t.select(cols)), [r for r, n in zip(refs, rows) if n]
+    )
+    if sum(rows) > driver_limit:
+        return rd.from_arrow_refs(parts)
+    return _concat(ray.get(parts))
 
 
 def _sharded_exchange(ds, key_list, specs, types, n_shards: int) -> rd.Dataset:
@@ -281,11 +334,19 @@ def fold(
     for col, op, alias in specs:
         types[alias] = _out_type(op, hint.get(col))
     if combine:
-        partials = partials.map_batches(_combiner(key_list, specs), batch_format="pyarrow")
+        combiner = _combiner(key_list, specs)
+        if isinstance(partials, MaterializedDataset):
+            cols = list(dict.fromkeys(key_list + [c for c, _, _ in specs if c is not None]))
+            partials = _combined(partials, combiner, cols, driver_limit)
+        else:
+            partials = partials.map_batches(combiner, batch_format="pyarrow")
         # a combined count merges by summing the per-block counts
         specs = [(a, "sum" if op == "count" else op, a) for _, op, a in specs]
-    mat, _, rows, schema = _materialized(partials)
-    n = sum(rows)
+    if isinstance(partials, pa.Table):
+        mat, n, schema = partials, partials.num_rows, partials.schema
+    else:
+        mat, _, rows, schema = _materialized(partials)
+        n = sum(rows)
     in_types = _types(schema)
     for k in key_list:
         types[k] = in_types.get(k) or hint.get(k) or pa.string()
@@ -297,7 +358,8 @@ def fold(
         if n == 0:
             out = pa.table({c: pa.array([], t) for c, t in types.items()})
         else:
-            out = _merge_frame(pull(mat).to_pandas(), key_list, specs, types)
+            table = mat if isinstance(mat, pa.Table) else pull(mat)
+            out = _merge_frame(table.to_pandas(), key_list, specs, types)
         if finalize is None:
             return out
         return _finalized(finalize, types)(
@@ -326,7 +388,7 @@ def sharded_count(
     a sort-based aggregate would sort the full key tuple."""
     keys = list(keys)
     return fold(
-        ds.select_columns(keys),
+        ds,
         keys,
         [(None, "count", count_name)],
         combine=True,
@@ -380,32 +442,6 @@ def salted_aggregate(
         *[Sum(c, alias_name=c) for c in sum_cols]
     )
     return phase2
-
-
-def resilient_map_batches(
-    ds: rd.Dataset,
-    fn,
-    *,
-    max_retries: int = 3,
-    batch_format: str = "pyarrow",
-    **kwargs,
-):
-    """map_batches with task-level exception retries (the engine's
-    fault-tolerance default for stages touching flaky externals — model
-    servers, object stores; reference analog: 3 download retries,
-    kgw/_shared/tasks.py:104).
-
-    Ray retries worker CRASHES automatically; user exceptions need
-    ``retry_exceptions`` opted in — this wrapper is that opt-in.
-    """
-    # map_batches forwards extra kwargs straight to the remote task options
-    return ds.map_batches(
-        fn,
-        batch_format=batch_format,
-        retry_exceptions=True,
-        max_retries=max_retries,
-        **kwargs,
-    )
 
 
 def approx_quantiles(

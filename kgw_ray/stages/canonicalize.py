@@ -9,13 +9,21 @@ pair set, never holds the full id universe on one machine.
 
 ``connected_components(pairs)`` takes a Dataset of undirected edges
 (a:string, b:string) and returns (id:string, component:string) where
-``component`` is the lexicographically smallest id reachable from ``id``.
+``component`` is the lexicographically smallest id reachable from ``id``:
+a ``pa.Table`` from the driver union-find (:func:`union_find`, shared
+with the MinHash dedup) while the pair set is driver-sized, a Dataset
+from the distributed propagation beyond.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import pandas as pd
+import pyarrow as pa
 import ray.data as rd
+
+from kgw_ray.stages.agg import pull
 
 
 def _nparts() -> int:
@@ -39,14 +47,45 @@ def _symmetrize(pairs: rd.Dataset) -> rd.Dataset:
 _DRIVER_PAIR_LIMIT = 5_000_000
 
 
-def connected_components(pairs: rd.Dataset, max_iter: int = 16) -> rd.Dataset:
+def union_find(a: Sequence, b: Sequence) -> tuple[list, list]:
+    """Driver union-find over the pairs ``(a[i], b[i])``: every id that
+    appears, sorted, and the smallest id of its component. Python values
+    order themselves: numeric for integer ids, lexicographic for strings."""
+    parent: dict = {}
+
+    def find(x):
+        r = x
+        while parent.get(r, r) != r:
+            r = parent[r]
+        while parent.get(x, x) != x:
+            parent[x], x = r, parent[x]
+        return r
+
+    for x, y in zip(a, b):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            # min-root union: the root is the component's smallest id
+            if rx < ry:
+                parent[ry] = rx
+            else:
+                parent[rx] = ry
+    members = sorted(set(a) | set(b))
+    return members, [find(m) for m in members]
+
+
+def connected_components(
+    pairs: rd.Dataset, max_iter: int = 16
+) -> "pa.Table | rd.Dataset":
     """Min-label propagation with pointer jumping. pairs: columns (a, b).
     Returns (id, component).
 
-    Small-graph fast path: a pair set ≤ 5M rows is merged with driver-side
-    union-find (candidate-match pair sets are tiny relative to the corpus —
-    seconds vs a dozen join rounds). Beyond that, distributed label
-    propagation: each round takes the min over neighbors' labels AND then
+    Small-graph fast path: a pair set ≤ 5M rows is pulled by reference and
+    merged with driver-side union-find (candidate-match pair sets are tiny
+    relative to the corpus — seconds vs a dozen join rounds); the result
+    is a ``pa.Table``, as a fold's driver branch returns (callers chaining
+    Dataset ops wrap it with ``stages.agg.as_dataset``). Beyond that,
+    distributed label propagation, returned as a Dataset: each round takes
+    the min over neighbors' labels AND then
     jumps ``label ← label(label)`` (pointer doubling), so the covered
     radius roughly doubles per round — ``max_iter=16`` handles component
     diameters far beyond any real near-dup chain. A non-converged exit
@@ -54,48 +93,17 @@ def connected_components(pairs: rd.Dataset, max_iter: int = 16) -> rd.Dataset:
     throughout: ``id`` — one hash shuffle per round over a table that is ≤
     |pairs| rows, not the full corpus.
     """
-    import pyarrow as pa
-
     # compact two-column projection, materialized ONCE: the size probe and
     # both physical paths must not re-execute the pairs pipeline
     pairs = pairs.select_columns(["a", "b"]).materialize()
-    pairs_df = None
-    n_pairs = pairs.count()
-    if n_pairs <= _DRIVER_PAIR_LIMIT:
-        pairs_df = pairs.to_pandas()
-        if len(pairs_df) == 0 or "a" not in pairs_df.columns:
-            return rd.from_arrow(
-                pa.table(
-                    {"id": pa.array([], pa.string()), "component": pa.array([], pa.string())}
-                )
+    if pairs.count() <= _DRIVER_PAIR_LIMIT:
+        t = pull(pairs)
+        if t.num_rows == 0 or "a" not in t.column_names:
+            return pa.table(
+                {"id": pa.array([], pa.string()), "component": pa.array([], pa.string())}
             )
-    if pairs_df is not None:
-        parent: dict = {}
-
-        def find(x):
-            r = x
-            while parent.get(r, r) != r:
-                r = parent[r]
-            while parent.get(x, x) != x:
-                parent[x], x = r, parent[x]
-            return r
-
-        for x, y in zip(pairs_df["a"], pairs_df["b"]):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                if rx < ry:
-                    parent[ry] = rx
-                else:
-                    parent[rx] = ry
-        members = sorted(set(pairs_df["a"]) | set(pairs_df["b"]))
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "id": pa.array(members),
-                    "component": pa.array([find(m) for m in members]),
-                }
-            )
-        )
+        members, roots = union_find(t.column("a").to_pylist(), t.column("b").to_pylist())
+        return pa.table({"id": pa.array(members), "component": pa.array(roots)})
 
     adj = _symmetrize(pairs).materialize()
     # initial label = min neighbor (includes self)

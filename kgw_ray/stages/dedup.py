@@ -31,11 +31,13 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data as rd
 
 from kgw_ray.functions.arrow_utils import arrow_from_pandas
 from kgw_ray.functions.tokenize import py_tokens
-from kgw_ray.stages.agg import as_dataset, fold, pull
+from kgw_ray.stages import agg
+from kgw_ray.stages.agg import _concat, _materialized, _per_block, as_dataset, fold, pull
 
 # ---------------------------------------------------------------------------
 # Exact dedup
@@ -549,6 +551,48 @@ def jaccard_verify_pairs(
     return j.map_batches(verify, batch_format="pyarrow")
 
 
+def _hub_verified_pairs(
+    refs: list, *, threshold: float, num_perm: int, bands: int, max_bucket: int
+) -> pa.Table:
+    """LSH candidates and their exact Jaccard verify for a driver-sized
+    shingle hub, from block tasks on the hub's block refs (no Ray Data
+    execution): one round returns every block's (doc_id, band, bucket)
+    rows, the driver pairs each (band, bucket) run under
+    :func:`_bucket_pairs`' ``max_bucket`` rule, a second round returns the
+    candidates' shingle sets, and the driver keeps the pairs at or above
+    ``threshold``. Returns (a, b) int64 pairs, a < b, each once."""
+
+    def band_rows(t: pa.Table, _start: int) -> pa.Table:
+        flat, offs = _unpack_shingle_blobs(t.column("shingles").to_pylist())
+        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
+        return _band_rows_from_flat(ids, flat, offs, num_perm, bands)
+
+    rows = _concat(ray.get(_per_block(band_rows, refs)))
+    empty = pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())})
+    if rows.num_rows == 0:
+        return empty
+    ids = rows.column("doc_id").to_numpy()
+    band = rows.column("band").to_numpy()
+    bucket = rows.column("bucket").to_numpy()
+    cands = pd.concat(
+        [_bucket_pairs(ids[band == k], bucket[band == k], max_bucket) for k in range(bands)]
+    ).drop_duplicates(ignore_index=True)
+    if len(cands) == 0:
+        return empty
+    a, b = cands["a"].to_numpy(), cands["b"].to_numpy()
+    cand_ref = ray.put(pa.array(np.unique(np.concatenate([a, b])), pa.int64()))
+
+    def cand_sets(t: pa.Table, _start: int) -> pa.Table:
+        keep = pc.is_in(t.column("doc_id"), value_set=ray.get(cand_ref))
+        return t.select(["doc_id", "shingles"]).filter(keep)
+
+    sets = _concat(ray.get(_per_block(cand_sets, refs)))
+    sh = dict(zip(sets.column("doc_id").to_pylist(), sets.column("shingles").to_pylist()))
+    jac = _jaccard_of_shingle_lists([sh.get(x) for x in a.tolist()], [sh.get(y) for y in b.tolist()])
+    ok = jac >= threshold
+    return pa.table({"a": pa.array(a[ok], pa.int64()), "b": pa.array(b[ok], pa.int64())})
+
+
 def minhash_dedup_keep(
     docs: rd.Dataset,
     *,
@@ -568,30 +612,36 @@ def minhash_dedup_keep(
     components → keep min doc_id per component.
 
     Returns (doc_id,) survivors by default; ``keep_columns`` returns those
-    columns of the surviving input rows instead.
+    columns of the surviving input rows instead. The result is lazy: the
+    survivor anti-join runs when the consumer reads it.
 
     **Single-scan design**: the corpus is read ONCE into a materialized
     shingle hub (doc_id, keep columns, unique-shingle uint64 blobs). Band
-    rows, the Jaccard verify (both physical paths) and survivor selection
+    rows, the Jaccard verify (every physical path) and survivor selection
     all derive from the hub — no second corpus read anywhere. The hub is an
     object-store checkpoint (≈ corpus-sized, spills to disk; the 100 TB
     trade is one spillable checkpoint vs three full input scans).
 
-    **Drop set stays a Dataset**: survivors are selected with the
-    size-hybrid ``anti_join`` (broadcast ``ray.put`` value-set under 5M
-    drop ids, hash-partitioned ``left_anti`` beyond) — nothing corpus-sized
-    is ever driver-materialized or closure-shipped; the ≤5M-pair union-find
-    merges PAIRS (tiny vs the corpus), not members-of-the-corpus.
+    **Physical plans.** While hub rows × ``bands`` fit ``agg.DRIVER_LIMIT``
+    (and ``force_shuffle_verify`` is off) candidates and verify come from
+    block tasks on the hub's refs (:func:`_hub_verified_pairs`): the hub
+    build and the consumer's read are the only two Ray Data executions.
+    Beyond it, band rows are a ``map_batches`` over the hub,
+    ``lsh_candidate_pairs`` groups them (``coarse_groups`` picks the
+    grouping; both give the same pairs) and ``jaccard_verify_pairs``
+    verifies (``force_shuffle_verify`` / ``verify_broadcast_limit`` pick
+    its path). ``max_bucket`` is the skew guard of every path.
 
-    ``force_shuffle_verify`` / ``verify_broadcast_limit`` select the
-    verify path (see ``jaccard_verify_pairs``); ``coarse_groups`` /
-    ``max_bucket`` tune the LSH blocking granularity and skew guard (see
-    ``lsh_candidate_pairs`` — pass ``coarse_groups=False`` past ~10^7 docs
-    per band). ``driver_pair_limit`` / ``drop_broadcast_limit`` pin the
-    component-merge and survivor-filter physical paths (tests drive the
-    at-scale distributed variants by setting them to 0).
+    **Components and drop set**: up to ``driver_pair_limit`` verified
+    pairs merge with the driver union-find
+    (``stages/canonicalize.py:union_find``; pairs, never members of the
+    corpus), beyond it with the distributed ``connected_components``.
+    Survivors are selected with the size-hybrid ``anti_join`` (broadcast
+    value-set up to ``drop_broadcast_limit`` drop ids, hash-partitioned
+    ``left_anti`` beyond). Setting the limits to 0 pins the distributed
+    variants (as the tests do).
     """
-    from kgw_ray.stages.canonicalize import connected_components
+    from kgw_ray.stages.canonicalize import connected_components, union_find
     from kgw_ray.stages.joins import anti_join
 
     keep_columns = keep_columns or ["doc_id"]
@@ -601,43 +651,47 @@ def minhash_dedup_keep(
         return shingle_blob_batch(batch, shingle_k=shingle_k, keep=keep_columns)
 
     in_cols = list(dict.fromkeys(["doc_id", "text", *keep_columns]))
-    hub = (
-        docs.select_columns(in_cols)
-        .map_batches(hub_fn, batch_format="pyarrow")
-        .materialize()
+    hub, refs, rows, _ = _materialized(
+        docs.select_columns(in_cols).map_batches(hub_fn, batch_format="pyarrow")
     )
 
-    # band rows from stored shingles — signature math identical to the text
-    # path (both call _band_rows_from_flat)
-    def band_fn(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        flat, offs = _unpack_shingle_blobs(batch.column("shingles").to_pylist())
-        return _band_rows_from_flat(ids, flat, offs, num_perm, bands)
+    verified: "rd.Dataset | pa.Table"
+    if not force_shuffle_verify and sum(rows) * bands <= agg.DRIVER_LIMIT:
+        verified = _hub_verified_pairs(
+            [r for r, n in zip(refs, rows) if n],
+            threshold=threshold,
+            num_perm=num_perm,
+            bands=bands,
+            max_bucket=max_bucket,
+        )
+        n_verified = verified.num_rows
+    else:
+        # band rows from stored shingles — signature math identical to the
+        # text path (both call _band_rows_from_flat)
+        def band_fn(batch: pa.Table) -> pa.Table:
+            ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
+            flat, offs = _unpack_shingle_blobs(batch.column("shingles").to_pylist())
+            return _band_rows_from_flat(ids, flat, offs, num_perm, bands)
 
-    band_rows = hub.select_columns(["doc_id", "shingles"]).map_batches(
-        band_fn, batch_format="pyarrow"
-    )
-    cands = lsh_candidate_pairs(
-        band_rows, max_bucket=max_bucket, coarse_groups=coarse_groups
-    )
-    verified = jaccard_verify_pairs(
-        cands,
-        threshold=threshold,
-        shingle_k=shingle_k,
-        broadcast_limit=verify_broadcast_limit,
-        force_shuffle=force_shuffle_verify,
-        shingles_ds=hub,
-    )
+        band_rows = hub.select_columns(["doc_id", "shingles"]).map_batches(
+            band_fn, batch_format="pyarrow"
+        )
+        cands = lsh_candidate_pairs(
+            band_rows, max_bucket=max_bucket, coarse_groups=coarse_groups
+        )
+        # materialized ONCE: the size probe must not pull an over-limit
+        # pair set to the driver, and the component fallback must not
+        # re-execute the verify DAG
+        verified = jaccard_verify_pairs(
+            cands,
+            threshold=threshold,
+            shingle_k=shingle_k,
+            broadcast_limit=verify_broadcast_limit,
+            force_shuffle=force_shuffle_verify,
+            shingles_ds=hub,
+        ).select_columns(["a", "b"]).materialize()
+        n_verified = verified.count()
 
-    # Verified near-dup pairs are a tiny fraction of the corpus (LSH + exact
-    # verify); merge them into components with driver-side union-find — the
-    # small-graph fast path (pairs, never corpus members). A pair set too
-    # large for the driver falls back to distributed min-label propagation
-    # (stages/canonicalize.py), kept as a Dataset end to end.
-    # Materialized ONCE: the size probe must not pull an over-limit pair
-    # set to the driver, and the fallback must not re-execute the verify DAG.
-    verified = verified.select_columns(["a", "b"]).materialize()
-    n_verified = verified.count()
     survivors_src = hub.select_columns(
         list(dict.fromkeys(["doc_id", *keep_columns]))
     )
@@ -645,44 +699,22 @@ def minhash_dedup_keep(
     if n_verified == 0:
         drop_ds = None
     elif n_verified <= driver_pair_limit:
-        pairs_df = pull(verified).to_pandas()
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            r = x
-            while parent.get(r, r) != r:
-                r = parent[r]
-            while parent.get(x, x) != x:
-                parent[x], x = r, parent[x]
-            return r
-
-        for x, y in zip(pairs_df["a"], pairs_df["b"]):
-            rx, ry = find(int(x)), find(int(y))
-            if rx != ry:
-                # min-root union → first-wins keeps the smallest doc_id
-                if rx < ry:
-                    parent[ry] = rx
-                else:
-                    parent[rx] = ry
-        members = set(pairs_df["a"]) | set(pairs_df["b"])
-        drop_ids = np.array(
-            sorted(m for m in members if find(int(m)) != int(m)), dtype=np.int64
+        pairs = verified if isinstance(verified, pa.Table) else pull(verified)
+        members, roots = union_find(
+            pairs.column("a").to_pylist(), pairs.column("b").to_pylist()
         )
+        # the root is the component's smallest doc_id: first wins
+        drop_ids = [m for m, r in zip(members, roots) if m != r]
         drop_ds = pa.table({"doc_id": pa.array(drop_ids, pa.int64())})
     else:
         # zero-pad ids so lexicographic min-label == numeric min (first-wins);
-        # the component table STAYS distributed — non-keeper members flow
-        # straight into the anti-join's left_anti shuffle
+        # non-keeper members flow straight into the anti-join
         comps = connected_components(
-            verified.map_batches(
+            as_dataset(verified).map_batches(
                 lambda t: pa.table(
                     {
-                        "a": pa.compute.utf8_lpad(
-                            pa.compute.cast(t["a"], pa.string()), 20, "0"
-                        ),
-                        "b": pa.compute.utf8_lpad(
-                            pa.compute.cast(t["b"], pa.string()), 20, "0"
-                        ),
+                        "a": pc.utf8_lpad(pc.cast(t["a"], pa.string()), 20, "0"),
+                        "b": pc.utf8_lpad(pc.cast(t["b"], pa.string()), 20, "0"),
                     }
                 ),
                 batch_format="pyarrow",
@@ -690,14 +722,10 @@ def minhash_dedup_keep(
         )
 
         def non_keepers(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
             kept = t.filter(pc.invert(pc.equal(t["id"], t["component"])))
-            return pa.table(
-                {"doc_id": pc.cast(kept["id"], pa.int64())}
-            )
+            return pa.table({"doc_id": pc.cast(kept["id"], pa.int64())})
 
-        drop_ds = comps.map_batches(non_keepers, batch_format="pyarrow")
+        drop_ds = as_dataset(comps).map_batches(non_keepers, batch_format="pyarrow")
 
     if drop_ds is None:
         return survivors_src.select_columns(keep_columns)

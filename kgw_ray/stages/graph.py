@@ -11,10 +11,14 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data as rd
 
 from kgw_ray.functions.arrow_utils import arrow_from_pandas
 from kgw_ray.stages.agg import (
+    _concat,
+    _materialized,
+    _per_block,
     as_dataset,
     default_shuffle_partitions,
     fold,
@@ -39,8 +43,9 @@ def type_histogram(ds: rd.Dataset) -> "pa.Table | rd.Dataset":
     distinct values, so each block collapses to ≤|types| rows and the fold
     merges and orders them on the driver — the groupby+Sort exchange
     costs ~2 all-to-all latencies for a ten-row answer (measured:
-    kg_statistics 7.1s → sub-second at sf0.1/32cpus)."""
-    out = _count_by(ds.select_columns(["type"]), ["type"])
+    kg_statistics 7.1s → sub-second at sf0.1/32cpus). A materialized table
+    is counted by block tasks on its refs: no Ray Data execution."""
+    out = _count_by(ds, ["type"])
     return order_by(out, ["n", "type"], [True, False])
 
 
@@ -301,9 +306,14 @@ def pagerank(
     exactly at the decimal boundaries PageRank's short-fraction sums love
     to land on — measured 26/18630 mismatches at 4 dp).
 
-    Physical plan: out-degrees via the sharded exact count; edge weights
-    ``d/outdeg`` attached with ONE size-hybrid join and reused every
-    iteration. Per iteration: one LEFT join (edge weights ⋈ current ranks
+    Physical plan, driver branch (≤20M edges by the edge table's block
+    metadata, unless ``force_exchange``): block tasks pull the
+    ``source_id``/``target_id`` columns by reference, out-degrees and the
+    iterations are pandas group-bys on the driver, and the only Ray Data
+    execution is the consumer's: the node set broadcast-joined with the
+    driver rank table. Exchange branch: out-degrees via the sharded exact
+    count; edge weights ``d/outdeg`` attached with ONE size-hybrid join
+    and reused every iteration. Per iteration: one LEFT join (edge weights ⋈ current ranks
     on source_id — a source absent from the rank table has no in-edges, so
     its rank is the base (1-d), supplied on null) and one grouped Sum per
     target_id (stages/agg.py:fold, ``combine=True``).
@@ -357,29 +367,8 @@ def pagerank(
             num_partitions=num_partitions,
         )
 
-    deg = sharded_count(
-        edges.select_columns(["source_id"]), ["source_id"], count_name="deg"
-    )
-    ew = _hybrid_left(
-        edges.select_columns(["source_id", "target_id"]),
-        deg,
-        on="source_id",
-        right_key="source_id",
-        how="inner",
-    )
-
-    def project(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "source_id": batch.column("source_id"),
-                "target_id": batch.column("target_id"),
-                "d": pc.cast(batch.column("deg"), pa.int64()),
-            }
-        )
-
-    ew = ew.map_batches(project, batch_format="pyarrow").materialize()
-    ew_count = ew.count()
-    if ew_count == 0:
+    edges, refs, rows, _ = _materialized(edges)
+    if sum(rows) == 0:
         # no edges → every node sits at the base rank
         return nodes.select_columns(["id"]).map_batches(
             lambda b: pa.table(
@@ -415,17 +404,21 @@ def pagerank(
         c = (rank * np.int64(damp_micro)) // (np.int64(SCALE) * d)
         return pa.table({"target_id": pa.array(t, pa.string()), "c": pa.array(c)})
 
-    # driver branch: an edge-weight table of ≤20M rows (the envelope the
-    # rank broadcast needs anyway) is pulled ONCE and every iteration is a
-    # driver fold over it (the same integer arithmetic as
-    # ``_contrib_partials``) — no execution per iteration instead of a
-    # broadcast join + pull each (query mix at 1 CPU: 7 → 3 executions).
-    # The exchange loop below remains the at-scale path and is
+    # driver branch: an edge table of ≤20M rows (by its block metadata; the
+    # envelope the rank broadcast needs anyway) has its endpoints pulled
+    # ONCE by block tasks, and the out-degrees and every iteration are
+    # driver group-bys over them (the same integer arithmetic as
+    # ``_contrib_partials``) — no Ray Data execution before the final
+    # join. The exchange loop below remains the at-scale path and is
     # parity-pinned by ``force_exchange``.
-    if not force_exchange and ew_count <= 20_000_000:
-        e = pull(ew).to_pandas()
+    if not force_exchange and sum(rows) <= 20_000_000:
+        live = [r for r, n in zip(refs, rows) if n]
+        e = _concat(
+            ray.get(_per_block(lambda t, _s: t.select(["source_id", "target_id"]), live))
+        ).to_pandas()
         src, tgt = e["source_id"], e["target_id"].to_numpy()
-        d = e["d"].to_numpy().astype(np.int64)
+        d = src.groupby(src, sort=False, dropna=False).transform("size")
+        d = d.to_numpy().astype(np.int64)
         rank = np.full(len(e), SCALE, dtype=np.int64)  # r0 ≡ SCALE
         for _ in range(iters):
             c = (rank * np.int64(damp_micro)) // (np.int64(SCALE) * d)
@@ -439,6 +432,25 @@ def pagerank(
             }
         )
     else:
+        deg = sharded_count(edges, ["source_id"], count_name="deg")
+        ew = _hybrid_left(
+            edges.select_columns(["source_id", "target_id"]),
+            deg,
+            on="source_id",
+            right_key="source_id",
+            how="inner",
+        )
+
+        def project(batch: pa.Table) -> pa.Table:
+            return pa.table(
+                {
+                    "source_id": batch.column("source_id"),
+                    "target_id": batch.column("target_id"),
+                    "d": pc.cast(batch.column("deg"), pa.int64()),
+                }
+            )
+
+        ew = ew.map_batches(project, batch_format="pyarrow").materialize()
         ranks = None  # logical r0 ≡ SCALE for every node
         for _ in range(iters):
             if ranks is None:
@@ -593,7 +605,7 @@ def personalized_pagerank(
         )
 
     deg = as_dataset(
-        sharded_count(edges.select_columns(["source_id"]), ["source_id"], count_name="deg")
+        sharded_count(edges, ["source_id"], count_name="deg")
     )
     ew = _hybrid_left(
         edges.select_columns(["source_id", "target_id"]),
@@ -807,7 +819,8 @@ def degree_distribution(edges: rd.Dataset) -> "pa.Table | rd.Dataset":
     per-degree node count). Level 1 is the exact per-source count
     (``sharded_count``); level 2 counts the degree column as the fold's
     finalize — the whole histogram on the driver when the degree table is
-    driver-sized. On the exchange branch that finalize yields per-block
+    driver-sized (on a materialized edge table: block tasks, no Ray Data
+    execution). On the exchange branch that finalize yields per-block
     partial counts, which a second fold merges."""
 
     def level2(t: pa.Table) -> pa.Table:
@@ -815,7 +828,7 @@ def degree_distribution(edges: rd.Dataset) -> "pa.Table | rd.Dataset":
         return g.select(["degree", "count_all"]).rename_columns(["degree", "n_nodes"])
 
     hist = fold(
-        edges.select_columns(["source_id"]),
+        edges,
         ["source_id"],
         [(None, "count", "degree")],
         combine=True,
@@ -1379,7 +1392,7 @@ def eigenvector_centrality(
     for t in range(iters):
         if ranks is None:
             sums = as_dataset(
-                sharded_count(e.select_columns(["target_id"]), ["target_id"], count_name="s")
+                sharded_count(e, ["target_id"], count_name="s")
             ).map_batches(
                 lambda b: pa.table(
                     {

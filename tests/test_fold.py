@@ -313,6 +313,8 @@ def _exchanges(seen):
 
 
 def test_fold_one_execution_on_materialized_input(executions):
+    """A materialized input is merged as is, or combined by block tasks on
+    its refs: no Ray Data execution on either branch."""
     from kgw_ray.stages.agg import fold
 
     t = pa.table({"k": pa.array(["a", "b", "a"]), "v": pa.array([1, 2, 3])})
@@ -321,7 +323,27 @@ def test_fold_one_execution_on_materialized_input(executions):
     out = fold(ds, "k", [("v", "sum", "v")])
     assert len(executions) == 0 and out.num_rows == 2
     out = fold(ds, "k", [("v", "sum", "v")], combine=True)
-    assert len(executions) == 1 and out.num_rows == 2
+    assert len(executions) == 0 and out.num_rows == 2
+    got = fold(ds, "k", [("v", "sum", "v")], combine=True, driver_limit=0)
+    assert sorted(to_pandas(got).itertuples(index=False)) == [("a", 4), ("b", 2)]
+
+
+def test_combiner_collapses_null_string_key(sf_variant):
+    """One block's partial holds each distinct key once, the NULL string
+    key included, when a nullable string key precedes a fixed-width one
+    (pyarrow 16 splits the NULL group when grouping in that order)."""
+    import pyarrow.compute as pc
+
+    from kgw_ray.stages.agg import _combiner
+
+    t = pq.read_table(os.path.join(sf_variant["null_key"], "events.parquet"))
+    t = t.append_column("h", pc.hour(t.column("ts")))
+    keys = ["event_type", "h"]
+    part = _combiner(keys, [(None, "count", "n")])(t)
+    distinct = {tuple(r.values()) for r in t.select(keys).to_pylist()}
+    assert part.column_names == ["event_type", "h", "n"]
+    assert part.num_rows == len(distinct)
+    assert sum(part.column("n").to_pylist()) == t.num_rows
 
 
 @pytest.mark.parametrize(
@@ -346,6 +368,32 @@ def test_mix_query_has_no_all_to_all(name, budget, executions):
     to_pandas(QUERIES[name](SF))
     assert len(executions) <= budget, executions
     assert _exchanges(executions) == []
+
+
+@pytest.mark.parametrize(
+    "name,budget", [("type_histogram", 0), ("degree_distribution", 0), ("pagerank", 1)]
+)
+def test_materialized_graph_executions(name, budget, executions):
+    """Over a materialized graph the per-block work runs as block tasks:
+    the histograms start no Ray Data execution, and PageRank only the
+    consumer's read of its final join."""
+    nodes, edges = _graph("normal")
+    executions.clear()
+    to_pandas(_graph_callers()[name](nodes, edges, False))
+    assert len(executions) == budget, executions
+
+
+def test_minhash_dedup_executions(executions):
+    """The shingle hub build and the consumer's read of the survivors:
+    candidates, verify and components run as block tasks and on the
+    driver."""
+    from kgw_ray.sources.readers import read_table
+    from kgw_ray.stages.dedup import minhash_dedup_keep
+
+    docs = read_table(SF, "documents", columns=["doc_id", "text"])
+    executions.clear()
+    minhash_dedup_keep(docs, threshold=0.5).to_pandas()
+    assert len(executions) <= 2, executions
 
 
 def test_curate_exact_dedup_has_no_all_to_all(executions):

@@ -49,32 +49,6 @@ def test_salted_aggregate_equivalence(sf_smoke):
     )
 
 
-def test_resilient_map_retries_transient_failures(sf_smoke, tmp_path):
-    """A UDF that fails transiently (once per flag file) must complete via
-    task retries — the engine's fault-tolerance opt-in."""
-    import pyarrow as pa
-
-    from kgw_ray.sources.readers import read_table
-    from kgw_ray.stages.agg import resilient_map_batches
-
-    flag = str(tmp_path / "failed_once")
-
-    def flaky(batch: pa.Table) -> pa.Table:
-        import os
-
-        if not os.path.exists(flag):
-            open(flag, "w").write("x")
-            raise RuntimeError("transient failure (injected)")
-        return batch
-
-    ds = read_table(sf_smoke, "documents", columns=["doc_id"])
-    n = resilient_map_batches(ds, flaky).count()
-    assert n == ds.count()
-    import os
-
-    assert os.path.exists(flag)  # the failure really happened
-
-
 def test_tuning_profiles(ray_session):
     from ray.data import DataContext
 

@@ -82,14 +82,13 @@ def main() -> None:
         nodes = [n for n in ray.nodes() if n.get("Alive")]
         total_cpus = int(ray.cluster_resources().get("CPU", 0))
 
-        import ray.data as rd
-
         from bench import _consume, _prepare_rendered_pages
         from kgw_ray.pipelines.webkg import (
             edges_from_triples,
             triples_dataset,
             triples_from_pages,
         )
+        from kgw_ray.sources.readers import scan_parquet
 
         pages_dir = _prepare_rendered_pages(args.sf_dir, args.repeat)
         import pyarrow.parquet as pq
@@ -105,7 +104,7 @@ def main() -> None:
         n_rows = 0
         for _ in range(3):
             t0 = time.monotonic()
-            pages = rd.read_parquet(pages_dir, columns=["doc_id", "html"])
+            pages = scan_parquet(pages_dir, columns=["doc_id", "html"])
             n_rows = _consume(edges_from_triples(triples_from_pages(pages)))
             times.append(round(time.monotonic() - t0, 3))
         sec = sorted(times)[len(times) // 2]
