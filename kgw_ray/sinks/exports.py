@@ -50,6 +50,7 @@ import os
 from collections import deque
 from contextlib import contextmanager
 from functools import lru_cache, partial
+from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple
 from xml.sax import saxutils
 
@@ -118,18 +119,12 @@ class _Blocks(NamedTuple):
 
 
 def _blocks(ds: rd.Dataset, start: int = 0) -> _Blocks:
-    """Block refs of ``ds`` in dataset order, numbered from ``start`` by
-    the block metadata's row counts. Zero-row blocks are dropped: an empty
-    dataset's blocks can be column-less."""
+    """Non-empty block refs of ``ds`` in dataset order, numbered from
+    ``start`` by the block metadata's row counts."""
     with _ordered(ds):
         _, refs, rows, schema = _materialized(ds)
-    kept, starts = [], []
-    for ref, n in zip(refs, rows):
-        if n > 0:
-            kept.append(ref)
-            starts.append(start)
-            start += n
-    return _Blocks(kept, starts, start, schema)
+    *starts, end = accumulate(rows, initial=start)
+    return _Blocks(refs, starts, end, schema)
 
 
 # parts in flight while a file is assembled: bounds object-store residency

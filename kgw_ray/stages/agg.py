@@ -127,14 +127,17 @@ def order_by(result, keys: Sequence[str], descending: Sequence[bool]):
 
 
 def _materialized(ds: rd.Dataset):
-    """(materialized dataset, block refs, per-block row counts, Arrow
-    schema), blocks in the order the dataset stores them: one execution at
-    most, none when ``ds`` is already materialized."""
+    """(materialized dataset, refs of its non-empty blocks, their row
+    counts, Arrow schema), blocks in the order the dataset stores them:
+    one execution at most, none when ``ds`` is already materialized. A
+    zero-row block is left out: it can lack columns (an empty dataset's
+    blocks can be column-less)."""
     if not isinstance(ds, MaterializedDataset):
         ds = ds.materialize()
     bundles = list(ds.iter_internal_ref_bundles())
-    refs = [ref for b in bundles for ref, _ in b.blocks]
-    rows = [m.num_rows or 0 for b in bundles for _, m in b.blocks]
+    blocks = [(ref, m.num_rows) for b in bundles for ref, m in b.blocks if m.num_rows]
+    refs = [ref for ref, _ in blocks]
+    rows = [n for _, n in blocks]
     schema = next((b.schema for b in bundles if b.schema is not None), None)
     return ds, refs, rows, schema
 
@@ -144,14 +147,13 @@ def _on_block(fn: Callable, block, start: int = 0):
     return fn(BlockAccessor.for_block(block).to_arrow(), start)
 
 
-def _per_block(fn: Callable, refs: Sequence, starts: Optional[Sequence[int]] = None) -> list:
-    """``fn(block, start)`` of every block in ``refs`` as parallel Ray
-    tasks on the block refs, the one way to work on blocks already in the
+def _per_block(fn: Callable, refs: Sequence) -> list:
+    """``fn(block, 0)`` of every block in ``refs`` as parallel Ray tasks on
+    the block refs (``_on_block`` passes a block's first global row where
+    a caller needs it), the one way to work on blocks already in the
     object store: about 2 ms a task at 1 CPU, against 25–45 ms of fixed
-    cost for a Ray Data execution. Returns the result refs in block order;
-    ``starts`` (default 0) is each block's first global row."""
-    starts = [0] * len(refs) if starts is None else starts
-    return [_on_block.remote(fn, r, s) for r, s in zip(refs, starts)]
+    cost for a Ray Data execution. Returns the result refs in block order."""
+    return [_on_block.remote(fn, r) for r in refs]
 
 
 def _concat(tables: list, schema=None) -> pa.Table:
@@ -261,14 +263,12 @@ def _combiner(key_list, specs) -> Callable[[pa.Table], pa.Table]:
 def _combined(
     ds: MaterializedDataset, combine: Callable, cols: list, driver_limit: int
 ) -> "pa.Table | rd.Dataset":
-    """``combine`` of every non-empty block of ``ds`` over the ``cols``
-    projection, as block tasks (a zero-row block can lack columns). The
-    partials come back as one driver table when the input rows fit
-    ``driver_limit``, else they stay in the object store as a Dataset."""
+    """``combine`` of every block of ``ds`` over the ``cols`` projection,
+    as block tasks. The partials come back as one driver table when the
+    input rows fit ``driver_limit``, else they stay in the object store as
+    a Dataset."""
     _, refs, rows, _ = _materialized(ds)
-    parts = _per_block(
-        lambda t, _start: combine(t.select(cols)), [r for r, n in zip(refs, rows) if n]
-    )
+    parts = _per_block(lambda t, _start: combine(t.select(cols)), refs)
     if sum(rows) > driver_limit:
         return rd.from_arrow_refs(parts)
     return _concat(ray.get(parts))

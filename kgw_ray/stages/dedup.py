@@ -658,7 +658,7 @@ def minhash_dedup_keep(
     verified: "rd.Dataset | pa.Table"
     if not force_shuffle_verify and sum(rows) * bands <= agg.DRIVER_LIMIT:
         verified = _hub_verified_pairs(
-            [r for r, n in zip(refs, rows) if n],
+            refs,
             threshold=threshold,
             num_perm=num_perm,
             bands=bands,

@@ -313,10 +313,11 @@ def pagerank(
     execution is the consumer's: the node set broadcast-joined with the
     driver rank table. Exchange branch: out-degrees via the sharded exact
     count; edge weights ``d/outdeg`` attached with ONE size-hybrid join
-    and reused every iteration. Per iteration: one LEFT join (edge weights ⋈ current ranks
-    on source_id — a source absent from the rank table has no in-edges, so
-    its rank is the base (1-d), supplied on null) and one grouped Sum per
-    target_id (stages/agg.py:fold, ``combine=True``).
+    and reused every iteration. Per iteration: one LEFT join (edge
+    weights ⋈ current ranks on source_id — a source absent from the rank
+    table has no in-edges, so its rank is the base (1-d), supplied on
+    null) and one grouped Sum per target_id (stages/agg.py:fold,
+    ``combine=True``).
     Joins follow the repo-wide size-hybrid rule (stages/joins.py): the
     rank/degree side broadcasts via ``ray.put`` below ``broadcast_limit``
     rows and falls back to the hash-partitioned ``Dataset.join`` beyond —
@@ -412,9 +413,8 @@ def pagerank(
     # join. The exchange loop below remains the at-scale path and is
     # parity-pinned by ``force_exchange``.
     if not force_exchange and sum(rows) <= 20_000_000:
-        live = [r for r, n in zip(refs, rows) if n]
         e = _concat(
-            ray.get(_per_block(lambda t, _s: t.select(["source_id", "target_id"]), live))
+            ray.get(_per_block(lambda t, _s: t.select(["source_id", "target_id"]), refs))
         ).to_pandas()
         src, tgt = e["source_id"], e["target_id"].to_numpy()
         d = src.groupby(src, sort=False, dropna=False).transform("size")
