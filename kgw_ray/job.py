@@ -75,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.no_resume:
         import shutil
 
-        for sub in ("edge_partials", "node_partials", "edges", "nodes"):
+        for sub in ("edge_partials", "edges", "nodes"):
             shutil.rmtree(os.path.join(args.out, sub), ignore_errors=True)
 
     t0 = time.time()

@@ -342,10 +342,10 @@ SELECT 'E:' || subj AS source_id, 'E:' || obj AS target_id, pred AS type,
 FROM g JOIN documents d ON d.doc_id = g.first_doc
 """,
 )
-def q_webkg_edges_provenance(sf_dir: str) -> rd.Dataset:
+def q_webkg_edges_provenance(sf_dir: str) -> "pa.Table | rd.Dataset":
     """Edge table with provenance url + warc_ts (BASELINE.json north_star:
     'edge table with provenance url + warc_ts'): the first observation's
-    page url rides the triple combiner as an arg-min packed key — fully
+    page url rides the edge fold as an arg-min packed key — fully
     distributed, no doc→url broadcast (kgw_ray/pipelines/webkg.py:
     edges_with_provenance)."""
     from kgw_ray.pipelines.webkg import edges_with_provenance
@@ -1362,7 +1362,6 @@ def q_kg_harmonic(sf_dir: str) -> "pa.Table | rd.Dataset":
     sssp_counts σ table (sibling of kg_eccentricity) and both engines
     are bit-identical."""
     import numpy as np
-    import pyarrow.compute as pc
 
     from kgw_ray.pipelines.webkg import edges_from_triples, triples_dataset
     from kgw_ray.stages.agg import fold
@@ -3184,8 +3183,6 @@ def q_kg_four_cycles(sf_dir: str) -> pa.Table:
     rectangle-counting identity). Integer-exact in both engines."""
     from kgw_ray.pipelines.webkg import edges_from_triples, triples_dataset
     from kgw_ray.stages.graph import common_neighbor_counts
-
-    import numpy as np
 
     cn = common_neighbor_counts(edges_from_triples(triples_dataset(sf_dir)))
 

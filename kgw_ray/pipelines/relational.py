@@ -1314,8 +1314,6 @@ def events_funnel(sf_dir: str) -> rd.Dataset:
     table attached via the size-hybrid join rule (broadcast under the
     limit, hash-partitioned beyond). One materialized hub feeds all three
     stage scans."""
-    import numpy as np
-
     from kgw_ray.stages.joins import large_join
 
     hub = read_table(
@@ -1635,8 +1633,6 @@ def docs_compact_small_files(sf_dir: str) -> pa.Table:
     contracted file count."""
     import tempfile
 
-    import ray.data as rd
-
     from kgw_ray.sinks.compact import compact_parquet
     from kgw_ray.stages.agg import table_checksum
 
@@ -1792,7 +1788,6 @@ def dq_validate_orders(sf_dir: str) -> pa.Table:
     size-hybrid anti join — the ingest-validation report a pipeline runs
     before promoting a snapshot. One row: n_rows, n_null_custkey,
     n_nonpositive_total, n_bad_status, n_orphan_orders."""
-    import numpy as np
     import pyarrow.compute as pc
 
     from kgw_ray.stages.joins import anti_join

@@ -146,7 +146,6 @@ def text_rare_token_stats(sf_dir: str, rare_divisor: int = 1000) -> rd.Dataset:
     """
     import ray
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from kgw_ray.stages.textstats import _segment_sums
 
@@ -1254,8 +1253,6 @@ SHUFFLE_DOCS_SQL = "SELECT doc_id FROM documents"
 def sample_documents_every_k(sf_dir: str, k: int = 10) -> rd.Dataset:
     """Deterministic systematic sample (reference tests/utils.py:60-61 takes
     evenly spaced samples): every k-th doc_id, as a pushed-down filter."""
-    import numpy as np
-
     ds = read_table(sf_dir, "documents", columns=["doc_id", "n_chars"])
 
     def keep(batch: pa.Table) -> pa.Table:
@@ -1654,8 +1651,6 @@ def ngram_topk(sf_dir: str, k: int = _NGRAM_TOPK_K) -> pa.Table:
     per-batch vectorized combiner (the shuffle moves each batch's bigram
     VOCABULARY, not the token stream) → groupby Sum → block-local top-k
     with the deterministic (n desc, gram asc) total order."""
-    from ray.data.aggregate import Sum
-
     from kgw_ray.stages.corpus import bigram_rows
     from kgw_ray.pipelines.relational import distributed_topk
 
@@ -2131,7 +2126,6 @@ def tfidf_top_terms(sf_dir: str) -> rd.Dataset:
     object (Heaps' law, ~10^8 tokens); beyond that the scale path is the
     size-hybrid token join (stages/joins.py)."""
     import ray
-    from ray.data.aggregate import Sum
 
     from kgw_ray.stages.corpus import df_partial, tfidf_batch
 
@@ -3794,7 +3788,6 @@ def docs_vocab_growth(sf_dir: str) -> pa.Table:
     via a grouped Min, each block then bins its tokens' first-appearance
     deciles into a 10-int histogram partial, and the cumulative sum
     folds on the driver — the corpus is never re-scanned per decile."""
-    import ray as _ray
     from ray.data.aggregate import Max
 
     docs = _docs(sf_dir)

@@ -8,13 +8,13 @@ Data DAG over Common-Crawl-style Parquet pages:
       → HtmlExtract (actor pool, byte-identical text per url)
       → extract_triples_batch (stateless vectorized map)
       → link_triples_batch (broadcast-dictionary entity link)
-      → partial pre-aggregation per batch (combiner)
-      → groupby (subj_id, pred, obj_id) merge  [the ONE shuffle]
-      → edges + nodes Parquet hub (partitioned, manifested)
+      → fold over (subj_id, pred, obj_id)  [stages/agg.py:fold]
+      → edges Parquet hub; nodes folded from the committed edges
 
-Scale notes: the per-batch combiner collapses each batch to ≤ |distinct
-triples in batch| rows before the shuffle, so the all-to-all exchange moves
-partial aggregates, not raw mentions. Node/edge id spaces are strings; the
+Scale notes: the fold collapses each block to ≤ |distinct triples in
+block| rows, merges those partials on the driver while they are
+driver-sized and by one hash-shard exchange beyond, so no step moves raw
+mentions. Node/edge id spaces are strings; the
 hub layout hash-partitions edges by source_id (the reference's
 idx_edges_source analog, kgw/_shared/transform.py:27-28).
 """
@@ -31,7 +31,7 @@ import ray.data as rd
 from kgw_ray.functions.scalars import json_dumps
 from kgw_ray.sources.pages import pages_dataset, url_for, warc_ts_for
 from kgw_ray.sources.readers import scan_parquet
-from kgw_ray.stages.agg import _materialized, as_dataset, fold
+from kgw_ray.stages.agg import _combiner, as_dataset, fold
 from kgw_ray.stages.extract import HtmlExtract
 from kgw_ray.stages.linking import link_triples_batch
 from kgw_ray.stages.triples import ENTITY_TYPE, extract_triples_batch
@@ -96,44 +96,16 @@ def triples_dataset(
     return ds.map_batches(link_triples_batch, batch_format="pyarrow")
 
 
-def _edge_partials(batch: pa.Table, carry_prov: bool = False) -> pa.Table:
-    """Combiner: collapse a mention batch to per-triple partial aggregates.
+# THE triple fold: mentions group by (subj_id, pred, obj_id) into a
+# mention count and the first document; the merged state sums and mins
+EDGE_KEYS = ["subj_id", "pred", "obj_id"]
+EDGE_SPECS = [(None, "count", "n_obs"), ("doc_id", "min", "first_doc")]
+_STATE_SPECS = [("n_obs", "sum", "n_obs"), ("first_doc", "min", "first_doc")]
 
-    ``carry_prov=True`` (pass via ``fn_kwargs``) additionally carries the
-    FIRST page url as a packed arg-min key ``lpad(doc_id, 20) || '|' ||
-    url`` — the lexicographic Min over the pack IS the numeric min over
-    doc_id (ids are zero-padded; every mention of a doc shares its url),
-    so a native decomposable Min aggregate moves the url through the
-    shuffle with no corpus-sized side map anywhere. One combiner for both
-    edge builds so the grouping/count semantics can never diverge."""
-    import pyarrow.compute as pc
-
-    keys = ["subj_id", "pred", "obj_id"]
-    t = batch.select(keys + ["doc_id"] + (["url"] if carry_prov else []))
-    # Arrow-native group_by (single-threaded: the worker owns ONE CPU slot;
-    # Arrow's default thread pool would oversubscribe) — no pandas
-    # conversion, no Python objects: measured ~2× over the pandas combiner
-    # and far less heap churn under 32 concurrent workers
-    if carry_prov:
-        prov = pc.binary_join_element_wise(
-            pc.utf8_lpad(pc.cast(t.column("doc_id"), pa.string()), 20, "0"),
-            t.column("url"),
-            "|",
-        )
-        g = (
-            t.append_column("prov", prov)
-            .group_by(keys, use_threads=False)
-            .aggregate([("doc_id", "count"), ("prov", "min")])
-        )
-        return g.select(keys + ["doc_id_count", "prov_min"]).rename_columns(
-            keys + ["n_obs", "prov"]
-        )
-    g = t.group_by(keys, use_threads=False).aggregate(
-        [("doc_id", "count"), ("doc_id", "min")]
-    )
-    return g.select(keys + ["doc_id_count", "doc_id_min"]).rename_columns(
-        keys + ["n_obs", "first_doc"]
-    )
+# the fold's own per-block combine of EDGE_SPECS as a batch function:
+# linked mentions → (subj_id, pred, obj_id, n_obs, first_doc) partials, for
+# the builds that commit partials (incremental state, partition checkpoints)
+_edge_partials = _combiner(EDGE_KEYS, EDGE_SPECS)
 
 
 def _edge_props_json(n_obs_list, first_docs) -> list:
@@ -145,98 +117,15 @@ def _edge_props_json(n_obs_list, first_docs) -> list:
     ]
 
 
-def _coalesce_partials(partials: rd.Dataset) -> rd.Dataset:
-    """Coalesce many small partial blocks before a sort-based groupby: the
-    aggregate builds one reduce partition per input block, so hundreds of
-    tiny partial blocks turn the reduce into a task storm. Measured at
-    sf0.1×64 / 32 CPUs: 5.6s → 3.3s with repartition(num_cpus) first.
-
-    The partials are MATERIALIZED first: a sort-based AllToAll consuming a
-    lazy map chain throttles the upstream map's task concurrency (measured
-    here at sf0.1×64: 14.5s lazy vs 4.3s materialized on 8 CPUs, 3.1s vs
-    2.3s on 32 — the gap grows as CPUs shrink, which silently inflated the
-    8→32 scaling ratio; the reason stages/agg.py:fold materializes its
-    partials). Scale note: what lands in the object store is the per-block
-    COMBINED representation (≤ |distinct keys| rows per block, ~28 bytes/doc
-    here), not the corpus — the map stage upstream still streams."""
-    import ray
-
-    try:
-        n = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:  # pragma: no cover
-        n = 8
-    return partials.materialize().repartition(max(2, n))
-
-
-def _tree_combine(
-    partials: rd.Dataset, keys: list[str], spec: list[tuple[str, str]]
-) -> rd.Dataset:
-    """Second combine level between the per-block combiners and the global
-    aggregate: materialize → repartition(n_cpus) → per-block Arrow
-    group_by. Each coalesced block collapses to ≤ |distinct keys in block|
-    rows, so the sort-based exchange downstream sees O(n_cpus × keyspace)
-    rows REGARDLESS of corpus size (the per-map-block partials alone grow
-    linearly with block count). Keeps full scale-correctness: the final
-    groupby still places arbitrary key cardinality; this level only folds
-    co-resident duplicates. ``spec`` uses Arrow aggregate names
-    (("col", "sum"|"min"|...)); output keeps the input column names."""
-
-    def combine(t: pa.Table) -> pa.Table:
-        g = t.group_by(keys, use_threads=False).aggregate(spec)
-        return g.select(keys + [f"{c}_{f}" for c, f in spec]).rename_columns(
-            keys + [c for c, _ in spec]
-        )
-
-    return _coalesce_partials(partials).map_batches(
-        combine, batch_format="pyarrow"
-    )
-
-
 # THE combiner-schema → unified-IR rename — one definition shared by the
 # streaming merge and the incremental-state render so they cannot fork
 _STATE_TO_IR = {"subj_id": "source_id", "obj_id": "target_id", "pred": "type"}
-
-
-# combined partials at or under this row count merge on the driver (ONE
-# pandas groupby) instead of paying two all-to-all operators; see
-# stages/agg.py:fold for the rule's rationale
-_DRIVER_MERGE_LIMIT = 2_000_000
 
 
 def _ir_edge_rows(batch: pa.Table) -> pa.Table:
     """Merged combiner state → rendered unified-IR edge rows."""
     names = [_STATE_TO_IR.get(c, c) for c in batch.column_names]
     return _render_edge_rows(batch.rename_columns(names))
-
-
-def _merge_edge_partials(partials: rd.Dataset, *, render: bool = True):
-    """Final reduce of the triple combiner through the size-hybrid fold
-    (stages/agg.py:fold):
-
-    - at or under ``_DRIVER_MERGE_LIMIT`` combined-partial rows the merge
-      and the render run on the driver and a ``pa.Table`` comes back.
-      Measured at ×1024/32 CPUs the Repartition + Aggregate all-to-all
-      pair costs ~2.6s of an 8.8s wall (~30%) to reduce ~2k rows — a pure
-      fixed latency that CAPS scaling efficiency;
-    - beyond the limit, the two-level tree combine bounds the exchange at
-      O(cpus × keyspace) rows and the fold's exchange merges them.
-
-    ``render=False`` keeps the COMBINER schema, making the output a
-    mergeable state (closed under another merge — Sum/Min monoids)."""
-    keys = ["subj_id", "pred", "obj_id"]
-    parts, _, rows, _ = _materialized(partials)
-    if sum(rows) > _DRIVER_MERGE_LIMIT:
-        parts = _tree_combine(
-            parts, keys, [("n_obs", "sum"), ("first_doc", "min")]
-        )
-    return fold(
-        parts,
-        keys,
-        [("n_obs", "sum", "n_obs"), ("first_doc", "min", "first_doc")],
-        finalize=_ir_edge_rows if render else None,
-        batch_format="pyarrow",
-        driver_limit=_DRIVER_MERGE_LIMIT,
-    )
 
 
 def edge_state(triples: rd.Dataset, prior: rd.Dataset | None = None) -> rd.Dataset:
@@ -251,7 +140,7 @@ def edge_state(triples: rd.Dataset, prior: rd.Dataset | None = None) -> rd.Datas
     partials = triples.map_batches(_edge_partials, batch_format="pyarrow")
     if prior is not None:
         partials = partials.union(prior)
-    return as_dataset(_merge_edge_partials(partials, render=False)).materialize()
+    return as_dataset(fold(partials, EDGE_KEYS, _STATE_SPECS)).materialize()
 
 
 def edges_from_state(state: rd.Dataset) -> rd.Dataset:
@@ -321,8 +210,13 @@ def edge_rows(triples: rd.Dataset) -> "pa.Table | rd.Dataset":
     shape (kgw/_shared/transform.py:18-25); a driver table when the merged
     edges are driver-sized.
     """
-    return _merge_edge_partials(
-        triples.map_batches(_edge_partials, batch_format="pyarrow")
+    return fold(
+        triples,
+        EDGE_KEYS,
+        EDGE_SPECS,
+        combine=True,
+        finalize=_ir_edge_rows,
+        batch_format="pyarrow",
     )
 
 
@@ -331,22 +225,10 @@ def edges_from_triples(triples: rd.Dataset) -> rd.Dataset:
     return as_dataset(edge_rows(triples))
 
 
-def _node_partials(batch: pa.Table) -> pa.Table:
-    """Combiner: per-batch mention counts per entity (subj and obj sides).
-    Arrow-native value_counts — no pandas round-trip, no Python objects."""
-    import pyarrow.compute as pc
-
-    chunks: list[pa.Array] = []
-    for name in ("subj", "obj"):
-        col = batch.column(name)
-        chunks.extend(col.chunks if isinstance(col, pa.ChunkedArray) else [col])
-    vc = pc.value_counts(pa.chunked_array(chunks, pa.string()))
-    return pa.table(
-        {
-            "surface": vc.field("values"),
-            "n_partial": pc.cast(vc.field("counts"), pa.int64()),
-        }
-    )
+def _mention_surfaces(batch: pa.Table) -> pa.Table:
+    """Linked mentions → one ``surface`` row per subject and per object."""
+    chunks = [ch for c in ("subj", "obj") for ch in batch.column(c).chunks]
+    return pa.table({"surface": pa.chunked_array(chunks, pa.string())})
 
 
 def node_rows(triples: rd.Dataset) -> "pa.Table | rd.Dataset":
@@ -354,17 +236,13 @@ def node_rows(triples: rd.Dataset) -> "pa.Table | rd.Dataset":
     (id, type, properties) per kgw/_shared/transform.py:12-16; merged and
     rendered by the fold (a driver table when driver-sized).
     """
-    partials = triples.map_batches(_node_partials, batch_format="pyarrow")
-    parts, _, rows, _ = _materialized(partials)
-    if sum(rows) > _DRIVER_MERGE_LIMIT:
-        parts = _tree_combine(parts, ["surface"], [("n_partial", "sum")])
     return fold(
-        parts,
+        triples.map_batches(_mention_surfaces, batch_format="pyarrow"),
         "surface",
-        [("n_partial", "sum", "n_mentions")],
+        [(None, "count", "n_mentions")],
+        combine=True,
         finalize=_render_node_rows,
         batch_format="pyarrow",
-        driver_limit=_DRIVER_MERGE_LIMIT,
     )
 
 
@@ -408,7 +286,6 @@ def nodes_from_edges(edges: rd.Dataset) -> rd.Dataset:
             combine=True,
             finalize=_render_node_rows,
             batch_format="pyarrow",
-            driver_limit=_DRIVER_MERGE_LIMIT,
         )
     )
 
@@ -450,6 +327,19 @@ def build_webkg(
     return nodes, edges
 
 
+def _prov_keys(batch: pa.Table) -> pa.Table:
+    """Linked mentions with their page url → the edge keys plus the packed
+    arg-min key ``prov = lpad(doc_id, 20) || '|' || url``: the
+    lexicographic min over the pack IS the numeric min over doc_id (ids
+    are zero-padded; every mention of a doc shares its url)."""
+    prov = pc.binary_join_element_wise(
+        pc.utf8_lpad(pc.cast(batch.column("doc_id"), pa.string()), 20, "0"),
+        batch.column("url"),
+        "|",
+    )
+    return batch.select(EDGE_KEYS).append_column("prov", prov)
+
+
 def _render_prov_edge_rows(batch: pa.Table) -> pa.Table:
     """Unpack the arg-min prov key into first_doc / first_url /
     first_warc_ts and render unified-IR edge rows (properties via the
@@ -460,9 +350,9 @@ def _render_prov_edge_rows(batch: pa.Table) -> pa.Table:
     props = _edge_props_json(batch.column("n_obs").to_pylist(), first_docs)
     return pa.table(
         {
-            "source_id": batch.column("source_id"),
-            "target_id": batch.column("target_id"),
-            "type": batch.column("type"),
+            "source_id": batch.column("subj_id"),
+            "target_id": batch.column("obj_id"),
+            "type": batch.column("pred"),
             "properties": pa.array(props, pa.string()),
             "first_url": pa.array(urls, pa.string()),
             "first_warc_ts": pa.array(
@@ -472,36 +362,29 @@ def _render_prov_edge_rows(batch: pa.Table) -> pa.Table:
     )
 
 
-def edges_with_provenance(sf_dir: str, *, concurrency: int | None = None) -> rd.Dataset:
+def edges_with_provenance(
+    sf_dir: str, *, concurrency: int | None = None
+) -> "pa.Table | rd.Dataset":
     """Edge table with first-observation provenance (url + warc_ts), fully
-    distributed: the page url rides the triple stream into the combiner as
-    an arg-min-by-doc_id packed key and through the ONE shuffle as a native
-    Min aggregate — the scale-safe alternative to broadcasting a doc→url
-    map (which is corpus-sized on a web crawl). Same edge rows as
-    ``edges_from_triples`` plus (first_url, first_warc_ts)."""
-    from ray.data.aggregate import Min, Sum
-
+    distributed: the page url rides the triple stream into the edge fold
+    as an arg-min-by-doc_id packed key merged by ``min`` — the scale-safe
+    alternative to broadcasting a doc→url map (which is corpus-sized on a
+    web crawl). Same edge rows as ``edge_rows`` plus (first_url,
+    first_warc_ts)."""
     pages = extracted_pages(sf_dir, concurrency=concurrency)
     triples = pages.map_batches(
         extract_triples_batch,
         batch_format="pyarrow",
         fn_kwargs={"carry_url": True},
     ).map_batches(link_triples_batch, batch_format="pyarrow")
-    partials = triples.map_batches(
-        _edge_partials, batch_format="pyarrow", fn_kwargs={"carry_prov": True}
+    return fold(
+        triples.map_batches(_prov_keys, batch_format="pyarrow"),
+        EDGE_KEYS,
+        [(None, "count", "n_obs"), ("prov", "min", "prov")],
+        combine=True,
+        finalize=_render_prov_edge_rows,
+        batch_format="pyarrow",
     )
-    merged = _tree_combine(
-        partials,
-        ["subj_id", "pred", "obj_id"],
-        [("n_obs", "sum"), ("prov", "min")],
-    ).groupby(
-        ["subj_id", "pred", "obj_id"]
-    ).aggregate(
-        Sum("n_obs", alias_name="n_obs"), Min("prov", alias_name="prov")
-    ).rename_columns(
-        {"subj_id": "source_id", "obj_id": "target_id", "pred": "type"}
-    )
-    return merged.map_batches(_render_prov_edge_rows, batch_format="pyarrow")
 
 
 def build_webkg_partitioned(
@@ -516,9 +399,9 @@ def build_webkg_partitioned(
     ``num_partitions`` partitions; each partition runs the full
     pages→extract→triples→partial-aggregate pipeline and commits its own
     ``part=<i>/`` Parquet + manifest (lineage, rows, latency). A killed run
-    resumes from the first incomplete partition. A final (cheap) global
-    merge re-aggregates the per-partition partials into the edges table —
-    the only cross-partition shuffle, over pre-collapsed rows.
+    resumes from the first incomplete partition. A final fold merges the
+    committed per-partition partials into the edges table — the only
+    cross-partition step, over pre-collapsed rows.
     """
     from kgw_ray.state.manifest import (
         partition_input_shards,
@@ -553,7 +436,15 @@ def build_webkg_partitioned(
     )
 
     def merge() -> rd.Dataset:
-        return as_dataset(_merge_edge_partials(partials))
+        return as_dataset(
+            fold(
+                partials,
+                EDGE_KEYS,
+                _STATE_SPECS,
+                finalize=_ir_edge_rows,
+                batch_format="pyarrow",
+            )
+        )
 
     return resumable_stage(
         os.path.join(out_dir, "edges"), "edges", fingerprint, merge
@@ -568,57 +459,22 @@ def build_webkg_partitioned_full(
 ) -> tuple[rd.Dataset, rd.Dataset]:
     """Partitioned flagship producing BOTH hub tables (nodes + edges).
 
-    Edge partials come from ``build_webkg_partitioned`` (per-partition
-    checkpoints + resume); node partials are a second per-partition stage
-    over the same shard assignment — a rerun reuses every completed
-    partition of both stages. Returns (nodes, edges).
+    Edges come from ``build_webkg_partitioned`` (per-partition checkpoints
+    + resume); nodes derive from the COMMITTED edges (``nodes_from_edges``,
+    as in ``build_webkg``), so the pages→extract→link pipeline runs once
+    per partition. Returns (nodes, edges).
     """
-    from kgw_ray.state.manifest import (
-        partition_input_shards,
-        resumable_partitioned_run,
-        resumable_stage,
-    )
+    from kgw_ray.state.manifest import resumable_stage
 
     edges = build_webkg_partitioned(
         document_files, out_dir, num_partitions=num_partitions
     )
-
-    shards = partition_input_shards(document_files, num_partitions)
     fingerprint = _input_fingerprint("webkg_part", sorted(document_files))
-
-    def per_partition_nodes(paths: list[str]) -> rd.Dataset:
-        docs = scan_parquet(paths, columns=["doc_id", "text", "lang", "source"])
-        from kgw_ray.sources.pages import synth_pages
-        from kgw_ray.stages.extract import extract_batch
-        from kgw_ray.stages.linking import link_triples_batch
-        from kgw_ray.stages.triples import extract_triples_batch
-
-        pages = docs.map_batches(synth_pages, batch_format="pyarrow")
-        triples = (
-            pages.map_batches(extract_batch, batch_format="pyarrow")
-            .map_batches(extract_triples_batch, batch_format="pyarrow")
-            .map_batches(link_triples_batch, batch_format="pyarrow")
-        )
-        return triples.map_batches(_node_partials, batch_format="pyarrow")
-
-    node_partials = resumable_partitioned_run(
-        os.path.join(out_dir, "node_partials"),
-        "node_partials",
-        fingerprint,
-        shards,
-        per_partition_nodes,
-    )
-
-    def merge_nodes() -> rd.Dataset:
-        from ray.data.aggregate import Sum
-
-        counts = _tree_combine(
-            node_partials, ["surface"], [("n_partial", "sum")]
-        ).groupby("surface").aggregate(Sum("n_partial", alias_name="n_mentions"))
-        return counts.map_batches(_render_node_rows, batch_format="pyarrow")
-
     nodes = resumable_stage(
-        os.path.join(out_dir, "nodes"), "nodes", fingerprint, merge_nodes
+        os.path.join(out_dir, "nodes"),
+        "nodes",
+        fingerprint,
+        lambda: nodes_from_edges(edges),
     )
     return nodes, edges
 
@@ -781,7 +637,6 @@ def latest_pages(sf_dir: str) -> rd.Dataset:
     html. Output: (url, warc_ts_us, text_md5, n_chars)."""
     import hashlib
 
-    import numpy as np
     import pyarrow.compute as pc
 
     from kgw_ray.sources.pages import recrawl_pages_dataset
@@ -1630,7 +1485,6 @@ def mirror_host_pairs(sf_dir: str) -> rd.Dataset:
     fan-in² work, cap popular targets upstream at open-web scale) and
     set sizes attach from a host-vocabulary broadcast."""
     import numpy as np
-    import pyarrow.compute as pc
 
     hg = host_graph(sf_dir).select_columns(["src_host", "dst_host"])
 

@@ -415,9 +415,9 @@ def salted_aggregate(
         phase 2: groupby(keys) over ≤ salt rows per key — trivially small
 
     Works for decomposable aggregates (sum/count/min/max; this helper does
-    sums — extend per aggregate). The per-batch combiner pattern used by the
-    flagship (``_edge_partials``) makes salting unnecessary when partials
-    fit per batch; salting is for groupby paths that CANNOT pre-combine
+    sums — extend per aggregate). The fold's own per-block combine
+    (:func:`fold` with ``combine=True``) makes salting unnecessary when
+    partials fit per block; salting is for groupby paths that CANNOT pre-combine
     (e.g. ``map_groups`` bodies needing all rows of a key, or aggregate
     states too large to merge per batch).
     """
@@ -900,7 +900,6 @@ def grouped_exact_median(
     import numpy as np
     import pandas as pd
     import pyarrow as pa
-    from ray.data.aggregate import Sum
 
     def values(t: pa.Table) -> pa.Table:
         v = pc.cast(t.column(col), pa.float64())
@@ -988,7 +987,6 @@ def table_checksum(ds: rd.Dataset, cols: "Sequence[str]") -> dict:
     """
     import hashlib
 
-    import numpy as np
     import pyarrow as pa
 
     def partial(t: pa.Table) -> pa.Table:

@@ -146,6 +146,14 @@ def batch_shingle_hashes(texts: list, k: int = 5):
     return flat, offs
 
 
+def _doc_shingle_sets(texts: list, k: int = 5) -> list:
+    """Each document's UNIQUE shingle hashes (sorted uint64 arrays), from
+    one ``batch_shingle_hashes`` pass. A document is one row, so its set
+    is complete within the batch that holds it."""
+    flat, offs = batch_shingle_hashes(texts, k)
+    return [np.unique(flat[offs[i] : offs[i + 1]]) for i in range(len(texts))]
+
+
 def minhash_signature(sh: np.ndarray, num_perm: int = 64) -> np.ndarray:
     """num_perm minhash values via seeded splitmix64 mixes (vectorized:
     one (num_perm × |shingles|) broadcast min)."""
@@ -234,10 +242,7 @@ def shingle_blob_batch(batch: pa.Table, *, shingle_k: int = 5, keep: Sequence[st
     sidecar the whole MinHash pipeline derives from (bands, verify and
     survivor selection all read this, never the corpus again)."""
     texts = batch.column("text").to_pylist()
-    flat, offs = batch_shingle_hashes(texts, shingle_k)
-    blobs = [
-        np.unique(flat[offs[i] : offs[i + 1]]).tobytes() for i in range(len(texts))
-    ]
+    blobs = [a.tobytes() for a in _doc_shingle_sets(texts, shingle_k)]
     cols = {"doc_id": batch.column("doc_id")}
     for c in keep:
         if c != "doc_id":
@@ -513,12 +518,8 @@ def jaccard_verify_pairs(
 
         def shingles_of(t: pa.Table) -> pa.Table:
             texts = t.column(text_col).to_pylist()
-            flat, offs = batch_shingle_hashes(texts, shingle_k)
             # binary encoding: Arrow's hash join rejects list<> payload columns
-            sets = [
-                np.unique(flat[offs[i] : offs[i + 1]]).tobytes()
-                for i in range(len(texts))
-            ]
+            sets = [a.tobytes() for a in _doc_shingle_sets(texts, shingle_k)]
             return pa.table(
                 {
                     "doc_id": t.column("doc_id"),
@@ -752,11 +753,11 @@ def exact_jaccard_pairs(
        coarse grouping — per-shingle groups would pay per-group Python on
        millions of tiny groups, a pure shard split keeps groups ~|rows|/
        n_shards with vectorized run expansion inside),
-    3. co-occurring docs per shingle become candidate pairs, a native
-       Count aggregate sums each pair's intersection size,
-    4. per-doc set sizes attach (broadcast map under
-       ``size_broadcast_limit`` docs, hash joins beyond) and
-       J = i / (na + nb - i) filters exactly.
+    3. co-occurring docs per shingle become candidate pairs, a count
+       fold (stages/agg.py:fold) gives each pair's intersection size,
+    4. per-doc set sizes (a count fold over the shingle rows) attach
+       (broadcast map under ``size_broadcast_limit`` docs, hash joins
+       beyond) and J = i / (na + nb - i) filters exactly.
 
     ``max_df`` drops shingles occurring in more documents (df-pruning, the
     standard inverted-index skew guard): a shingle shared by >4096 docs is
@@ -773,19 +774,15 @@ def exact_jaccard_pairs(
     containment i / min(na, nb) (Broder's C — the asymmetric
     quote/subset-detection signal that Jaccard under-scores when one doc
     embeds another much larger one); everything upstream (shingle index,
-    sharded pair enumeration, intersection Count) is byte-identical, and
+    sharded pair enumeration, intersection count) is byte-identical, and
     the output column is named ``containment``.
     """
-    import ray
-    from ray.data.aggregate import Count
-
     from kgw_ray.stages.joins import large_join
 
     def shingle_rows(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        flat, offs = batch_shingle_hashes(texts, shingle_k)
-        per_doc = [np.unique(flat[offs[i] : offs[i + 1]]) for i in range(len(texts))]
+        per_doc = _doc_shingle_sets(texts, shingle_k)
         counts = np.fromiter((len(a) for a in per_doc), dtype=np.int64, count=len(per_doc))
         sh = np.concatenate(per_doc) if per_doc else np.zeros(0, dtype=np.uint64)
         return pa.table(
@@ -802,29 +799,11 @@ def exact_jaccard_pairs(
         shingle_rows, batch_format="pyarrow"
     ).materialize()
 
-    # per-doc set sizes via a per-block combiner (≤ one row per doc per
-    # block) + tiny Sum — a direct groupby over the shingle rows would
-    # hash-shuffle one row per (doc, shingle), ~|shingles-per-doc|× the
-    # corpus row count, just to count runs. A doc's rows CAN span blocks
-    # (Ray splits oversized map outputs), hence the Sum merge.
-    def size_partials(batch: pa.Table) -> pa.Table:
-        ids, counts = np.unique(
-            batch.column("doc_id").to_numpy(zero_copy_only=False), return_counts=True
-        )
-        return pa.table(
-            {
-                "doc_id": pa.array(ids, pa.int64()),
-                "n_partial": pa.array(counts, pa.int64()),
-            }
-        )
-
-    from ray.data.aggregate import Sum
-
-    sizes = (
-        sh.map_batches(size_partials, batch_format="pyarrow")
-        .groupby("doc_id")
-        .aggregate(Sum("n_partial", alias_name="n"))
-    )
+    # per-doc set sizes: a count fold over the shingle rows (one row per
+    # (doc, shingle)), combined per block by block tasks on the
+    # materialized refs — no execution, and a doc whose rows span blocks
+    # (Ray splits oversized map outputs) merges exactly
+    sizes = fold(sh, "doc_id", [(None, "count", "n")], combine=True)
 
     def pairs_of_shard(g: pd.DataFrame) -> pa.Table:
         order = np.lexsort((g["doc_id"].to_numpy(), g["shingle"].to_numpy()))
@@ -858,7 +837,8 @@ def exact_jaccard_pairs(
         return i / (na + nb - i)
 
     cand = sh.groupby("shard").map_groups(pairs_of_shard, batch_format="pandas")
-    inter = cand.groupby(["a", "b"]).aggregate(Count(alias_name="i")).materialize()
+    inter = fold(cand, ["a", "b"], [(None, "count", "i")], combine=True)
+    inter = as_dataset(inter).materialize()
     if inter.count() == 0:
         return rd.from_arrow(
             pa.table(
@@ -870,10 +850,16 @@ def exact_jaccard_pairs(
             )
         )
 
-    sizes_small = sizes.materialize()
-    if sizes_small.count() <= size_broadcast_limit:
-        sp = sizes_small.to_pandas()
-        ref = ray.put(dict(zip(sp["doc_id"].astype("int64"), sp["n"].astype("int64"))))
+    # the sizes fold's exchange branch (over agg.DRIVER_LIMIT shingle rows)
+    # can still give few enough docs to broadcast
+    if not isinstance(sizes, pa.Table):
+        sizes = sizes.materialize()
+        if sizes.count() <= size_broadcast_limit:
+            sizes = pull(sizes)
+    if isinstance(sizes, pa.Table) and sizes.num_rows <= size_broadcast_limit:
+        ref = ray.put(
+            dict(zip(sizes.column("doc_id").to_pylist(), sizes.column("n").to_pylist()))
+        )
 
         def attach(batch: pa.Table) -> pa.Table:
             m = ray.get(ref)
@@ -895,8 +881,9 @@ def exact_jaccard_pairs(
         return inter.map_batches(attach, batch_format="pyarrow")
 
     # 10^9-doc path: two hash joins attach the sizes
-    sa = sizes_small.rename_columns({"doc_id": "a", "n": "na"})
-    sb = sizes_small.rename_columns({"doc_id": "b", "n": "nb"})
+    sizes = as_dataset(sizes)
+    sa = sizes.rename_columns({"doc_id": "a", "n": "na"})
+    sb = sizes.rename_columns({"doc_id": "b", "n": "nb"})
     j = large_join(inter, sa, on=("a",)).materialize()
     j = large_join(j, sb, on=("b",))
 

@@ -1514,29 +1514,13 @@ def nodes_from_edges(
 ) -> rd.Dataset:
     """Distinct endpoint ids of an edge dataset → ``(id)`` — the shared
     node-derivation for operators whose node set IS the edge vocabulary
-    (HITS, label propagation). Per-batch melt + unique combiner, one
-    vocabulary-sized exchange."""
-
-    def _melt(t: pa.Table) -> pa.Table:
-        ids = np.unique(
-            np.concatenate(
-                [
-                    t.column(src).to_numpy(zero_copy_only=False),
-                    t.column(dst).to_numpy(zero_copy_only=False),
-                ]
-            )
-        )
-        return pa.table(
-            {
-                "id": pa.array(ids, pa.string()),
-                "one": pa.array(np.ones(len(ids), dtype=np.int64)),
-            }
-        )
-
+    (HITS, label propagation). A distinct is a ``count`` fold over the
+    endpoint melt whose count column is dropped."""
     return as_dataset(fold(
-        edges.map_batches(_melt, batch_format="pyarrow"),
+        edges.map_batches(stacked(src, dst), batch_format="pyarrow"),
         "id",
-        [("one", "sum", "n")],
+        [(None, "count", "n")],
+        combine=True,
     )).select_columns(["id"])
 
 

@@ -300,7 +300,6 @@ def anti_join(
     value does NOT appear in ``keys_ds[key_col]`` (a Dataset or a driver
     table). Broadcast negated filter below the limit; hash-partitioned
     ``left_anti`` join beyond (the 10^9-key path)."""
-    import numpy as np
     import pyarrow.compute as pc
 
     key_col = key_col or on

@@ -53,12 +53,10 @@ def sf_variant(tmp_path_factory):
 @pytest.fixture
 def force_exchange(monkeypatch):
     """Pin every fold to its exchange branch (driver limit 0)."""
-    from kgw_ray.pipelines import webkg
     from kgw_ray.stages import agg
 
     def pin():
         monkeypatch.setattr(agg, "DRIVER_LIMIT", 0)
-        monkeypatch.setattr(webkg, "_DRIVER_MERGE_LIMIT", 0)
 
     return pin
 
@@ -94,6 +92,7 @@ def _sf_callers():
         "curate_documents": td.curate_documents,
         "webkg_edges": lambda sf: webkg.edge_rows(triples(sf)),
         "webkg_nodes": lambda sf: webkg.node_rows(triples(sf)),
+        "webkg_edges_provenance": webkg.edges_with_provenance,
     }
 
 
@@ -383,6 +382,17 @@ def test_materialized_graph_executions(name, budget, executions):
     assert len(executions) == budget, executions
 
 
+def test_edges_with_provenance_executions(executions):
+    """The provenance edge fold runs the page chain with its per-block
+    combine once; the merge and the render run on the driver."""
+    from kgw_ray.pipelines.webkg import edges_with_provenance
+
+    executions.clear()
+    out = to_pandas(edges_with_provenance(SF))
+    assert len(out) > 0
+    assert len(executions) <= 1, executions
+
+
 def test_minhash_dedup_executions(executions):
     """The shingle hub build and the consumer's read of the survivors:
     candidates, verify and components run as block tasks and on the
@@ -459,14 +469,12 @@ def test_events_rollup_no_future_warning(sf_variant):
         assert out.schema.field("hour").type == pa.timestamp("us")
 
 
-# the webkg build path keeps its own partial/merge (tree combine, driver
-# merge limit); everything else folds with ``combine=True``. Two group-bys
-# are not combiners: a per-block k-smallest sample (it feeds fold with
-# combine=False), and per-document term counts (a document is one row).
+# every grouped aggregate folds with ``combine=True``. Three group-bys are
+# not combiners: a per-block k-smallest sample (it feeds fold with
+# combine=False), per-document term counts and per-document shingle sets
+# (a document is one row, so its distinct values are complete in a block).
 _HAND_COMBINER_ALLOWED = {
-    "_merge_edge_partials", "node_rows", "_edge_partials", "_node_partials",
-    "_tree_combine", "nodes_from_edges",
-    "events_user_sketch_by_type", "_distinct_doc_tokens",
+    "events_user_sketch_by_type", "_distinct_doc_tokens", "_doc_shingle_sets",
 }
 _HAND_COMBINER = re.compile(
     r"\.groupby\(|\.group_by\(|np\.unique\(|np\.add\.at\(|\.value_counts\(|drop_duplicates\("
@@ -568,3 +576,39 @@ def test_grouped_aggregates_use_fold():
                 hand += _hand_combiners(path)
     assert wrapper == [], wrapper
     assert hand == [], "\n".join(hand)
+
+
+# Ray Data's sort-based ``groupby(...).aggregate(...)`` raises on NULL
+# string keys spread over several blocks; these callers still use it and
+# are to move onto ``fold``. No new caller may appear.
+_RAY_GROUPBY_AGGREGATE = {
+    "stages/agg.py": {"salted_aggregate"},
+    "stages/canonicalize.py": {"connected_components"},
+    "stages/dedup.py": {"exact_dedup_keep", "jaccard_verify_pairs", "simhash_near_dup_pairs"},
+    "pipelines/relational.py": {"events_users_no_purchase"},
+}
+
+
+def test_ray_groupby_aggregate_callers():
+    """The direct ``groupby(...).aggregate(`` calls in kgw_ray/, by
+    top-level function, are exactly the known ones (none in webkg)."""
+    root = os.path.join(os.path.dirname(__file__), "..", "kgw_ray")
+    found = {}
+    for dirpath, _, files in os.walk(root):
+        for f in sorted(files):
+            if not f.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, f)
+            rel = os.path.relpath(path, root).replace(os.sep, "/")
+            for top in ast.parse(open(path).read()).body:
+                for node in ast.walk(top):
+                    if (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "aggregate"
+                        and isinstance(node.func.value, ast.Call)
+                        and getattr(node.func.value.func, "attr", None) == "groupby"
+                    ):
+                        found.setdefault(rel, set()).add(getattr(top, "name", "<module>"))
+    assert "pipelines/webkg.py" not in found
+    assert found == _RAY_GROUPBY_AGGREGATE

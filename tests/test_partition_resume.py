@@ -170,6 +170,40 @@ def test_build_webkg_partitioned_full(tmp_path):
     assert edges.count() > 0
 
 
+def test_build_webkg_partitioned_full_one_corpus_pass(tmp_path, monkeypatch):
+    """Nodes fold from the committed edges: the page pipeline is built once
+    per partition (one document scan each) and no node partials are
+    written."""
+    from kgw_ray.pipelines import webkg
+    from tests.conftest import SF_SMOKE
+
+    t = pq.read_table(
+        os.path.join(SF_SMOKE, "documents.parquet"),
+        columns=["doc_id", "text", "lang", "source"],
+    )
+    half = t.num_rows // 2
+    files = []
+    for i in range(2):
+        p = str(tmp_path / f"docs-{i}.parquet")
+        pq.write_table(t.slice(i * half, half if i < 1 else None), p)
+        files.append(p)
+
+    scans = []
+    scan = webkg.scan_parquet
+
+    def counted(paths, **kw):
+        scans.append(list(paths))
+        return scan(paths, **kw)
+
+    monkeypatch.setattr(webkg, "scan_parquet", counted)
+    out = str(tmp_path / "out")
+    nodes, edges = webkg.build_webkg_partitioned_full(files, out, num_partitions=2)
+    assert nodes.count() > 0 and edges.count() > 0
+    assert sorted(p for ps in scans for p in ps) == sorted(files)
+    assert len(scans) == 2
+    assert not os.path.exists(os.path.join(out, "node_partials"))
+
+
 def test_stale_tmp_dirs_cleaned(tmp_path):
     """Orphaned .tmp-<uuid> dirs from a killed run are removed when the
     stage next executes (they would otherwise leak a full output copy per
